@@ -60,12 +60,8 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    spec, space = _load_space(args.sft, args.budget)
+    _, space = _load_space(args.sft, args.budget)
     tower = files.read_tower(args.tower)
-    if spec.group != tower.levels[args.frm]:
-        raise FinshiftError(
-            f"sft group does not match tower level {args.frm}"
-        )
     ext = tower_extend(space, tower, args.frm, args.to, budget=args.budget)
     print(f"extended from level {args.frm} to level {args.to}")
     print(f"{len(ext.configs)} configurations")

@@ -112,14 +112,12 @@ def entropy_set(
     tower: GroupTower,
     max_level: int,
     max_n: int,
-    all_subgroup_orders: bool = True,
     budget: int = 1 << 20,
 ) -> set[EntropyValue]:
     """All values log(n)/|H| for subgroups H of the tower levels and n <= max_n.
 
-    With ``all_subgroup_orders`` every subgroup of every level up to
-    ``max_level`` is enumerated (budgeted); in fast mode only the levels
-    themselves plus the trivial subgroup contribute.
+    Every subgroup of every level up to ``max_level`` is enumerated
+    (budgeted).
     """
     if max_level < 1 or max_level > len(tower.levels):
         raise InputError(f"max_level must be in [1, {len(tower.levels)}]")
@@ -127,11 +125,8 @@ def entropy_set(
         raise InputError("max_n must be >= 1")
     orders = {1}
     for level in tower.levels[:max_level]:
-        if all_subgroup_orders:
-            for sub in all_subgroups(level, budget=budget):
-                orders.add(sub.order)
-        else:
-            orders.add(level.order)
+        for sub in all_subgroups(level, budget=budget):
+            orders.add(sub.order)
     return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
 
 

@@ -1,5 +1,4 @@
-"""Line-oriented text formats for groups, towers, SFT specs, block maps and
-patterns.
+"""Line-oriented text formats for groups, towers and SFT specs.
 
 All formats are UTF-8; blank lines are ignored.  Parse failures raise
 :class:`FormatError` carrying the file and line number.
@@ -12,7 +11,7 @@ import os
 from .errors import FormatError
 from .groups import FiniteGroup, GroupTower, build_tower, cyclic, from_table, product
 from .patterns import Alphabet, Pattern
-from .shiftspace import BlockMap, SftSpec, ShiftSpace
+from .shiftspace import SftSpec
 
 
 def _lines(path):
@@ -166,56 +165,3 @@ def read_sft(path) -> SftSpec:
             raise FormatError(f"unknown symbol in {row!r}", path, lineno) from None
         forbidden.add(Pattern(group, sorted_shape, symbols))
     return SftSpec(group, alphabet, sorted_shape, frozenset(forbidden))
-
-
-def read_blockmap(path, domain: ShiftSpace, target_alphabet: Alphabet) -> BlockMap:
-    """Parse a block map file against an already-enumerated domain."""
-    window = None
-    table = {}
-    for lineno, line in _lines(path):
-        parts = line.split()
-        if parts[0] == "window":
-            window = tuple(sorted(set(_ints(parts[1:], path, lineno))))
-        elif parts[0] == "map":
-            if "->" not in parts:
-                raise FormatError("usage: map <symbols...> -> <symbol>", path, lineno)
-            arrow = parts.index("->")
-            ins = parts[1:arrow]
-            outs = parts[arrow + 1 :]
-            if window is None:
-                raise FormatError("map line before the window line", path, lineno)
-            if len(ins) != len(window) or len(outs) != 1:
-                raise FormatError("map arity does not match the window", path, lineno)
-            key = tuple(domain.alphabet.index(s) for s in ins)
-            table[key] = target_alphabet.index(outs[0])
-        else:
-            raise FormatError(f"unknown block map directive {parts[0]!r}", path, lineno)
-    if window is None:
-        raise FormatError("block map file needs a window line", path)
-    return BlockMap(domain, window, table, target_alphabet)
-
-
-def format_pattern(w: Pattern, alphabet: Alphabet) -> str:
-    shape = " ".join(str(i) for i in w.shape)
-    data = " ".join(alphabet.symbols[s] for s in w.symbols)
-    return f"shape {shape}\ndata {data}"
-
-
-def read_pattern(path, group: FiniteGroup, alphabet: Alphabet) -> Pattern:
-    shape = None
-    symbols = None
-    for lineno, line in _lines(path):
-        parts = line.split()
-        if parts[0] == "shape":
-            shape = tuple(_ints(parts[1:], path, lineno))
-        elif parts[0] == "data":
-            symbols = tuple(alphabet.index(s) for s in parts[1:])
-        else:
-            raise FormatError(f"unknown pattern directive {parts[0]!r}", path, lineno)
-    if shape is None or symbols is None:
-        raise FormatError("pattern file needs shape and data lines", path)
-    if len(shape) != len(symbols):
-        raise FormatError("shape and data lines have different lengths", path)
-    from .patterns import make_pattern
-
-    return make_pattern(group, dict(zip(shape, symbols)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from .groups import FiniteGroup, GroupTower, build_tower, cyclic, product, z2_power_tower
+from .groups import FiniteGroup, GroupTower, build_tower, cyclic, product
 from .patterns import BINARY, Pattern
 from .shiftspace import SftSpec
 
@@ -76,10 +76,3 @@ def standard_specs() -> list[tuple[str, SftSpec]]:
         ("golden_z4", golden_mean_like_spec(z4)),
         ("golden_z5", golden_mean_like_spec(z5)),
     ]
-
-
-def standard_towers() -> dict[str, GroupTower]:
-    return {
-        "z2_power": z2_power_tower(3),
-        "cyclic_doubling": cyclic_doubling_tower(4),
-    }

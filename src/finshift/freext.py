@@ -279,9 +279,8 @@ def base_extract(
 
 def tower_context(tower: GroupTower, i: int, j: int, reps=None) -> ExtensionContext:
     """Context extending tower level ``i`` directly into level ``j``."""
-    return extension_context(
-        tower.levels[j], tower.levels[i], tower.embed_up(i, j), reps=reps
-    )
+    embed = tower.embed_up(i, j)  # checks 0 <= i <= j < len(levels) first
+    return extension_context(tower.levels[j], tower.levels[i], embed, reps=reps)
 
 
 def tower_extend(
@@ -296,12 +295,11 @@ def tower_extend(
     Composing one-step extensions equals the direct extension; both are
     exercised against each other in the test suite.
     """
+    tower.embed_up(i, j)  # checks 0 <= i <= j < len(levels) before indexing
     if y.group != tower.levels[i]:
         raise InputError("space is not defined on the requested tower level")
     current = y
     for k in range(i, j):
-        ctx = extension_context(
-            tower.levels[k + 1], tower.levels[k], tower.embeddings[k]
-        )
+        ctx = tower_context(tower, k, k + 1)
         current = free_extension(current, ctx, budget=budget)
     return current

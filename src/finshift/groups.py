@@ -222,7 +222,7 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
 
 def is_subgroup(g: FiniteGroup, members) -> bool:
     s = set(members)
-    if g.identity not in s:
+    if g.identity not in s or not s <= set(g.elements()):
         return False
     return all(g.mul[a][b] in s and g.inv[a] in s for a in s for b in s)
 

@@ -1,12 +1,16 @@
-"""Named verification suites bundling the library's cross-checks.
+"""Named verification suites: the one place where the paper's claims are
+checked.
 
-Each suite runs a fixed list of checks over the built-in fixtures and
-returns a :class:`SuiteReport`; the CLI exposes them via ``verify``.
-Checks are ordered by name in the report regardless of execution order.
+Each check is a function of the seed, registered under one or more
+``suite/check`` names.  :func:`run_suite` runs a suite's checks over the
+built-in fixtures and returns a :class:`SuiteReport`; the CLI exposes the
+suites via ``verify`` and the acceptance tests cite their checks.  Checks
+are ordered by name in the report regardless of execution order.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -19,7 +23,6 @@ from .fixtures import (
     golden_mean_like_spec,
     random_sft_spec,
     standard_specs,
-    standard_towers,
     two_point_spec,
 )
 from .freext import (
@@ -35,14 +38,15 @@ from .freext import (
     tower_extend,
 )
 from .groups import cyclic, z2_power_tower
-from .patterns import BINARY
+from .patterns import BINARY, shift_config
 from .shiftspace import (
     BlockMap,
     ShiftSpace,
     apply_block_code,
     enumerate_sft,
-    enumerate_sft_naive,
+    full_shift,
     is_shift_invariant,
+    orbits,
     spec_from_space,
 )
 
@@ -77,431 +81,455 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run(report: SuiteReport, name: str, fn) -> None:
-    start = time.perf_counter()
-    try:
-        witness = fn()
-        passed, text = True, witness or ""
-    except AssertionError as exc:
-        passed, text = False, str(exc)
-    except Exception as exc:  # checks must not abort the whole suite
-        passed, text = False, f"{type(exc).__name__}: {exc}"
-    report.checks.append(
-        CheckResult(name, passed, text, time.perf_counter() - start)
-    )
+# suite -> check name -> check; a check takes the seed and raises
+# AssertionError on failure
+_SUITES: dict[str, dict] = {
+    "free-extension": {},
+    "theorem-1": {},
+    "theorem-2": {},
+    "zline": {},
+}
 
 
-def _z2_in_klein_context():
+def _check(*names):
+    """Register the decorated check under each ``suite/check`` name."""
+
+    def register(fn):
+        for name in names:
+            suite, check = name.split("/")
+            _SUITES[suite][check] = fn
+        return fn
+
+    return register
+
+
+def _klein_context():
     tower = z2_power_tower(2)
     return extension_context(tower.levels[1], tower.levels[0], tower.embeddings[0])
 
 
-def _suite_free_extension(seed: int) -> SuiteReport:
-    report = SuiteReport("free-extension")
-    ctx = _z2_in_klein_context()
-    base_configs = [(a, b) for a in (0, 1) for b in (0, 1)]
-    fams = all_families(ctx, base_configs)
+def _z4_context():
+    return extension_context(cyclic(4), cyclic(2), (0, 2))
 
-    def conjugacy():
-        from .patterns import shift_config
 
-        for fam in fams:
-            for g in ctx.ambient.elements():
-                lhs = assemble(ctx, family_action(ctx, g, fam))
-                rhs = shift_config(ctx.ambient, g, assemble(ctx, fam))
-                assert lhs == rhs, f"mismatch at g={g} fam={fam.members}"
+def _klein_families():
+    ctx = _klein_context()
+    fams = all_families(ctx, [(a, b) for a in (0, 1) for b in (0, 1)])
+    assert len(fams) == 16, f"{len(fams)} families"
+    return ctx, fams
 
-    _run(report, "conjugacy-identity", conjugacy)
 
-    def action_law():
-        mul = ctx.ambient.mul
-        for fam in fams[:8]:
-            for g in ctx.ambient.elements():
-                for h in ctx.ambient.elements():
-                    two = family_action(ctx, g, family_action(ctx, h, fam))
-                    one = family_action(ctx, mul[g][h], fam)
-                    assert two.members == one.members, f"g={g} h={h}"
+def _z2_specs():
+    return [(name, spec) for name, spec in standard_specs() if spec.group.order == 2]
 
-    _run(report, "action-composition-law", action_law)
 
-    def round_trip():
-        for fam in fams:
-            back = disassemble(ctx, assemble(ctx, fam))
-            assert back.members == fam.members
+def _shift_permutations(y: ShiftSpace):
+    """Each shift map as a permutation of the sorted configurations."""
+    configs = sorted(y.configs)
+    pos = {c: i for i, c in enumerate(configs)}
+    return [
+        tuple(pos[shift_config(y.group, g, c)] for c in configs)
+        for g in y.group.elements()
+    ]
 
-    _run(report, "assemble-round-trip", round_trip)
 
-    def bijection():
-        images = {assemble(ctx, fam) for fam in fams}
-        assert len(images) == 2 ** ctx.ambient.order, f"{len(images)} images"
+@_check("free-extension/conjugacy-identity")
+def _conjugacy(seed):
+    ctx, fams = _klein_families()
+    for fam in fams:
+        for g in ctx.ambient.elements():
+            lhs = assemble(ctx, family_action(ctx, g, fam))
+            rhs = shift_config(ctx.ambient, g, assemble(ctx, fam))
+            assert lhs == rhs, f"mismatch at g={g} fam={fam.members}"
 
-    _run(report, "assemble-bijection-count", bijection)
 
-    def cardinality():
+@_check("free-extension/action-composition-law")
+def _action_law(seed):
+    ctx, fams = _klein_families()
+    mul = ctx.ambient.mul
+    for fam in fams[:8]:
+        for g in ctx.ambient.elements():
+            for h in ctx.ambient.elements():
+                two = family_action(ctx, g, family_action(ctx, h, fam))
+                one = family_action(ctx, mul[g][h], fam)
+                assert two.members == one.members, f"g={g} h={h}"
+
+
+@_check("free-extension/assemble-round-trip")
+def _assemble_round_trip(seed):
+    ctx, fams = _klein_families()
+    for fam in fams:
+        back = disassemble(ctx, assemble(ctx, fam))
+        assert back.members == fam.members
+
+
+@_check("free-extension/assemble-bijection-count")
+def _assemble_bijection(seed):
+    ctx, fams = _klein_families()
+    images = {assemble(ctx, fam) for fam in fams}
+    assert len(images) == 2 ** ctx.ambient.order, f"{len(images)} images"
+
+
+@_check("free-extension/cardinality-law")
+def _cardinality(seed):
+    ctx = _klein_context()
+    for name, spec in _z2_specs():
+        y = enumerate_sft(spec)
+        ext = free_extension(y, ctx)
+        assert len(ext.configs) == len(y.configs) ** ctx.cosets, name
+
+
+@_check("free-extension/forbidden-lift-equivalence")
+def _forbidden_lift(seed):
+    contexts = (
+        _klein_context(),
+        _z4_context(),
+        tower_context(cyclic_doubling_tower(3), 1, 2),  # Z/4 inside Z/8
+    )
+    checked = 0
+    for ctx in contexts:
         for name, spec in standard_specs():
-            if spec.group.order != 2:
+            if spec.group != ctx.base_group:
                 continue
-            y = enumerate_sft(spec)
-            ext = free_extension(y, ctx)
-            assert len(ext.configs) == len(y.configs) ** ctx.cosets, name
-
-    _run(report, "cardinality-law", cardinality)
-
-    def oracle_equivalence():
-        for name, spec in standard_specs():
-            if spec.group.order != 2:
+            if spec.alphabet.size ** ctx.ambient.order > 1 << 16:
                 continue
-            lifted = free_extension_spec(spec, ctx)
-            via_spec = enumerate_sft(lifted)
-            via_ext = free_extension(enumerate_sft(spec), ctx)
-            assert via_spec.configs == via_ext.configs, name
+            via_spec = enumerate_sft(free_extension_spec(spec, ctx))
+            via_space = free_extension(enumerate_sft(spec), ctx)
+            assert via_spec.configs == via_space.configs, name
+            checked += 1
+    assert checked >= 8, f"only {checked} spec/space extension pairs"
 
-    _run(report, "forbidden-lift-equivalence", oracle_equivalence)
 
-    def choice_independence():
-        rng = random.Random(seed)
-        z2, z4 = cyclic(2), cyclic(4)
-        canonical = extension_context(z4, z2, (0, 2))
-        bases = [
-            enumerate_sft(random_sft_spec(z2, rng)) for _ in range(5)
-        ]
-        reference = [
-            free_extension(y, canonical).configs for y in bases
-        ]
-        for _ in range(50):
-            reps = tuple(
-                rng.choice(sorted(c)) for c in canonical.decomposition.cosets
-            )
-            ctx2 = extension_context(z4, z2, (0, 2), reps=reps)
-            for y, ref in zip(bases, reference):
-                assert free_extension(y, ctx2).configs == ref, f"reps={reps}"
+@_check("free-extension/choice-independence")
+def _choice_independence(seed):
+    rng = random.Random(seed)
+    z2, z4 = cyclic(2), cyclic(4)
+    canonical = _z4_context()
+    bases = [enumerate_sft(random_sft_spec(z2, rng)) for _ in range(5)]
+    reference = [free_extension(y, canonical).configs for y in bases]
+    for _ in range(50):
+        reps = tuple(rng.choice(sorted(c)) for c in canonical.decomposition.cosets)
+        ctx2 = extension_context(z4, z2, (0, 2), reps=reps)
+        for y, ref in zip(bases, reference):
+            assert free_extension(y, ctx2).configs == ref, f"reps={reps}"
 
-    _run(report, "choice-independence", choice_independence)
 
-    def intersection():
-        y1 = enumerate_sft(golden_mean_like_spec(cyclic(2)))
-        y2 = enumerate_sft(two_point_spec(cyclic(2)))
-        meet = ShiftSpace(y1.group, y1.alphabet, y1.configs & y2.configs)
-        lhs = free_extension(meet, ctx).configs
-        rhs = free_extension(y1, ctx).configs & free_extension(y2, ctx).configs
-        assert lhs == rhs
+@_check("free-extension/intersection-commutes")
+def _intersection(seed):
+    ctx = _klein_context()
+    y1 = enumerate_sft(golden_mean_like_spec(cyclic(2)))
+    y2 = enumerate_sft(two_point_spec(cyclic(2)))
+    meet = ShiftSpace(y1.group, y1.alphabet, y1.configs & y2.configs)
+    lhs = free_extension(meet, ctx).configs
+    rhs = free_extension(y1, ctx).configs & free_extension(y2, ctx).configs
+    assert lhs == rhs
 
-    _run(report, "intersection-commutes", intersection)
 
-    def entropy_preserved():
-        for name, spec in standard_specs():
-            if spec.group.order != 2:
-                continue
-            y = enumerate_sft(spec)
-            if not y.configs:
-                continue
-            ext = free_extension(y, ctx)
-            assert dynprops.entropy(ext) == dynprops.entropy(y), name
+@_check("free-extension/entropy-preserved")
+def _entropy_preserved(seed):
+    ctx = _klein_context()
+    for name, spec in _z2_specs():
+        y = enumerate_sft(spec)
+        ext = free_extension(y, ctx)
+        assert dynprops.entropy(ext) == dynprops.entropy(y), name
 
-    _run(report, "entropy-preserved", entropy_preserved)
 
-    def stepwise_equals_direct():
-        tower = z2_power_tower(3)
-        y = enumerate_sft(two_point_spec(tower.levels[0]))
-        stepped = tower_extend(y, tower, 0, 2)
-        direct = free_extension(y, tower_context(tower, 0, 2))
-        assert stepped.configs == direct.configs
-        assert len(stepped.configs) == 2 ** 4
+@_check("free-extension/tower-stepwise-equals-direct")
+def _stepwise_equals_direct(seed):
+    tower = z2_power_tower(3)
+    y = enumerate_sft(two_point_spec(tower.levels[0]))
+    stepped = tower_extend(y, tower, 0, 2)
+    direct = free_extension(y, tower_context(tower, 0, 2))
+    assert stepped.configs == direct.configs
+    assert len(stepped.configs) == 2 ** 4
 
-    _run(report, "tower-stepwise-equals-direct", stepwise_equals_direct)
 
-    def si_transfer():
-        rng = random.Random(seed + 1)
+@_check("free-extension/si-transfer")
+def _si_transfer(seed):
+    # random specs keep the all-zero point, so every base is nonempty
+    for ctx, rng in (
+        (_klein_context(), random.Random(seed + 1)),
+        (_z4_context(), random.Random(seed)),
+    ):
         for trial in range(10):
             y = enumerate_sft(random_sft_spec(cyclic(2), rng))
-            if not y.configs:
-                continue
             ext = free_extension(y, ctx)
             for k0 in [(0,), (1,), (0, 1)]:
                 base_v = dynprops.strongly_irreducible_witness(y, k0).ok
                 image = tuple(ctx.base_embed[a] for a in k0)
                 ext_v = dynprops.strongly_irreducible_witness(ext, image).ok
-                assert base_v == ext_v, f"trial {trial} K0={k0}"
+                assert base_v == ext_v, (
+                    f"|G|={ctx.ambient.order} trial {trial} K0={k0}"
+                )
 
-    _run(report, "si-transfer", si_transfer)
 
-    def factor_commutes():
-        y = enumerate_sft(golden_mean_like_spec(cyclic(2)))
-        window = (0,)
-        flip = {(0,): 1, (1,): 0}
-        code = BlockMap(y, window, flip, BINARY)
-        image_then_extend = free_extension(apply_block_code(y, code), ctx)
-        ext = free_extension(y, ctx)
-        lifted_window = tuple(ctx.base_embed[f] for f in window)
-        lifted = BlockMap(ext, lifted_window, flip, BINARY)
-        extend_then_image = apply_block_code(ext, lifted)
-        assert image_then_extend.configs == extend_then_image.configs
+@_check("free-extension/factor-commutes-with-extension")
+def _factor_commutes(seed):
+    ctx = _klein_context()
+    y = enumerate_sft(golden_mean_like_spec(cyclic(2)))
+    window = (0,)
+    flip = {(0,): 1, (1,): 0}
+    code = BlockMap(y, window, flip, BINARY)
+    image_then_extend = free_extension(apply_block_code(y, code), ctx)
+    ext = free_extension(y, ctx)
+    lifted_window = tuple(ctx.base_embed[f] for f in window)
+    lifted = BlockMap(ext, lifted_window, flip, BINARY)
+    extend_then_image = apply_block_code(ext, lifted)
+    assert image_then_extend.configs == extend_then_image.configs
 
-    _run(report, "factor-commutes-with-extension", factor_commutes)
 
-    def base_extract_round_trip():
-        for name, spec in standard_specs():
-            if spec.group.order != 2:
-                continue
+@_check(
+    "free-extension/base-extract-round-trip",
+    "theorem-1/sft-is-extension-of-finite-base",
+)
+def _base_extract_round_trip(seed):
+    # every fixture SFT lifted to an ambient group is recovered as the free
+    # extension of the base it came from
+    checked = 0
+    for ctx in (_klein_context(), _z4_context()):
+        for name, spec in _z2_specs():
             lifted = free_extension_spec(spec, ctx)
             x = enumerate_sft(lifted)
             result = base_extract(x, lifted.forbidden_shape, ctx)
             assert result.ok, f"{name}: witness {result.witness}"
-
-    _run(report, "base-extract-round-trip", base_extract_round_trip)
-
-    return report
-
-
-def _suite_theorem_1(seed: int) -> SuiteReport:
-    report = SuiteReport("theorem-1")
-    ctx = _z2_in_klein_context()
-
-    def extension_of_finite_base():
-        # every fixture SFT on the ambient group that came from a base spec
-        # is recoverable as a free extension
-        for name, spec in standard_specs():
-            if spec.group.order != 2:
-                continue
-            lifted = free_extension_spec(spec, ctx)
-            x = enumerate_sft(lifted)
-            result = base_extract(x, lifted.forbidden_shape, ctx)
-            assert result.ok, name
-
-    _run(report, "sft-is-extension-of-finite-base", extension_of_finite_base)
-
-    def extensions_are_si():
-        # a base shift on the whole base group is vacuously SI with K = H;
-        # its extension is SI with the image witness set
-        for name, spec in standard_specs():
-            if spec.group.order != 2:
-                continue
-            y = enumerate_sft(spec)
-            if not y.configs:
-                continue
-            assert dynprops.strongly_irreducible_witness(
-                y, range(y.group.order)
-            ).ok, name
-            ext = free_extension(y, ctx)
-            image = tuple(ctx.base_embed)
-            assert dynprops.strongly_irreducible_witness(ext, image).ok, name
-
-    _run(report, "extensions-strongly-irreducible", extensions_are_si)
-
-    def two_point_not_si():
-        y = enumerate_sft(two_point_spec(cyclic(4)))
-        full = tuple(range(4))
-        for k in range(1 << 4):
-            subset = tuple(i for i in range(4) if k >> i & 1)
-            verdict = dynprops.strongly_irreducible_witness(y, subset)
-            if subset == full:
-                assert verdict.ok
-            else:
-                assert not verdict.ok, f"K={subset} unexpectedly SI"
-
-    _run(report, "two-point-space-not-si", two_point_not_si)
-
-    def sofic_image_is_sft():
-        # images of block codes on finite groups re-present as SFTs
-        y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
-        xor = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
-        code = BlockMap(y, (0, 1), xor, BINARY)
-        image = apply_block_code(y, code)
-        assert is_shift_invariant(image)
-        represented = enumerate_sft(spec_from_space(image, (0, 1, 2, 3)))
-        assert represented.configs == image.configs
-
-    _run(report, "sofic-image-re-presents-as-sft", sofic_image_is_sft)
-
-    def automorphism_orders():
-        full = enumerate_sft(standard_specs()[0][1])  # full 2-shift on Z/2
-        aut = dynprops.automorphism_group(full)
-        assert aut.order == 4, f"order {aut.order}"
-        two = enumerate_sft(two_point_spec(cyclic(4)))
-        aut2 = dynprops.automorphism_group(two)
-        assert aut2.order == 2, f"order {aut2.order}"
-
-    _run(report, "automorphism-group-orders", automorphism_orders)
-
-    def shifts_inside_aut():
-        from .patterns import shift_config
-
-        y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
-        aut = dynprops.automorphism_group(y, cap=16)
-        configs = sorted(y.configs)
-        pos = {c: i for i, c in enumerate(configs)}
-        for g in y.group.elements():
-            perm = tuple(pos[shift_config(y.group, g, c)] for c in configs)
-            assert perm in set(aut.elements), f"shift by {g} missing"
-
-    _run(report, "shift-maps-are-automorphisms", shifts_inside_aut)
-
-    return report
+            recovered = enumerate_sft(result.spec)
+            assert recovered.configs == enumerate_sft(spec).configs, name
+            checked += 1
+    assert checked >= 6, f"only {checked} round trips"
 
 
-def _suite_theorem_2(seed: int) -> SuiteReport:
-    report = SuiteReport("theorem-2")
-
-    def entropy_set_truncation():
-        tower = z2_power_tower(3)
-        got = dynprops.entropy_set(tower, max_level=3, max_n=4)
-        want = {
-            dynprops.EntropyValue(n, 2 ** k)
-            for n in range(1, 5)
-            for k in range(4)
-        }
-        assert got == want, f"got {sorted((v.count, v.denom) for v in got)}"
-
-    _run(report, "entropy-set-truncation", entropy_set_truncation)
-
-    def zero_entropy():
-        for name, spec in standard_specs():
-            y = enumerate_sft(spec)
-            if not y.configs:
-                continue
-            verdict = dynprops.zero_entropy_classify(y)
-            if len(y.configs) == 1:
-                assert verdict == dynprops.ZERO_SINGLETON, name
-            else:
-                assert verdict == dynprops.POSITIVE, name
-
-    _run(report, "zero-entropy-classification", zero_entropy)
-
-    def entropy_minimal():
-        for name, spec in standard_specs():
-            y = enumerate_sft(spec)
-            if not y.configs:
-                continue
-            assert dynprops.is_entropy_minimal(y).ok, name
-
-    _run(report, "entropy-minimality", entropy_minimal)
-
-    def mme_attains():
-        for name, spec in standard_specs():
-            y = enumerate_sft(spec)
-            if not y.configs:
-                continue
-            mu = dynprops.mme(y)
-            h = float(dynprops.entropy(y))
-            assert abs(dynprops.measure_entropy(y, mu) - h) < 1e-9, name
-
-    _run(report, "mme-attains-topological-entropy", mme_attains)
-
-    def mme_unique():
-        y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-        verdict = dynprops.mme_unique_check(y, grid=200)
-        assert verdict.unique and verdict.uniform_is_max
-
-    _run(report, "mme-unique-on-golden-mean", mme_unique)
-
-    def two_fixed_points():
-        # with two fixed points the uniform measure still uniquely
-        # maximizes: both Dirac measures are invariant but carry zero
-        # measure entropy, strictly below log(2)/4
-        y = enumerate_sft(two_point_spec(cyclic(4)))
-        verdict = dynprops.mme_unique_check(y, grid=100)
-        assert verdict.unique and verdict.uniform_is_max
-        for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-            dirac = dynprops.measure_from_orbit_masses(y, masses)
-            assert dynprops.measure_entropy(y, dirac) == 0.0
-        assert verdict.max_entropy > 0
-
-    _run(report, "two-fixed-point-mme", two_fixed_points)
-
-    def entropy_preserved_along_tower():
-        rng = random.Random(seed + 2)
-        tower = cyclic_doubling_tower(3)
-        for _ in range(10):
-            spec = random_sft_spec(tower.levels[0], rng)
-            y = enumerate_sft(spec)
-            ext = tower_extend(y, tower, 0, 2)
-            assert dynprops.entropy(ext) == dynprops.entropy(y)
-
-    _run(report, "entropy-constant-along-tower", entropy_preserved_along_tower)
-
-    return report
+@_check("theorem-1/extensions-strongly-irreducible")
+def _extensions_si(seed):
+    # a base shift on the whole base group is vacuously SI with K = H; its
+    # extension is SI with the image witness set.  The full shift on Z/4
+    # extends the full shift on the trivial subgroup, so K = {e} works.
+    ctx = _klein_context()
+    for name, spec in _z2_specs():
+        y = enumerate_sft(spec)
+        assert dynprops.strongly_irreducible_witness(
+            y, range(y.group.order)
+        ).ok, name
+        ext = free_extension(y, ctx)
+        image = tuple(ctx.base_embed)
+        assert dynprops.strongly_irreducible_witness(ext, image).ok, name
+    full = full_shift(cyclic(4), BINARY)
+    assert dynprops.strongly_irreducible_witness(full, (0,)).ok
 
 
-def _suite_zline(seed: int) -> SuiteReport:
-    report = SuiteReport("zline")
-
-    def small_counts():
-        assert zline.golden_mean_cyclic_count(3) == 4
-        assert zline.golden_mean_cyclic_count(4) == 7
-        assert zline.golden_mean_cyclic_count(5) == 11
-
-    _run(report, "golden-mean-small-counts", small_counts)
-
-    def recurrence():
-        counts = {n: zline.golden_mean_cyclic_count(n) for n in range(1, 31)}
-        for n in range(4, 31):
-            assert counts[n] == counts[n - 1] + counts[n - 2], n
-
-    _run(report, "golden-mean-recurrence", recurrence)
-
-    def paths_agree():
-        for n in range(3, 17):
-            assert (
-                zline.golden_mean_cyclic_count(n) == zline._transfer_count(n)
-            ), n
-
-    _run(report, "enumeration-vs-transfer-matrix", paths_agree)
-
-    def tolerance():
-        assert zline.golden_mean_cyclic_count(20) == 15127
-        err = abs(zline.golden_mean_entropy_estimate(20) - zline.LOG_GOLDEN)
-        assert err < 1e-3, err
-        errs = [
-            abs(zline.golden_mean_entropy_estimate(n) - zline.LOG_GOLDEN)
-            for n in (10, 20, 30)
-        ]
-        assert errs[0] > errs[1] > errs[2]
-
-    _run(report, "golden-mean-entropy-tolerance", tolerance)
-
-    def even_cover():
-        for n in range(1, 13):
-            assert zline.even_cover_factor_check(n)
-
-    _run(report, "even-shift-cover-agreement", even_cover)
-
-    def gap_witnesses():
-        for k in range(2, 11):
-            word = zline.sft_gap_witness(k)
-            assert len(word) == 2 * k + 3
-
-    _run(report, "sft-gap-witnesses", gap_witnesses)
-
-    def exclusion_shadow():
-        members = dynprops.entropy_set(z2_power_tower(3), max_level=3, max_n=4)
-        for n in (10, 20):
-            approx = dynprops.EntropyValue(
-                zline.golden_mean_cyclic_count(n), n
-            )
-            for member in members:
-                assert not approx.cross_equal(member), (n, str(member))
-
-    _run(report, "rational-log-exclusion-shadow", exclusion_shadow)
-
-    return report
+@_check("theorem-1/two-point-space-not-si")
+def _two_point_not_si(seed):
+    y = enumerate_sft(two_point_spec(cyclic(4)))
+    full = tuple(range(4))
+    for k in range(1 << 4):
+        subset = tuple(i for i in range(4) if k >> i & 1)
+        verdict = dynprops.strongly_irreducible_witness(y, subset)
+        if subset == full:
+            assert verdict.ok
+        else:
+            assert not verdict.ok, f"K={subset} unexpectedly SI"
 
 
-_SUITES = {
-    "free-extension": _suite_free_extension,
-    "theorem-1": _suite_theorem_1,
-    "theorem-2": _suite_theorem_2,
-    "zline": _suite_zline,
-}
+@_check("theorem-1/sofic-image-re-presents-as-sft")
+def _sofic_image_is_sft(seed):
+    # images of block codes on finite groups re-present as SFTs
+    y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
+    xor = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
+    code = BlockMap(y, (0, 1), xor, BINARY)
+    image = apply_block_code(y, code)
+    assert is_shift_invariant(image)
+    represented = enumerate_sft(spec_from_space(image, (0, 1, 2, 3)))
+    assert represented.configs == image.configs
 
 
-def run_suite(name: str, seed: int = 0) -> SuiteReport:
-    """Run one named verification suite over the built-in fixtures."""
+@_check("theorem-1/automorphism-group-orders")
+def _automorphism_orders(seed):
+    full = full_shift(cyclic(2), BINARY)
+    two = enumerate_sft(two_point_spec(cyclic(4)))
+    for y, order in ((full, 4), (two, 2)):
+        aut = dynprops.automorphism_group(y)
+        assert aut.order == order, f"order {aut.order}, want {order}"
+        for p in aut.elements:
+            for s in _shift_permutations(y):
+                assert all(p[s[i]] == s[p[i]] for i in range(len(p))), (
+                    f"{p} does not commute with shift {s}"
+                )
+
+
+@_check("theorem-1/shift-maps-are-automorphisms")
+def _shifts_inside_aut(seed):
+    y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
+    aut = set(dynprops.automorphism_group(y, cap=16).elements)
+    for g, perm in enumerate(_shift_permutations(y)):
+        assert perm in aut, f"shift by {g} missing"
+
+
+@_check("theorem-2/entropy-set-truncation")
+def _entropy_set_truncation(seed):
+    tower = z2_power_tower(3)
+    got = dynprops.entropy_set(tower, max_level=3, max_n=4)
+    want = {
+        dynprops.EntropyValue(n, 2 ** k)
+        for n in range(1, 5)
+        for k in range(4)
+    }
+    assert got == want, f"got {sorted((v.count, v.denom) for v in got)}"
+
+
+@_check("theorem-2/zero-entropy-classification")
+def _zero_entropy(seed):
+    for name, spec in standard_specs():
+        y = enumerate_sft(spec)
+        singleton = len(y.configs) == 1
+        verdict = dynprops.zero_entropy_classify(y)
+        want = dynprops.ZERO_SINGLETON if singleton else dynprops.POSITIVE
+        assert verdict == want, name
+        assert dynprops.entropy(y).is_zero() == singleton, name
+
+
+@_check("theorem-2/entropy-minimality")
+def _entropy_minimal(seed):
+    for name, spec in standard_specs():
+        assert dynprops.is_entropy_minimal(enumerate_sft(spec)).ok, name
+
+
+@_check("theorem-2/mme-attains-topological-entropy")
+def _mme_attains(seed):
+    for name, spec in standard_specs():
+        y = enumerate_sft(spec)
+        mu = dynprops.mme(y)
+        for orb in orbits(y):
+            assert len({mu.weights[c] for c in orb}) == 1, name
+        h = float(dynprops.entropy(y))
+        assert abs(dynprops.measure_entropy(y, mu) - h) < 1e-12, name
+
+
+@_check("theorem-2/mme-unique-on-golden-mean")
+def _mme_unique(seed):
+    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
+    verdict = dynprops.mme_unique_check(y, grid=200)
+    assert verdict.unique and verdict.uniform_is_max
+
+
+@_check("theorem-2/two-fixed-point-mme")
+def _two_fixed_points(seed):
+    # with two fixed points the uniform measure still uniquely maximizes,
+    # at h = log(2)/4: both Dirac measures are invariant but carry zero
+    # measure entropy
+    y = enumerate_sft(two_point_spec(cyclic(4)))
+    verdict = dynprops.mme_unique_check(y, grid=100)
+    assert verdict.unique and verdict.uniform_is_max
+    assert abs(verdict.max_entropy - math.log(2) / 4) < 1e-12, verdict.max_entropy
+    for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
+        dirac = dynprops.measure_from_orbit_masses(y, masses)
+        assert dynprops.measure_entropy(y, dirac) == 0.0
+
+
+@_check("theorem-2/entropy-constant-along-tower")
+def _entropy_along_tower(seed):
+    tower = cyclic_doubling_tower(4)  # Z/2 -> Z/4 -> Z/8 -> Z/16
+    # (rng, trials, base levels taken in turn, levels extended up)
+    draws = (
+        (random.Random(seed + 2), 10, (0,), (2,)),
+        (random.Random(seed), 25, (0, 1), (1, 2)),
+    )
+    for rng, trials, levels, ups in draws:
+        for trial in range(trials):
+            level = levels[trial % len(levels)]
+            y = enumerate_sft(random_sft_spec(tower.levels[level], rng))
+            h = dynprops.entropy(y)
+            for up in ups:
+                ext_h = dynprops.entropy(tower_extend(y, tower, level, level + up))
+                assert ext_h == h and ext_h.cross_equal(h), (trial, level, up)
+
+
+@_check("zline/golden-mean-small-counts")
+def _small_counts(seed):
+    assert zline.golden_mean_cyclic_count(3) == 4
+    assert zline.golden_mean_cyclic_count(4) == 7
+    assert zline.golden_mean_cyclic_count(5) == 11
+
+
+@_check("zline/golden-mean-recurrence")
+def _recurrence(seed):
+    counts = {n: zline.golden_mean_cyclic_count(n) for n in range(1, 31)}
+    for n in range(4, 31):
+        assert counts[n] == counts[n - 1] + counts[n - 2], n
+
+
+@_check("zline/enumeration-vs-transfer-matrix")
+def _enumeration_oracle(seed):
+    for n in range(1, 17):
+        enumerated = len(enumerate_sft(zline.golden_mean_spec(n)).configs)
+        assert enumerated == zline.golden_mean_cyclic_count(n), n
+
+
+@_check("zline/golden-mean-entropy-tolerance")
+def _tolerance(seed):
+    assert zline.golden_mean_cyclic_count(20) == 15127
+    err = abs(zline.golden_mean_entropy_estimate(20) - zline.LOG_GOLDEN)
+    assert err < 1e-3, err
+    errs = [
+        abs(zline.golden_mean_entropy_estimate(n) - zline.LOG_GOLDEN)
+        for n in (10, 20, 30)
+    ]
+    assert errs[0] > errs[1] > errs[2]
+
+
+@_check("zline/even-shift-cover-agreement")
+def _even_cover(seed):
+    for n in range(1, 13):
+        assert zline.even_cover_factor_check(n)
+
+
+@_check("zline/sft-gap-witnesses")
+def _gap_witnesses(seed):
+    for k in range(2, 11):
+        word = zline.sft_gap_witness(k)
+        assert len(word) == 2 * k + 3
+        assert not zline.even_shift_padded_oracle(word), k
+
+
+@_check("zline/rational-log-exclusion-shadow")
+def _exclusion_shadow(seed):
+    members = dynprops.entropy_set(z2_power_tower(3), max_level=3, max_n=4)
+    # the 4x4 grid of (n, 2^k) pairs collapses to 10 canonical values
+    assert len(members) == 10, len(members)
+    for n in (10, 20):
+        approx = dynprops.EntropyValue(zline.golden_mean_cyclic_count(n), n)
+        for member in members:
+            assert not approx.cross_equal(member), (n, str(member))
+
+
+def _suite(name: str) -> dict:
     if name not in _SUITES:
         raise ConfigurationError(
             f"unknown suite {name!r}; available: {', '.join(sorted(_SUITES))}"
         )
-    return _SUITES[name](seed)
+    return _SUITES[name]
+
+
+def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    """Run one named verification suite over the built-in fixtures."""
+    report = SuiteReport(name)
+    for check, fn in _suite(name).items():
+        start = time.perf_counter()
+        try:
+            fn(seed)
+            passed, text = True, ""
+        except AssertionError as exc:
+            passed, text = False, str(exc)
+        except Exception as exc:  # checks must not abort the whole suite
+            passed, text = False, f"{type(exc).__name__}: {exc}"
+        report.checks.append(
+            CheckResult(check, passed, text, time.perf_counter() - start)
+        )
+    return report
 
 
 def suite_names() -> list[str]:
     return sorted(_SUITES)
+
+
+def check_names(suite: str) -> list[str]:
+    """The check names of one suite, in report order."""
+    return sorted(_suite(suite))

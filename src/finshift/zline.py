@@ -1,9 +1,10 @@
 """Integer-line truncation demos: golden mean counts, the even shift cover,
 and local-vs-global admissibility gap witnesses.
 
-Everything here works on finite binary words and cyclic truncations; the
-one group abstraction (cyclic groups) is reused for small sizes, with a
-transfer-matrix count taking over for long words.
+Everything here works on finite binary words and cyclic truncations.
+Golden mean counts are transfer-matrix traces; :func:`golden_mean_spec`
+states the same constraint as an SFT on a cyclic group, whose enumeration
+is the oracle the counts are checked against.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from itertools import product as iproduct
 from .errors import FinshiftError, InputError
 from .groups import cyclic
 from .patterns import BINARY, Pattern
-from .shiftspace import SftSpec, enumerate_sft
+from .shiftspace import SftSpec
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 LOG_GOLDEN = math.log(GOLDEN_RATIO)
-
-ENUM_CUTOFF = 16
 
 
 def golden_mean_spec(n: int) -> SftSpec:
@@ -30,29 +29,18 @@ def golden_mean_spec(n: int) -> SftSpec:
     return SftSpec(g, BINARY, shape, frozenset({forbidden}))
 
 
-def _transfer_count(n: int) -> int:
-    # trace of the n-th power of [[1,1],[1,0]]: t(1)=1, t(2)=3, Lucas rule
-    if n == 1:
-        return 1
-    if n == 2:
-        return 3
-    a, b = 1, 3
-    for _ in range(n - 2):
-        a, b = b, a + b
-    return b
-
-
 def golden_mean_cyclic_count(n: int) -> int:
     """Binary words of length n with no two cyclically adjacent ones.
 
-    Small sizes go through the SFT enumerator on a cyclic group; larger
-    sizes use the transfer-matrix trace.  The two agree wherever both run.
+    This is the trace of the n-th power of [[1,1],[1,0]]: 1 and 3 for
+    n = 1, 2, then the Lucas rule t(n) = t(n-1) + t(n-2).
     """
     if n < 1:
         raise InputError("word length must be >= 1")
-    if n <= ENUM_CUTOFF:
-        return len(enumerate_sft(golden_mean_spec(n)).configs)
-    return _transfer_count(n)
+    a, b = 2, 1  # t(0), t(1)
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return b
 
 
 def golden_mean_entropy_estimate(n: int) -> float:

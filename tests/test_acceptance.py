@@ -1,64 +1,87 @@
 """Acceptance battery: one test per criterion, one printed verdict line each.
 
-Every expected value here was either computed by an independent brute-force
-oracle in this repository (and frozen), or is analytically forced.  Exact
-comparisons are exact; the only tolerances are the stated ones (golden mean
-estimate 1e-3, float measure-entropy comparisons 1e-9 or tighter).
+Criteria 1-13 are the paper's claims.  Their assertions live in the named
+checks of :mod:`finshift.suites`, the same ones ``finshift verify`` runs;
+each criterion cites its checks, requires every one to pass, and keeps its
+wall-clock bound over their summed time.  Criterion 14 tests the pruned
+enumerator against its naive oracle, which is not a paper claim, so it
+keeps its own body.
 """
 
-import math
 import random
 import time
-from fractions import Fraction
 
-from finshift.dynprops import (
-    POSITIVE,
-    ZERO_SINGLETON,
-    EntropyValue,
-    automorphism_group,
-    entropy,
-    entropy_set,
-    is_entropy_minimal,
-    measure_entropy,
-    measure_from_orbit_masses,
-    mme,
-    mme_unique_check,
-    strongly_irreducible_witness,
-    zero_entropy_classify,
-)
-from finshift.fixtures import (
-    cyclic_doubling_tower,
-    random_sft_spec,
-    standard_specs,
-    two_point_spec,
-)
-from finshift.freext import (
-    all_families,
-    assemble,
-    base_extract,
-    extension_context,
-    family_action,
-    free_extension,
-    free_extension_spec,
-    tower_context,
-    tower_extend,
-)
-from finshift.groups import cyclic, z2_power_tower
-from finshift.patterns import BINARY, shift_config
-from finshift.shiftspace import (
-    enumerate_sft,
-    enumerate_sft_naive,
-    full_shift,
-    orbits,
-)
-from finshift.zline import (
-    LOG_GOLDEN,
-    _transfer_count,
-    even_cover_factor_check,
-    even_shift_padded_oracle,
-    golden_mean_cyclic_count,
-    sft_gap_witness,
-)
+import pytest
+
+from finshift.fixtures import random_sft_spec, standard_specs
+from finshift.groups import cyclic
+from finshift.shiftspace import enumerate_sft, enumerate_sft_naive
+from finshift.suites import check_names, run_suite, suite_names
+
+# criterion -> (verdict text, bound in seconds or None, cited suite/check)
+CRITERIA = {
+    1: ("entropy set of (Z/2)^3 to n=4 is the 2-power truncation", 1.0, [
+        "theorem-2/entropy-set-truncation",
+    ]),
+    2: ("free extensions keep |Y|^[G:H] configurations and exact entropy",
+        30.0, [
+            "free-extension/cardinality-law",
+            "free-extension/entropy-preserved",
+            "free-extension/tower-stepwise-equals-direct",
+            "theorem-2/entropy-constant-along-tower",
+        ]),
+    3: ("lifting the forbidden patterns equals extending the space", None, [
+        "free-extension/forbidden-lift-equivalence",
+        "free-extension/intersection-commutes",
+        "free-extension/factor-commutes-with-extension",
+    ]),
+    4: ("extensions extract back to their base", None, [
+        "free-extension/base-extract-round-trip",
+        "theorem-1/sft-is-extension-of-finite-base",
+    ]),
+    5: ("assembly is an equivariant bijection of coset families", None, [
+        "free-extension/conjugacy-identity",
+        "free-extension/action-composition-law",
+        "free-extension/assemble-round-trip",
+        "free-extension/assemble-bijection-count",
+    ]),
+    6: ("extensions do not depend on the coset representatives", None, [
+        "free-extension/choice-independence",
+    ]),
+    7: ("golden mean counts and entropy, enumeration as oracle", 1.0, [
+        "zline/golden-mean-small-counts",
+        "zline/golden-mean-recurrence",
+        "zline/enumeration-vs-transfer-matrix",
+        "zline/golden-mean-entropy-tolerance",
+    ]),
+    8: ("log(count(n))/n avoids the rational-log truncation", None, [
+        "zline/rational-log-exclusion-shadow",
+    ]),
+    9: ("even shift: cover agrees, gap witnesses, sofic images", 10.0, [
+        "zline/even-shift-cover-agreement",
+        "zline/sft-gap-witnesses",
+        "theorem-1/sofic-image-re-presents-as-sft",
+    ]),
+    10: ("strong irreducibility and its transfer along extensions", None, [
+        "free-extension/si-transfer",
+        "theorem-1/extensions-strongly-irreducible",
+        "theorem-1/two-point-space-not-si",
+    ]),
+    11: ("automorphism orders; automorphisms commute with shifts", None, [
+        "theorem-1/automorphism-group-orders",
+        "theorem-1/shift-maps-are-automorphisms",
+    ]),
+    12: ("entropy zero iff singleton; every fixture entropy minimal", None, [
+        "theorem-2/zero-entropy-classification",
+        "theorem-2/entropy-minimality",
+    ]),
+    13: ("the uniform measure is the unique measure of maximal entropy",
+         None, [
+             "theorem-2/mme-attains-topological-entropy",
+             "theorem-2/mme-unique-on-golden-mean",
+             "theorem-2/two-fixed-point-mme",
+         ]),
+}
 
 
 def _verdict(n, ok, detail):
@@ -67,287 +90,90 @@ def _verdict(n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def _klein_ctx():
-    t = z2_power_tower(2)
-    return extension_context(t.levels[1], t.levels[0], t.embeddings[0])
+@pytest.fixture(scope="module")
+def suite_check():
+    """Look up a ``suite/check`` result; each suite runs once, on demand."""
+    reports = {}
+
+    def lookup(cited):
+        suite, check = cited.split("/")
+        if suite not in reports:
+            reports[suite] = {c.name: c for c in run_suite(suite).checks}
+        return reports[suite][check]
+
+    return lookup
 
 
-def _z2_fixture_specs():
-    return [(n, s) for n, s in standard_specs() if s.group.order == 2]
-
-
-def test_criterion_01_entropy_set_truncation():
-    start = time.perf_counter()
-    got = entropy_set(z2_power_tower(3), max_level=3, max_n=4)
-    want = {EntropyValue(n, 2 ** k) for n in range(1, 5) for k in range(4)}
-    elapsed = time.perf_counter() - start
-    _verdict(
-        1,
-        got == want and elapsed < 1.0,
-        f"{len(got)} canonical values match the 2-power truncation "
-        f"({elapsed:.3f}s)",
-    )
-
-
-def test_criterion_02_entropy_preserved_under_extension():
-    start = time.perf_counter()
-    tower = cyclic_doubling_tower(4)  # Z/2 -> Z/4 -> Z/8 -> Z/16
-    rng = random.Random(0)
-    checked = 0
-    ok = True
-    for trial in range(25):
-        level = trial % 2  # alternate bases on Z/2 and Z/4
-        spec = random_sft_spec(tower.levels[level], rng)
-        y = enumerate_sft(spec)
-        h = entropy(y)
-        for up in (1, 2):
-            ext = tower_extend(y, tower, level, level + up)
-            same = entropy(ext).cross_equal(h) and entropy(ext) == h
-            ok = ok and same
-            checked += 1
-    elapsed = time.perf_counter() - start
-    _verdict(
-        2,
-        ok and elapsed < 30.0,
-        f"{checked} extensions of 25 seeded bases keep exact entropy "
-        f"({elapsed:.1f}s)",
-    )
-
-
-def test_criterion_03_forbidden_lift_equals_extension():
-    contexts = [
-        _klein_ctx(),
-        extension_context(cyclic(4), cyclic(2), (0, 2)),
-        tower_context(cyclic_doubling_tower(3), 1, 2),  # Z/4 inside Z/8
+def _cited_checks(suite_check, n):
+    text, bound, cited = CRITERIA[n]
+    results = [suite_check(name) for name in cited]
+    failed = [
+        f"{name}: {r.witness}" for name, r in zip(cited, results) if not r.passed
     ]
-    checked = 0
-    for ctx in contexts:
-        for name, spec in standard_specs():
-            if spec.group != ctx.base_group:
-                continue
-            if spec.alphabet.size ** ctx.ambient.order > 1 << 16:
-                continue
-            via_spec = enumerate_sft(free_extension_spec(spec, ctx))
-            via_space = free_extension(enumerate_sft(spec), ctx)
-            assert via_spec.configs == via_space.configs, name
-            checked += 1
-    _verdict(3, checked >= 8, f"{checked} spec/space extension pairs agree")
+    elapsed = sum(r.seconds for r in results)
+    detail = f"{text} ({len(cited)} checks, {elapsed:.3f}s)"
+    if bound is not None and elapsed >= bound:
+        failed.append(f"over the {bound}s bound")
+    _verdict(n, not failed, "; ".join([detail] + failed))
 
 
-def test_criterion_04_base_extract_round_trip():
-    contexts = [
-        _klein_ctx(),
-        extension_context(cyclic(4), cyclic(2), (0, 2)),
-    ]
-    checked = 0
-    for ctx in contexts:
-        for name, spec in _z2_fixture_specs():
-            lifted = free_extension_spec(spec, ctx)
-            x = enumerate_sft(lifted)
-            result = base_extract(x, lifted.forbidden_shape, ctx)
-            assert result.ok, name
-            recovered = enumerate_sft(result.spec)
-            assert recovered.configs == enumerate_sft(spec).configs, name
-            checked += 1
-    _verdict(
-        4, checked >= 6, f"{checked} extensions extract back to their base"
-    )
+def test_criteria_cite_exactly_the_registered_checks():
+    registered = {f"{s}/{c}" for s in suite_names() for c in check_names(s)}
+    cited = {name for _, _, names in CRITERIA.values() for name in names}
+    assert not cited - registered, "cited checks that no suite registers"
+    assert not registered - cited, "suite checks that no criterion cites"
 
 
-def test_criterion_05_conjugacy_identity():
-    ctx = _klein_ctx()
-    fams = all_families(ctx, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert len(fams) == 16
-    pairs = 0
-    for fam in fams:
-        for g in ctx.ambient.elements():
-            lhs = assemble(ctx, family_action(ctx, g, fam))
-            rhs = shift_config(ctx.ambient, g, assemble(ctx, fam))
-            assert lhs == rhs
-            pairs += 1
-    _verdict(5, pairs == 64, "assembly is equivariant on all 16x4 cases")
+def test_criterion_01_entropy_set_truncation(suite_check):
+    _cited_checks(suite_check, 1)
 
 
-def test_criterion_06_choice_independence():
-    rng = random.Random(0)
-    bases = [
-        enumerate_sft(random_sft_spec(cyclic(2), rng)) for _ in range(5)
-    ]
-    canonical = extension_context(cyclic(4), cyclic(2), (0, 2))
-    reference = [free_extension(y, canonical).configs for y in bases]
-    trials = 0
-    for _ in range(50):
-        reps = tuple(
-            rng.choice(sorted(c)) for c in canonical.decomposition.cosets
-        )
-        ctx = extension_context(cyclic(4), cyclic(2), (0, 2), reps=reps)
-        for y, ref in zip(bases, reference):
-            assert free_extension(y, ctx).configs == ref, reps
-            trials += 1
-    _verdict(6, trials == 250, "50 seeded choice functions, 5 bases, equal sets")
+def test_criterion_02_entropy_preserved_under_extension(suite_check):
+    _cited_checks(suite_check, 2)
 
 
-def test_criterion_07_golden_mean_entropy():
-    start = time.perf_counter()
-    count20 = golden_mean_cyclic_count(20)
-    assert count20 == 15127
-    for n in range(1, 17):
-        assert golden_mean_cyclic_count(n) == _transfer_count(n)
-    counts = [_transfer_count(n) for n in range(1, 22)]
-    for n in range(4, 22):
-        assert counts[n - 1] == counts[n - 2] + counts[n - 3]
-    err = abs(math.log(count20) / 20 - LOG_GOLDEN)
-    elapsed = time.perf_counter() - start
-    _verdict(
-        7,
-        err < 1e-3 and elapsed < 1.0,
-        f"count(20)=15127, |estimate - log(phi)| = {err:.2e} ({elapsed:.3f}s)",
-    )
+def test_criterion_03_forbidden_lift_equals_extension(suite_check):
+    _cited_checks(suite_check, 3)
 
 
-def test_criterion_08_rational_log_exclusion():
-    members = entropy_set(z2_power_tower(3), max_level=3, max_n=4)
-    checked = 0
-    for n in (10, 20):
-        approx = EntropyValue(golden_mean_cyclic_count(n), n)
-        for member in members:
-            assert not approx.cross_equal(member), (n, str(member))
-            checked += 1
-    # the 4x4 grid of (n, 2^k) pairs collapses to 10 canonical values
-    _verdict(
-        8,
-        checked == 2 * len(members) and len(members) == 10,
-        f"log(count(n))/n for n in {{10,20}} avoids all {len(members)} "
-        "canonical truncation values",
-    )
+def test_criterion_04_base_extract_round_trip(suite_check):
+    _cited_checks(suite_check, 4)
 
 
-def test_criterion_09_even_shift_soficity_shadow():
-    start = time.perf_counter()
-    for n in range(1, 13):
-        assert even_cover_factor_check(n)
-    for k in range(2, 11):
-        word = sft_gap_witness(k)  # verifies both verdicts internally
-        assert not even_shift_padded_oracle(word)
-    elapsed = time.perf_counter() - start
-    _verdict(
-        9,
-        elapsed < 10.0,
-        f"cover agrees to n=12; gap witnesses for k=2..10 ({elapsed:.1f}s)",
-    )
+def test_criterion_05_conjugacy_identity(suite_check):
+    _cited_checks(suite_check, 5)
 
 
-def test_criterion_10_strong_irreducibility():
-    full = full_shift(cyclic(4), BINARY)
-    assert strongly_irreducible_witness(full, (0,)).ok
-
-    two = enumerate_sft(two_point_spec(cyclic(4)))
-    whole = (0, 1, 2, 3)
-    for k in range(1 << 4):
-        subset = tuple(i for i in range(4) if k >> i & 1)
-        verdict = strongly_irreducible_witness(two, subset)
-        assert verdict.ok == (subset == whole), subset
-
-    ctx = extension_context(cyclic(4), cyclic(2), (0, 2))
-    rng = random.Random(0)
-    transferred = 0
-    bases = 0
-    while bases < 10:
-        y = enumerate_sft(random_sft_spec(cyclic(2), rng))
-        if not y.configs:
-            continue
-        bases += 1
-        ext = free_extension(y, ctx)
-        for k0 in [(0,), (1,), (0, 1)]:
-            image = tuple(ctx.base_embed[a] for a in k0)
-            assert (
-                strongly_irreducible_witness(y, k0).ok
-                == strongly_irreducible_witness(ext, image).ok
-            ), (bases, k0)
-            transferred += 1
-    _verdict(
-        10,
-        transferred == 30,
-        "full shift SI at {e}; two-point space fails all proper witness "
-        "sets; 30 verdicts transfer across one tower level",
-    )
+def test_criterion_06_choice_independence(suite_check):
+    _cited_checks(suite_check, 6)
 
 
-def test_criterion_11_automorphisms():
-    full = full_shift(cyclic(2), BINARY)
-    aut_full = automorphism_group(full)
-    two = enumerate_sft(two_point_spec(cyclic(4)))
-    aut_two = automorphism_group(two)
-    ok = aut_full.order == 4 and aut_two.order == 2
-    for y, aut in ((full, aut_full), (two, aut_two)):
-        configs = sorted(y.configs)
-        pos = {c: i for i, c in enumerate(configs)}
-        shifts = [
-            tuple(pos[shift_config(y.group, g, c)] for c in configs)
-            for g in y.group.elements()
-        ]
-        for p in aut.elements:
-            for s in shifts:
-                ok = ok and all(
-                    p[s[i]] == s[p[i]] for i in range(len(configs))
-                )
-    _verdict(11, ok, "orders 4 and 2; every element commutes with the shift")
+def test_criterion_07_golden_mean_entropy(suite_check):
+    _cited_checks(suite_check, 7)
 
 
-def test_criterion_12_zero_entropy_and_minimality():
-    checked = 0
-    for name, spec in standard_specs():
-        y = enumerate_sft(spec)
-        verdict = zero_entropy_classify(y)
-        if len(y.configs) == 1:
-            assert verdict == ZERO_SINGLETON, name
-        else:
-            assert verdict == POSITIVE, name
-        assert entropy(y).is_zero() == (len(y.configs) == 1), name
-        assert is_entropy_minimal(y).ok, name
-        checked += 1
-    _verdict(
-        12,
-        checked == len(standard_specs()),
-        f"all {checked} fixtures: entropy zero iff singleton; all minimal",
-    )
+def test_criterion_08_rational_log_exclusion(suite_check):
+    _cited_checks(suite_check, 8)
 
 
-def test_criterion_13_measures_of_maximal_entropy():
-    # uniform attains the topological entropy on every fixture
-    for name, spec in standard_specs():
-        y = enumerate_sft(spec)
-        mu = mme(y)
-        for orb in orbits(y):
-            assert len({mu.weights[c] for c in orb}) == 1, name
-        assert abs(measure_entropy(y, mu) - float(entropy(y))) < 1e-12, name
+def test_criterion_09_even_shift_soficity_shadow(suite_check):
+    _cited_checks(suite_check, 9)
 
-    # golden mean on Z/5: unique grid maximizer at grid 200
-    golden = enumerate_sft(
-        [s for n, s in standard_specs() if n == "golden_z5"][0]
-    )
-    verdict = mme_unique_check(golden, grid=200)
-    assert verdict.unique and verdict.uniform_is_max
 
-    # two-fixed-point fixture: h = log(2)/4 > 0, both Dirac measures are
-    # invariant with measure entropy 0 < h, and the uniform measure is the
-    # unique maximizer (Shannon entropy is strictly concave), so no
-    # finite-group shift with >= 2 configurations can exhibit multiple
-    # maximizers; the frozen values below are the brute-forced truth
-    two = enumerate_sft(two_point_spec(cyclic(4)))
-    v2 = mme_unique_check(two, grid=100)
-    assert v2.unique and v2.uniform_is_max
-    assert abs(v2.max_entropy - math.log(2) / 4) < 1e-12
-    for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-        dirac = measure_from_orbit_masses(two, masses)
-        assert measure_entropy(two, dirac) == 0.0
-    _verdict(
-        13,
-        True,
-        "uniform attains h on all fixtures; unique at grid 200 on golden "
-        "mean; two-fixed-point fixture has unique maximizer with Dirac "
-        "entropies 0 (oracle-corrected degenerate case)",
-    )
+def test_criterion_10_strong_irreducibility(suite_check):
+    _cited_checks(suite_check, 10)
+
+
+def test_criterion_11_automorphisms(suite_check):
+    _cited_checks(suite_check, 11)
+
+
+def test_criterion_12_zero_entropy_and_minimality(suite_check):
+    _cited_checks(suite_check, 12)
+
+
+def test_criterion_13_measures_of_maximal_entropy(suite_check):
+    _cited_checks(suite_check, 13)
 
 
 def test_criterion_14_enumeration_oracle():

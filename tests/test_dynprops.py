@@ -83,10 +83,6 @@ def test_entropy_set_truncation():
     got = entropy_set(z2_power_tower(3), max_level=3, max_n=4)
     want = {EntropyValue(n, 2 ** k) for n in range(1, 5) for k in range(4)}
     assert got == want
-    fast = entropy_set(
-        z2_power_tower(3), max_level=3, max_n=4, all_subgroup_orders=False
-    )
-    assert fast == want  # every 2-power order already occurs as a level
     with pytest.raises(InputError):
         entropy_set(z2_power_tower(3), max_level=9, max_n=4)
 

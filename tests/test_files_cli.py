@@ -4,9 +4,7 @@ import pytest
 
 from finshift import cli, files
 from finshift.errors import FormatError
-from finshift.groups import cyclic
-from finshift.patterns import BINARY
-from finshift.shiftspace import enumerate_sft, full_shift
+from finshift.shiftspace import enumerate_sft
 
 
 def _write(tmp_path, name, text):
@@ -122,27 +120,6 @@ def test_read_sft_errors(tmp_path):
         )
 
 
-def test_read_blockmap(tmp_path):
-    y = full_shift(cyclic(4), BINARY)
-    path = _write(
-        tmp_path,
-        "m.map",
-        "window 0 1\nmap 0 0 -> 0\nmap 0 1 -> 1\nmap 1 0 -> 1\nmap 1 1 -> 0\n",
-    )
-    code = files.read_blockmap(path, y, BINARY)
-    assert code.window == (0, 1)
-    assert code.table[(1, 0)] == 1
-
-
-def test_pattern_round_trip(tmp_path):
-    from finshift.patterns import make_pattern
-
-    g = cyclic(4)
-    w = make_pattern(g, {0: 1, 3: 0})
-    path = _write(tmp_path, "p.pat", files.format_pattern(w, BINARY))
-    assert files.read_pattern(path, g, BINARY) == w
-
-
 def test_cli_group_validate(tmp_path, capsys):
     path = _write(tmp_path, "z6.grp", "group cyclic 6\n")
     assert cli.main(["group", "validate", path]) == 0
@@ -183,6 +160,31 @@ def test_cli_extend_and_extract(tmp_path, doubling_tower, capsys):
     out = capsys.readouterr().out
     assert "base spec on level 0" in out
     assert "forbid 1 1" in out
+
+
+@pytest.mark.parametrize(
+    "command, sft, levels",
+    [
+        ("extend", "z4.sft", ["1", "0"]),  # downward: used to echo the base
+        ("extend", "z2.sft", ["-4", "0"]),
+        ("extend", "z2.sft", ["0", "5"]),
+        ("extract", "z4.sft", ["5"]),
+    ],
+    ids=["extend-downward", "extend-negative", "extend-past-top", "extract-past-top"],
+)
+def test_cli_rejects_bad_tower_levels(tmp_path, doubling_tower, capsys,
+                                      command, sft, levels):
+    for order in (2, 4):
+        _write(
+            tmp_path,
+            f"z{order}.sft",
+            f"sft\ngroup z{order}.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n",
+        )
+    argv = [command, str(tmp_path / sft), doubling_tower, *levels]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_check_and_zline(golden5, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from finshift.errors import InputError, ValidationError
 from finshift.groups import (
+    Subgroup,
     all_subgroups,
     build_tower,
     coset_action,
@@ -140,6 +141,13 @@ def test_right_cosets_custom_reps():
     assert dec.reps == (2, 3)
     with pytest.raises(InputError):
         right_cosets(g, sub, reps=(1, 0))  # rep not in its coset
+
+
+def test_right_cosets_rejects_out_of_range_members():
+    g = cyclic(4)
+    assert not is_subgroup(g, {0, 7})
+    with pytest.raises(InputError):
+        right_cosets(g, Subgroup(g, (0, 7)))
 
 
 def test_coset_action_swaps():

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finshift.errors import InputError
+from finshift.shiftspace import enumerate_sft
 from finshift.zline import (
     LOG_GOLDEN,
     EvenCoverMismatch,
     _cover_words,
-    _transfer_count,
     even_cover_factor_check,
     even_shift_padded_oracle,
     even_shift_word_check,
@@ -42,7 +42,8 @@ def test_lucas_recurrence():
 
 def test_enumeration_agrees_with_transfer():
     for n in range(1, 17):
-        assert golden_mean_cyclic_count(n) == _transfer_count(n)
+        enumerated = len(enumerate_sft(golden_mean_spec(n)).configs)
+        assert golden_mean_cyclic_count(n) == enumerated
 
 
 def test_count_20():
