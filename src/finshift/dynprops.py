@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import DomainError, InputError, ResourceError
 from .groups import GroupTower, all_subgroups
@@ -260,8 +260,17 @@ class AutomorphismGroup:
 
 
 def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> AutomorphismGroup:
-    """Brute-force search for all permutations of the configurations that
-    commute with every shift map."""
+    """All permutations of the configurations that commute with every shift
+    map, by extension over orbit representatives.
+
+    An equivariant bijection is fixed by where it sends one representative
+    ``i`` per orbit, and ``i`` can go to exactly those ``j`` with the same
+    stabilizer whose orbit no other representative took; then
+    ``s_g[i] -> s_g[j]`` for every shift ``s_g`` (tom Dieck,
+    *Transformation Groups*, §I.4).  Every partial choice completes, so the
+    work grows with the group found.  ``cap`` bounds the number of
+    configurations, since the group can have as many as ``n!`` elements.
+    """
     n = len(y.configs)
     if n > cap:
         raise ResourceError(f"{n} configurations exceed the automorphism cap {cap}")
@@ -272,12 +281,27 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
         tuple(pos[shift_config(y.group, g, c)] for c in configs)
         for g in y.group.elements()
     ]
+    stabilizer = [
+        frozenset(g for g, s in enumerate(shifts) if s[i] == i) for i in range(n)
+    ]
+    orbit_of = [min(s[i] for s in shifts) for i in range(n)]
+    reps = sorted(set(orbit_of))
+    partial = [()]  # images of the representatives chosen so far
+    for i in reps:
+        targets = [j for j in range(n) if stabilizer[j] == stabilizer[i]]
+        partial = [
+            chosen + (j,)
+            for chosen in partial
+            for j in targets
+            if orbit_of[j] not in {orbit_of[t] for t in chosen}
+        ]
     autos = []
-    for perm in permutations(range(n)):
-        if all(
-            perm[s[i]] == s[perm[i]] for s in shifts for i in range(n)
-        ):
-            autos.append(perm)
+    for chosen in partial:
+        perm = [0] * n
+        for i, j in zip(reps, chosen):
+            for s in shifts:
+                perm[s[i]] = s[j]
+        autos.append(tuple(perm))
     autos.sort()
     index = {p: i for i, p in enumerate(autos)}
     table = []
@@ -387,7 +411,9 @@ def mme_unique_check(
 
     The exact uniform measure is always included as a candidate alongside
     the grid points.  Reports the set of maximizers of measure entropy
-    within ``tol`` of the maximum.
+    within ``tol`` of the maximum.  Each point is scored in closed form,
+    ``-sum(m_o * log(m_o / |o|)) / |G|`` over the orbits ``o``, which is
+    what :func:`measure_entropy` computes from the measure's cylinders.
     """
     if not y.configs:
         raise DomainError("cannot sweep measures on the empty space")
@@ -414,10 +440,13 @@ def mme_unique_check(
         if masses != uniform_masses:
             candidates.append(masses)
 
+    sizes = [len(orb) for orb in parts]
     best = -1.0
     scored = []
     for masses in candidates:
-        h = measure_entropy(y, measure_from_orbit_masses(y, masses))
+        h = -sum(
+            float(m) * math.log(m / size) for m, size in zip(masses, sizes) if m
+        ) / y.group.order
         scored.append((masses, h))
         best = max(best, h)
     maximizers = tuple(m for m, h in scored if h >= best - tol)

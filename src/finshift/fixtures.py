@@ -5,13 +5,50 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from .groups import FiniteGroup, GroupTower, build_tower, cyclic, product
+from .groups import FiniteGroup, GroupTower, build_tower, cyclic, from_table, product
 from .patterns import BINARY, Pattern
 from .shiftspace import SftSpec
 
 
 def klein() -> FiniteGroup:
     return product(cyclic(2), cyclic(2))
+
+
+def _permutation_group(degree: int, gens) -> FiniteGroup:
+    """The group of permutations of ``range(degree)`` generated by ``gens``,
+    indexed in sorted order (identity first); ``a * b`` applies ``a``
+    first."""
+    identity = tuple(range(degree))
+    elems, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in gens:
+            pq = tuple(q[p[x]] for x in range(degree))
+            if pq not in elems:
+                elems.add(pq)
+                frontier.append(pq)
+    elems = sorted(elems)
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[tuple(q[p[x]] for x in range(degree))] for q in elems] for p in elems]
+    return from_table(table, labels=["".join(map(str, p)) for p in elems])
+
+
+def symmetric3() -> FiniteGroup:
+    """S3, all permutations of three points; its order-2 subgroups are not
+    normal."""
+    return _permutation_group(3, [(1, 2, 0), (1, 0, 2)])
+
+
+def dihedral4() -> FiniteGroup:
+    """D4, the eight symmetries of a square acting on its corners 0..3."""
+    return _permutation_group(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+
+
+def quaternion() -> FiniteGroup:
+    """Q8 in its regular representation: points 0..7 stand for 1, i, j, k,
+    -1, -i, -j, -k, and the generators are left multiplication by i and by
+    j.  Every subgroup is normal, yet the group is not abelian."""
+    return _permutation_group(8, [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)])
 
 
 def cyclic_doubling_tower(depth: int) -> GroupTower:

@@ -97,7 +97,8 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
 
     Depth-first assignment over element indices ascending, symbols
     ascending; a partial assignment is pruned as soon as some fully
-    assigned window matches a forbidden pattern.
+    assigned window matches a forbidden pattern.  The search keeps its
+    own stack, so its depth is not bounded by the recursion limit.
     """
     n = spec.group.order
     k = spec.alphabet.size
@@ -113,27 +114,29 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
         if cells:
             by_last[max(cells)].append(cells)
 
-    found = []
-    config = [0] * n
-
-    def descend(p):
-        if p == n:
-            found.append(tuple(config))
-            return
-        for s in range(k):
-            config[p] = s
-            ok = True
-            for cells in by_last[p]:
-                if tuple(config[c] for c in cells) in forbidden:
-                    ok = False
-                    break
-            if ok:
-                descend(p + 1)
-
     if forbidden and not spec.forbidden_shape:
         # forbidding the empty pattern kills every configuration
         return ShiftSpace(spec.group, spec.alphabet, frozenset())
-    descend(0)
+    found = []
+    config = [0] * n
+    tried = [0] * n  # next symbol to try at each position
+    p, last = 0, n - 1
+    while p >= 0:
+        s = tried[p]
+        if s == k:
+            tried[p] = 0
+            p -= 1
+            continue
+        tried[p] = s + 1
+        config[p] = s
+        for cells in by_last[p]:
+            if tuple(config[c] for c in cells) in forbidden:
+                break
+        else:
+            if p == last:
+                found.append(tuple(config))
+            else:
+                p += 1
     return ShiftSpace(spec.group, spec.alphabet, frozenset(found))
 
 

@@ -1,7 +1,9 @@
 """Exact entropy, strong irreducibility, automorphisms and measures."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +28,26 @@ from finshift.dynprops import (
 )
 from finshift.errors import DomainError, InputError, ResourceError
 from finshift.fixtures import (
+    dihedral4,
     empty_spec,
     golden_mean_like_spec,
+    klein,
+    quaternion,
+    random_sft_spec,
     standard_specs,
+    symmetric3,
     two_point_spec,
 )
-from finshift.groups import cyclic, z2_power_tower
-from finshift.patterns import BINARY, make_pattern
-from finshift.shiftspace import ShiftSpace, enumerate_sft, full_shift
+from finshift.groups import all_subgroups, cyclic, z2_power_tower
+from finshift.patterns import BINARY, make_pattern, shift_config
+from finshift.shiftspace import ShiftSpace, enumerate_sft, full_shift, orbits
+
+PROPERTY_GROUPS = [cyclic(n) for n in range(2, 7)] + [
+    klein(),
+    symmetric3(),
+    dihedral4(),
+    quaternion(),
+]
 
 
 def test_entropy_value_canonical_form():
@@ -67,6 +81,13 @@ def test_entropy_value_order_matches_floats(n1, m1, n2, m2):
     # canonical forms of equal values coincide exactly
     if a.cross_equal(b):
         assert (a.count, a.denom) == (b.count, b.denom)
+
+
+def test_entropy_set_reaches_order_32():
+    got = entropy_set(z2_power_tower(5), max_level=5, max_n=4)
+    assert got == {EntropyValue(n, 2 ** k) for n in range(1, 5) for k in range(6)}
+    with pytest.raises(ResourceError):
+        entropy_set(z2_power_tower(5), max_level=5, max_n=4, budget=50)
 
 
 def test_entropy_of_spaces():
@@ -175,6 +196,86 @@ def test_automorphism_cap():
         automorphism_group(full_shift(cyclic(4), BINARY), cap=10)
 
 
+def automorphisms_by_permutation(y):
+    """Oracle: try all n! permutations of the sorted configurations;
+    returns the sorted automorphisms and their composition table."""
+    configs = sorted(y.configs)
+    n = len(configs)
+    pos = {c: i for i, c in enumerate(configs)}
+    shifts = [
+        tuple(pos[shift_config(y.group, g, c)] for c in configs)
+        for g in y.group.elements()
+    ]
+    autos = sorted(
+        p
+        for p in permutations(range(n))
+        if all(p[s[i]] == s[p[i]] for s in shifts for i in range(n))
+    )
+    index = {p: i for i, p in enumerate(autos)}
+    table = tuple(
+        tuple(index[tuple(p[q[i]] for i in range(n))] for q in autos) for p in autos
+    )
+    return tuple(autos), table
+
+
+def orbit_union(group, seeds):
+    """The smallest shift space containing the given configurations."""
+    configs = {shift_config(group, g, x) for x in seeds for g in group.elements()}
+    return ShiftSpace(group, BINARY, frozenset(configs))
+
+
+def random_subshift(group, seed, max_configs, max_orbits):
+    """A union of at most ``max_orbits`` shift orbits of a random spec's
+    space, with at most ``max_configs`` configurations; nonempty, since
+    the all-zero fixed point always survives the spec."""
+    rng = random.Random(seed)
+    parts = orbits(enumerate_sft(random_sft_spec(group, rng)))
+    rng.shuffle(parts)
+    kept = []
+    for orb in parts:
+        if len(kept) < max_orbits and sum(map(len, kept)) + len(orb) <= max_configs:
+            kept.append(orb)
+    return ShiftSpace(group, BINARY, frozenset().union(*kept))
+
+
+@pytest.mark.parametrize(
+    "group, with_complement, order",
+    [(symmetric3(), True, 4), (dihedral4(), False, 2)],
+    ids=["s3", "d4"],
+)
+def test_automorphisms_with_non_normal_stabilizers(group, with_complement, order):
+    # the orbit of the indicator of a non-normal subgroup H has stabilizers
+    # conjugate to H but not all equal to it, and the automorphisms of one
+    # such orbit form N(H)/H: trivial in S3, of order 2 in D4
+    mul, inv = group.mul, group.inv
+    h = next(
+        s.members for s in all_subgroups(group)
+        if any(mul[mul[x][a]][inv[x]] not in s.members
+               for x in group.elements() for a in s.members)
+    )
+    x = tuple(int(a in h) for a in group.elements())
+    seeds = [x, (0,) * group.order]
+    if with_complement:
+        seeds += [tuple(1 - v for v in x), (1,) * group.order]
+    y = orbit_union(group, seeds)
+    stabilizers = {
+        frozenset(g for g in group.elements() if shift_config(group, g, c) == c)
+        for c in y.configs
+    }
+    assert len(y.configs) <= 8 and len(stabilizers) > 2
+    aut = automorphism_group(y)
+    assert (aut.elements, aut.composition) == automorphisms_by_permutation(y)
+    assert aut.order == order
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000))
+def test_automorphisms_match_permutation_search(group, seed):
+    y = random_subshift(group, seed, max_configs=8, max_orbits=8)
+    aut = automorphism_group(y)
+    assert (aut.elements, aut.composition) == automorphisms_by_permutation(y)
+
+
 def test_mme_is_uniform_and_attains_entropy():
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
     mu = mme(y)
@@ -247,6 +348,61 @@ def test_mme_grid_budget():
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
     with pytest.raises(ResourceError):
         mme_unique_check(y, grid=10_000, budget=1000)
+
+
+def mme_sweep_by_measures(y, grid, tol=1e-9):
+    """Oracle: build each grid point's InvariantMeasure and take its
+    entropy from the cylinder language over the whole group."""
+    parts = orbits(y)
+    r = len(parts)
+
+    def compositions(total, bins):
+        if bins == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, bins - 1):
+                yield (first,) + rest
+
+    uniform = tuple(Fraction(len(orb), len(y.configs)) for orb in parts)
+    candidates = [uniform] + [
+        masses
+        for masses in (tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, r))
+        if masses != uniform
+    ]
+    scored = [(m, measure_entropy(y, measure_from_orbit_masses(y, m))) for m in candidates]
+    best = max(h for _, h in scored)
+    maximizers = tuple(m for m, h in scored if h >= best - tol)
+    return len(maximizers) == 1, uniform in maximizers, best, maximizers
+
+
+def _assert_same_verdict(y, grid):
+    verdict = mme_unique_check(y, grid=grid)
+    unique, uniform_is_max, best, maximizers = mme_sweep_by_measures(y, grid)
+    assert (verdict.unique, verdict.uniform_is_max) == (unique, uniform_is_max)
+    assert verdict.maximizers == maximizers
+    assert abs(verdict.max_entropy - best) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        enumerate_sft(golden_mean_like_spec(cyclic(5))),
+        enumerate_sft(two_point_spec(quaternion())),
+        # a fixed point and the orbits of the indicators of the non-normal
+        # subgroup {0, 1} of S3 and of its complement
+        orbit_union(symmetric3(), [(0,) * 6, (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1)]),
+    ],
+    ids=["golden-z5", "two-q8", "s3-non-normal"],
+)
+def test_mme_sweep_matches_measure_oracle(y):
+    _assert_same_verdict(y, grid=12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000), st.integers(1, 8))
+def test_mme_sweep_matches_measure_oracle_on_random_specs(group, seed, grid):
+    _assert_same_verdict(random_subshift(group, seed, 2 * group.order, 4), grid)
 
 
 def test_variational_inequality_on_grid():

@@ -1,10 +1,13 @@
 """Group construction, subgroups, cosets and towers."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finshift.errors import InputError, ValidationError
+from finshift.errors import InputError, ResourceError, ValidationError
+from finshift.fixtures import dihedral4, klein, quaternion, symmetric3
 from finshift.groups import (
     Subgroup,
     all_subgroups,
@@ -107,6 +110,67 @@ def test_all_subgroups_of_z4():
 def test_all_subgroups_of_klein():
     subs = [s.members for s in all_subgroups(product(cyclic(2), cyclic(2)))]
     assert len(subs) == 5  # trivial, three order-2, whole group
+
+
+def subgroups_by_subset_closure(g):
+    """Oracle: close every one of the 2^|g| subsets under products."""
+    found = set()
+    for r in range(g.order + 1):
+        for gens in combinations(g.elements(), r):
+            members = {g.identity, *gens}
+            while True:
+                closed = members | {g.mul[a][b] for a in members for b in members}
+                if closed == members:
+                    break
+                members = closed
+            found.add(tuple(sorted(members)))
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def _is_normal(g, members):
+    return all(
+        g.mul[g.mul[x][h]][g.inv[x]] in members for x in g.elements() for h in members
+    )
+
+
+@pytest.mark.parametrize(
+    "name, g, count, normal",
+    [
+        ("z1", cyclic(1), 1, 1),
+        ("z6", cyclic(6), 4, 4),
+        ("z8", cyclic(8), 4, 4),
+        ("klein", klein(), 5, 5),
+        ("z2xz4", product(cyclic(2), cyclic(4)), 8, 8),
+        ("z2^3", product(klein(), cyclic(2)), 16, 16),
+        ("s3", symmetric3(), 6, 3),
+        ("d4", dihedral4(), 10, 6),
+        ("q8", quaternion(), 6, 6),
+        ("z2xs3", product(cyclic(2), symmetric3()), 16, 7),
+    ],
+)
+def test_all_subgroups_match_subset_closure(name, g, count, normal):
+    subs = [s.members for s in all_subgroups(g)]
+    assert subs == subgroups_by_subset_closure(g)
+    assert len(subs) == count
+    assert sum(_is_normal(g, m) for m in subs) == normal
+
+
+def test_all_subgroups_budget_counts_closures():
+    g = z2_power_tower(4).levels[3]
+    assert len(all_subgroups(g, budget=2000)) == 67
+    with pytest.raises(ResourceError, match="after 100 closures"):
+        all_subgroups(g, budget=100)
+
+
+def test_nonabelian_fixtures():
+    for g, orders in (
+        (symmetric3(), [1, 2, 2, 2, 3, 3]),
+        (dihedral4(), [1, 2, 2, 2, 2, 2, 4, 4]),
+        (quaternion(), [1, 2, 4, 4, 4, 4, 4, 4]),
+    ):
+        assert g.identity == 0
+        assert sorted(g.element_order(a) for a in g.elements()) == orders
+        assert any(g.mul[a][b] != g.mul[b][a] for a in g.elements() for b in g.elements())
 
 
 def test_is_subgroup():

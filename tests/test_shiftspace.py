@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import (
+    dihedral4,
     golden_mean_like_spec,
+    quaternion,
     random_sft_spec,
+    symmetric3,
     standard_specs,
     two_point_spec,
 )
 from finshift.groups import cyclic
-from finshift.patterns import BINARY, Pattern
+from finshift.patterns import BINARY, Alphabet, Pattern
 from finshift.shiftspace import (
     BlockMap,
     SftSpec,
@@ -85,10 +88,21 @@ def test_enumeration_matches_naive_on_fixtures():
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4, 5]))
-def test_enumeration_matches_naive_on_random_specs(seed, n):
-    spec = random_sft_spec(cyclic(n), random.Random(seed))
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(
+        [cyclic(2), cyclic(3), cyclic(4), cyclic(5), symmetric3(), dihedral4(), quaternion()]
+    ),
+)
+def test_enumeration_matches_naive_on_random_specs(seed, group):
+    spec = random_sft_spec(group, random.Random(seed))
     assert enumerate_sft(spec).configs == enumerate_sft_naive(spec).configs
+
+
+def test_enumeration_deeper_than_recursion_limit():
+    g = cyclic(1100)
+    spec = SftSpec(g, Alphabet(("0",)), (0,), frozenset())
+    assert enumerate_sft(spec).configs == frozenset({(0,) * 1100})
 
 
 def test_language_and_forbidden_patterns():
