@@ -53,6 +53,7 @@ from .shiftspace import (
     SftSpec,
     ShiftSpace,
     apply_block_code,
+    count_sft,
     enumerate_sft,
     enumerate_sft_naive,
     enumerate_subshifts,
@@ -77,6 +78,7 @@ from .freext import (
     subgroup_context,
     tower_context,
     tower_extend,
+    tower_extension_count,
 )
 from .dynprops import (
     AutomorphismGroup,
@@ -86,6 +88,7 @@ from .dynprops import (
     MmeUniqueVerdict,
     SiVerdict,
     automorphism_group,
+    count_entropy,
     entropy,
     entropy_set,
     is_entropy_minimal,
@@ -95,6 +98,7 @@ from .dynprops import (
     mme,
     mme_unique_check,
     partition_entropy,
+    spec_entropy,
     strongly_irreducible_witness,
     zero_entropy_classify,
 )

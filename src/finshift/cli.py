@@ -9,12 +9,13 @@ check passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import dynprops, files, suites, zline
 from .errors import FinshiftError
-from .freext import base_extract, tower_context, tower_extend
+from .freext import base_extract, tower_context, tower_extension_count
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
 
 BUDGET_ENV_VAR = "FINSHIFT_BUDGET"
@@ -47,25 +48,27 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_sft(args) -> int:
-    spec, space = _load_space(args.file, args.budget)
-    if args.sft_action == "enum":
-        rows = [("index", "configuration")]
-        for i, config in enumerate(sorted(space.configs)):
-            rows.append((i, " ".join(spec.alphabet.symbols[s] for s in config)))
-        _emit_table(rows, args.format)
-        print(f"{len(space.configs)} configurations")
+    if args.sft_action == "entropy":
+        spec = files.read_sft(args.file)
+        print(_entropy_line(dynprops.spec_entropy(spec, budget=args.budget)))
         return 0
-    print(_entropy_line(dynprops.entropy(space)))
+    spec, space = _load_space(args.file, args.budget)
+    rows = [("index", "configuration")]
+    for i, config in enumerate(sorted(space.configs)):
+        rows.append((i, " ".join(spec.alphabet.symbols[s] for s in config)))
+    _emit_table(rows, args.format)
+    print(f"{len(space.configs)} configurations")
     return 0
 
 
 def _cmd_extend(args) -> int:
-    _, space = _load_space(args.sft, args.budget)
+    spec = files.read_sft(args.sft)
     tower = files.read_tower(args.tower)
-    ext = tower_extend(space, tower, args.frm, args.to, budget=args.budget)
+    count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
     print(f"extended from level {args.frm} to level {args.to}")
-    print(f"{len(ext.configs)} configurations")
-    print(_entropy_line(dynprops.entropy(ext)))
+    print(f"{count} configurations")
+    order = tower.levels[args.to].order
+    print(_entropy_line(dynprops.count_entropy(count, order)))
     return 0
 
 
@@ -179,7 +182,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="finshift",
         description="symbolic dynamics on finite groups and towers",
@@ -226,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated witness set for the si check")
     p.add_argument("--grid", type=int, default=100,
                    help="simplex resolution for the mme check")
-    p.add_argument("--aut-cap", type=int, default=dynprops.DEFAULT_AUT_CAP)
+    p.add_argument("--aut-cap", type=int, default=dynprops.DEFAULT_AUT_CAP,
+                   help="largest automorphism group order the aut check builds")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("entropy-set", help="truncated entropy set of a tower")

@@ -16,15 +16,18 @@ from .errors import DomainError, InputError, ResourceError
 from .groups import GroupTower, all_subgroups
 from .patterns import Pattern, shift_config
 from .shiftspace import (
+    DEFAULT_CANDIDATE_BUDGET,
     DEFAULT_ORBIT_CAP,
+    SftSpec,
     ShiftSpace,
+    count_sft,
     enumerate_subshifts,
     language,
     orbits,
 )
 
 FLOAT_TOL = 1e-9
-DEFAULT_AUT_CAP = 10
+DEFAULT_AUT_CAP = 100
 
 
 def _int_root(n: int, d: int):
@@ -101,11 +104,23 @@ class EntropyValue:
         return f"log({self.count})/{self.denom}"
 
 
+def count_entropy(count: int, order: int) -> EntropyValue:
+    """Exact entropy log(count)/order of a shift with ``count`` points on a
+    group of that order; the empty shift has none."""
+    if count == 0:
+        raise DomainError("entropy of the empty shift space is undefined")
+    return EntropyValue(count, order)
+
+
 def entropy(y: ShiftSpace) -> EntropyValue:
     """Exact topological entropy of a nonempty shift on a finite group."""
-    if not y.configs:
-        raise DomainError("entropy of the empty shift space is undefined")
-    return EntropyValue(len(y.configs), y.group.order)
+    return count_entropy(len(y.configs), y.group.order)
+
+
+def spec_entropy(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> EntropyValue:
+    """Exact entropy of the spec's SFT, counted by :func:`count_sft`
+    without enumerating it."""
+    return count_entropy(count_sft(spec, budget=budget), spec.group.order)
 
 
 def entropy_set(
@@ -268,12 +283,12 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
     stabilizer whose orbit no other representative took; then
     ``s_g[i] -> s_g[j]`` for every shift ``s_g`` (tom Dieck,
     *Transformation Groups*, §I.4).  Every partial choice completes, so the
-    work grows with the group found.  ``cap`` bounds the number of
-    configurations, since the group can have as many as ``n!`` elements.
+    work grows with the group found.  ``cap`` bounds the order of that
+    group, which can be as large as ``n!``: the choices are counted as they
+    grow, before any permutation or the order-squared composition table is
+    built.
     """
     n = len(y.configs)
-    if n > cap:
-        raise ResourceError(f"{n} configurations exceed the automorphism cap {cap}")
     configs = sorted(y.configs)
     pos = {c: i for i, c in enumerate(configs)}
     # shift maps as permutations of config indices
@@ -295,6 +310,11 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
             for j in targets
             if orbit_of[j] not in {orbit_of[t] for t in chosen}
         ]
+        if len(partial) > cap:
+            raise ResourceError(
+                f"automorphism group reached order {len(partial)}, "
+                f"over the cap {cap}"
+            )
     autos = []
     for chosen in partial:
         perm = [0] * n

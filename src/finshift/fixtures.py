@@ -44,6 +44,12 @@ def dihedral4() -> FiniteGroup:
     return _permutation_group(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
 
 
+def alternating4() -> FiniteGroup:
+    """A4, the even permutations of four points, generated by a 3-cycle
+    and a double transposition; it has no subgroup of order 6."""
+    return _permutation_group(4, [(1, 2, 0, 3), (1, 0, 3, 2)])
+
+
 def quaternion() -> FiniteGroup:
     """Q8 in its regular representation: points 0..7 stand for 1, i, j, k,
     -1, -i, -j, -k, and the generators are left multiplication by i and by

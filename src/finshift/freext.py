@@ -27,6 +27,7 @@ from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
+    count_sft,
     enumerate_sft,
     forbidden_patterns,
 )
@@ -283,6 +284,12 @@ def tower_context(tower: GroupTower, i: int, j: int, reps=None) -> ExtensionCont
     return extension_context(tower.levels[j], tower.levels[i], embed, reps=reps)
 
 
+def _check_levels(group: FiniteGroup, tower: GroupTower, i: int, j: int) -> None:
+    tower.embed_up(i, j)  # checks 0 <= i <= j < len(levels) before indexing
+    if group != tower.levels[i]:
+        raise InputError("space is not defined on the requested tower level")
+
+
 def tower_extend(
     y: ShiftSpace,
     tower: GroupTower,
@@ -295,11 +302,25 @@ def tower_extend(
     Composing one-step extensions equals the direct extension; both are
     exercised against each other in the test suite.
     """
-    tower.embed_up(i, j)  # checks 0 <= i <= j < len(levels) before indexing
-    if y.group != tower.levels[i]:
-        raise InputError("space is not defined on the requested tower level")
+    _check_levels(y.group, tower, i, j)
     current = y
     for k in range(i, j):
         ctx = tower_context(tower, k, k + 1)
         current = free_extension(current, ctx, budget=budget)
     return current
+
+
+def tower_extension_count(
+    spec: SftSpec,
+    tower: GroupTower,
+    i: int,
+    j: int,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+) -> int:
+    """Size of the extension of the spec's SFT from tower level ``i`` to
+    level ``j``: one independent base configuration per coset, so
+    ``|Y| ** [G_j : G_i]``, with |Y| from :func:`count_sft`.  Nothing is
+    enumerated; ``budget`` bounds the count's states."""
+    _check_levels(spec.group, tower, i, j)
+    index = tower.levels[j].order // tower.levels[i].order
+    return count_sft(spec, budget=budget) ** index

@@ -5,13 +5,15 @@ a :class:`ShiftSpace` is the enumerated, shift-invariant set of
 configurations.  Two independent enumeration routes exist: a pruned
 depth-first search (:func:`enumerate_sft`) and a naive filter over the full
 configuration space (:func:`enumerate_sft_naive`), kept as each other's
-oracle.
+oracle.  :func:`count_sft` counts the configurations without listing them,
+and both enumerators are its oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .errors import InputError, ResourceError, ValidationError
 from .groups import FiniteGroup
@@ -138,6 +140,72 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
             else:
                 p += 1
     return ShiftSpace(spec.group, spec.alphabet, frozenset(found))
+
+
+def _picker(indices):
+    """A function taking a tuple to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda t: (t[i],)
+    if not indices:
+        return lambda t: ()
+    return itemgetter(*indices)
+
+
+def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """Number of configurations of the spec's SFT, without listing them.
+
+    A frontier dynamic program over element indices ascending, the general
+    form of the transfer-matrix trace (Lind and Marcus, *An Introduction to
+    Symbolic Dynamics and Coding*, ch. 4).  After cell p is set, the state
+    is the symbols on the cells some window ending after p still reads, and
+    each state carries the number of partial assignments that reach it.  A
+    window is checked when its last cell is set; a cell leaves the state
+    after the last window that reads it.  ``budget`` bounds the number of
+    states visited; a :class:`ResourceError` reports how many were.
+    """
+    n = spec.group.order
+    k = spec.alphabet.size
+    forbidden = {w.symbols for w in spec.forbidden}
+    if not forbidden:
+        return k ** n
+    if not spec.forbidden_shape:
+        return 0  # forbidding the empty pattern kills every configuration
+    by_last = [[] for _ in range(n)]
+    last_read = list(range(n))  # last window end reading each cell
+    for cells in _windows(spec):
+        end = max(cells)
+        by_last[end].append(cells)
+        for c in cells:
+            last_read[c] = max(last_read[c], end)
+
+    layer = {(): 1}  # frontier symbols -> number of partial assignments
+    live = []  # the cells whose symbols a state holds, in state order
+    visited = 1
+    for p in range(n):
+        cells = live + [p]
+        where = {c: i for i, c in enumerate(cells)}
+        checks = [_picker([where[c] for c in w]) for w in by_last[p]]
+        live = [c for c in cells if last_read[c] > p]
+        keep = _picker([where[c] for c in live])
+        nxt = {}
+        for state, ways in layer.items():
+            for s in range(k):
+                full = state + (s,)
+                for check in checks:
+                    if check(full) in forbidden:
+                        break
+                else:
+                    key = keep(full)
+                    nxt[key] = nxt.get(key, 0) + ways
+            if visited + len(nxt) > budget:
+                raise ResourceError(
+                    f"SFT count stopped after {visited + len(nxt)} states "
+                    f"(budget {budget})"
+                )
+        visited += len(nxt)
+        layer = nxt
+    return layer.get((), 0)
 
 
 def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:

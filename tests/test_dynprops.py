@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from finshift.dynprops import (
     POSITIVE,
     ZERO_SINGLETON,
+    DEFAULT_AUT_CAP,
     EntropyValue,
     automorphism_group,
     entropy,
@@ -23,6 +24,7 @@ from finshift.dynprops import (
     mme,
     mme_unique_check,
     partition_entropy,
+    spec_entropy,
     strongly_irreducible_witness,
     zero_entropy_classify,
 )
@@ -39,8 +41,8 @@ from finshift.fixtures import (
     two_point_spec,
 )
 from finshift.groups import all_subgroups, cyclic, z2_power_tower
-from finshift.patterns import BINARY, make_pattern, shift_config
-from finshift.shiftspace import ShiftSpace, enumerate_sft, full_shift, orbits
+from finshift.patterns import BINARY, Pattern, make_pattern, shift_config
+from finshift.shiftspace import SftSpec, ShiftSpace, enumerate_sft, full_shift, orbits
 
 PROPERTY_GROUPS = [cyclic(n) for n in range(2, 7)] + [
     klein(),
@@ -98,6 +100,18 @@ def test_entropy_of_spaces():
     assert entropy(full_shift(cyclic(3), BINARY)) == EntropyValue(2, 1)
     with pytest.raises(DomainError):
         entropy(ShiftSpace(cyclic(2), BINARY, frozenset()))
+
+
+def test_spec_entropy_counts_what_enumeration_lists():
+    for name, spec in standard_specs():
+        assert spec_entropy(spec) == entropy(enumerate_sft(spec)), name
+    g = cyclic(3)
+    dead = SftSpec(g, BINARY, (0,), frozenset(Pattern(g, (0,), (s,)) for s in (0, 1)))
+    with pytest.raises(DomainError) as from_count:
+        spec_entropy(dead)
+    with pytest.raises(DomainError) as from_space:
+        entropy(enumerate_sft(dead))
+    assert str(from_count.value) == str(from_space.value)
 
 
 def test_entropy_set_truncation():
@@ -194,6 +208,33 @@ def test_automorphism_group_closure():
 def test_automorphism_cap():
     with pytest.raises(ResourceError):
         automorphism_group(full_shift(cyclic(4), BINARY), cap=10)
+
+
+def test_automorphism_cap_bounds_the_group_found():
+    # golden mean over Z/5: a fixed point and two free orbits of size 5,
+    # so |Aut| = 1 * (5^2 * 2!) = 50 from 11 configurations
+    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
+    assert 36 < 50 <= DEFAULT_AUT_CAP
+    aut = automorphism_group(y)
+    assert aut.order == 50
+    configs = sorted(y.configs)
+    pos = {c: i for i, c in enumerate(configs)}
+    shifts = [[pos[shift_config(y.group, g, c)] for c in configs]
+              for g in y.group.elements()]
+    assert all(p[s[i]] == s[p[i]] for p in aut.elements for s in shifts
+               for i in range(len(p)))
+    with pytest.raises(ResourceError, match="reached order 50, over the cap 49"):
+        automorphism_group(y, cap=49)
+
+
+def test_automorphism_cap_refuses_large_groups_early():
+    # golden mean over Z/7: 29 configurations, |Aut| = 7^4 * 4! = 57624;
+    # the choices are counted level by level: 1, 28, 588, 8232, ...
+    y = enumerate_sft(golden_mean_like_spec(cyclic(7)))
+    with pytest.raises(ResourceError, match="reached order 588, over the cap 100"):
+        automorphism_group(y)
+    with pytest.raises(ResourceError, match="reached order 8232, over the cap 1000"):
+        automorphism_group(y, cap=1000)
 
 
 def automorphisms_by_permutation(y):

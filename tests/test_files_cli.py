@@ -4,7 +4,10 @@ import pytest
 
 from finshift import cli, files
 from finshift.errors import FormatError
+from finshift.freext import tower_extend
+from finshift.groups import z2_power_tower
 from finshift.shiftspace import enumerate_sft
+from finshift.zline import golden_mean_cyclic_count
 
 
 def _write(tmp_path, name, text):
@@ -133,6 +136,47 @@ def test_cli_sft_entropy(golden5, capsys):
     assert "0.479579" in out  # log(11)/5 = 0.4795790...
 
 
+def _golden(tmp_path, n):
+    _write(tmp_path, f"z{n}.grp", f"group cyclic {n}\n")
+    return _write(
+        tmp_path,
+        f"golden{n}.sft",
+        f"sft\ngroup z{n}.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n",
+    )
+
+
+def test_cli_sft_entropy_counts_past_enumeration(tmp_path, capsys):
+    # enumeration refuses 2^30 candidates; the count visits a few states
+    assert cli.main(["sft", "entropy", _golden(tmp_path, 30)]) == 0
+    assert capsys.readouterr().out.startswith("log(1860498)/30 ≈ 0.481")
+
+
+def test_cli_sft_entropy_on_z1000_is_the_lucas_number(tmp_path, capsys):
+    assert cli.main(["sft", "entropy", _golden(tmp_path, 1000)]) == 0
+    lucas = golden_mean_cyclic_count(1000)
+    assert capsys.readouterr().out.startswith(f"log({lucas})/1000 ≈ 0.481212")
+
+
+def test_cli_sft_entropy_budget_counts_states(golden5, capsys):
+    assert cli.main(["--budget", "3", "sft", "entropy", golden5]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SFT count stopped after 5 states (budget 3)\n"
+
+
+def test_cli_sft_entropy_of_the_empty_space(tmp_path, capsys):
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    dead = _write(
+        tmp_path,
+        "dead.sft",
+        "sft\ngroup z4.grp\nalphabet 0 1\nshape 0\nforbid 0\nforbid 1\n",
+    )
+    assert cli.main(["sft", "entropy", dead]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: entropy of the empty shift space is undefined\n"
+
+
 def test_cli_sft_enum(golden5, capsys):
     assert cli.main(["sft", "enum", golden5]) == 0
     assert "11 configurations" in capsys.readouterr().out
@@ -160,6 +204,58 @@ def test_cli_extend_and_extract(tmp_path, doubling_tower, capsys):
     out = capsys.readouterr().out
     assert "base spec on level 0" in out
     assert "forbid 1 1" in out
+
+
+@pytest.fixture
+def z2_power_tower_file(tmp_path):
+    """(Z/2)^1 -> ... -> (Z/2)^5 as files, matching ``z2_power_tower(5)``."""
+    tower = z2_power_tower(5)
+    _write(tmp_path, "e1.grp", "group cyclic 2\n")
+    for k in range(2, 6):
+        _write(tmp_path, f"e{k}.grp", f"group product e{k - 1}.grp e1.grp\n")
+    lines = ["tower"] + [f"level e{k}.grp" for k in range(1, 6)]
+    for k, embed in enumerate(tower.embeddings):
+        lines.append(f"embed {k} pairs " + " ".join(f"{a}->{b}" for a, b in enumerate(embed)))
+    return _write(tmp_path, "e.twr", "\n".join(lines) + "\n")
+
+
+def test_cli_extend_counts_past_enumeration(tmp_path, z2_power_tower_file, capsys):
+    # 9 configurations on V4, 8 cosets in (Z/2)^5: 9^8 = 6561^2, which the
+    # family budget refused when the extension was enumerated
+    v4 = _write(tmp_path, "v4.sft", "sft\ngroup e2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    assert cli.main(["extend", v4, z2_power_tower_file, "1", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"{6561 ** 2} configurations"
+    assert out[2].startswith("log(3)/2 ≈ ")
+
+
+@pytest.mark.parametrize(
+    "tower_name, level, text, ups",
+    [
+        ("doubling", 0, "shape 0 1\nforbid 1 1", [(0, 0), (0, 1), (0, 2)]),
+        ("doubling", 1, "shape 0 1\nforbid 1 1", [(1, 1), (1, 2)]),
+        ("doubling", 1, "shape 0 3\nforbid 1 0\nforbid 0 1", [(1, 2)]),
+        ("power", 0, "shape 0 1\nforbid 1 1", [(0, 3)]),
+        ("power", 1, "shape 0 1\nforbid 1 1", [(1, 2), (1, 3)]),
+        ("power", 2, "shape 0 3 5\nforbid 1 1 0\nforbid 0 1 1", [(2, 3)]),
+        ("power", 1, "shape 0\nforbid 0\nforbid 1", [(1, 3)]),
+    ],
+)
+def test_cli_extend_count_equals_enumerated_extension(
+    tmp_path, doubling_tower, z2_power_tower_file, capsys, tower_name, level, text, ups
+):
+    tower_file = doubling_tower if tower_name == "doubling" else z2_power_tower_file
+    tower = files.read_tower(tower_file)
+    group = ("z2.grp", "z4.grp", "z8.grp") if tower_name == "doubling" else (
+        "e1.grp", "e2.grp", "e3.grp")
+    base = _write(tmp_path, "base.sft", f"sft\ngroup {group[level]}\nalphabet 0 1\n{text}\n")
+    space = enumerate_sft(files.read_sft(base))
+    for i, j in ups:
+        want = len(tower_extend(space, tower, i, j).configs)
+        rc = cli.main(["extend", base, tower_file, str(i), str(j)])
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"{want} configurations"
+        assert rc == (0 if want else 2)
 
 
 @pytest.mark.parametrize(
@@ -209,6 +305,31 @@ def test_cli_verify_exit_codes(capsys):
     assert cli.main(["verify", "free-extension"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 13
+
+
+def test_cli_main_shares_one_parser_without_leaking_values(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    two = _write(
+        tmp_path,
+        "two.sft",
+        "sft\ngroup z2.grp\nalphabet 0 1\nshape 0 1\nforbid 0 1\nforbid 1 0\n",
+    )
+    assert cli.main(["--format", "tsv", "--budget", "7",
+                     "check", "mme", two, "--grid", "2"]) == 0
+    capsys.readouterr()
+    # the default grid of 100 has 101 points: over a budget of 50, so the
+    # refusal shows both the grid and the budget this call ran with
+    assert cli.main(["--budget", "50", "check", "mme", two]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: simplex grid of ~101 points exceeds the budget 50\n"
+    assert cli.main(["check", "mme", two]) == 0
+    assert "unique maximizer: True" in capsys.readouterr().out
+    assert cli.main(["--format", "tsv", "check", "aut", two]) == 0
+    assert "\t" in capsys.readouterr().out
+    assert cli.main(["check", "aut", two]) == 0
+    out = capsys.readouterr().out
+    assert "\t" not in out and "0  1" in out
 
 
 def test_cli_error_reporting(tmp_path, capsys):

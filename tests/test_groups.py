@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError, ValidationError
-from finshift.fixtures import dihedral4, klein, quaternion, symmetric3
+from finshift.fixtures import alternating4, dihedral4, klein, quaternion, symmetric3
 from finshift.groups import (
     Subgroup,
     all_subgroups,
@@ -146,6 +146,7 @@ def _is_normal(g, members):
         ("d4", dihedral4(), 10, 6),
         ("q8", quaternion(), 6, 6),
         ("z2xs3", product(cyclic(2), symmetric3()), 16, 7),
+        ("a4", alternating4(), 10, 3),
     ],
 )
 def test_all_subgroups_match_subset_closure(name, g, count, normal):
@@ -167,6 +168,7 @@ def test_nonabelian_fixtures():
         (symmetric3(), [1, 2, 2, 2, 3, 3]),
         (dihedral4(), [1, 2, 2, 2, 2, 2, 4, 4]),
         (quaternion(), [1, 2, 4, 4, 4, 4, 4, 4]),
+        (alternating4(), [1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]),
     ):
         assert g.identity == 0
         assert sorted(g.element_order(a) for a in g.elements()) == orders

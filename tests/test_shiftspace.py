@@ -1,6 +1,7 @@
 """SFT enumeration, languages, orbits, subshifts and block codes."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +9,23 @@ from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import (
+    alternating4,
     dihedral4,
     golden_mean_like_spec,
+    klein,
     quaternion,
     random_sft_spec,
     symmetric3,
     standard_specs,
     two_point_spec,
 )
-from finshift.groups import cyclic
+from finshift.groups import all_subgroups, cyclic
 from finshift.patterns import BINARY, Alphabet, Pattern
 from finshift.shiftspace import (
     BlockMap,
     SftSpec,
     apply_block_code,
+    count_sft,
     enumerate_sft,
     enumerate_sft_naive,
     enumerate_subshifts,
@@ -32,6 +36,11 @@ from finshift.shiftspace import (
     orbits,
     spec_from_space,
 )
+from finshift.zline import golden_mean_cyclic_count, golden_mean_spec
+
+COUNT_GROUPS = [cyclic(n) for n in range(2, 9)] + [
+    klein(), symmetric3(), dihedral4(), quaternion(), alternating4()
+]
 
 
 def test_spec_normalizes_shape():
@@ -103,6 +112,67 @@ def test_enumeration_deeper_than_recursion_limit():
     g = cyclic(1100)
     spec = SftSpec(g, Alphabet(("0",)), (0,), frozenset())
     assert enumerate_sft(spec).configs == frozenset({(0,) * 1100})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.sampled_from(COUNT_GROUPS))
+def test_count_matches_enumeration_on_random_specs(seed, group):
+    spec = random_sft_spec(group, random.Random(seed))
+    assert count_sft(spec) == len(enumerate_sft(spec).configs)
+
+
+def _random_ternary_spec(group, rng):
+    size = rng.randint(1, min(3, group.order))
+    shape = tuple(sorted(rng.sample(range(group.order), size)))
+    forbidden = frozenset(
+        Pattern(group, shape, sym)
+        for sym in iproduct(range(3), repeat=size)
+        if rng.random() < 0.3
+    )
+    return SftSpec(group, Alphabet(("a", "b", "c")), shape, forbidden)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000), st.sampled_from([cyclic(n) for n in range(2, 7)]
+                                               + [klein(), symmetric3()]))
+def test_count_matches_naive_on_ternary_specs(seed, group):
+    spec = _random_ternary_spec(group, random.Random(seed))
+    assert count_sft(spec) == len(enumerate_sft_naive(spec).configs)
+
+
+@pytest.mark.parametrize(
+    "group, shape",
+    [(cyclic(8), (0, 1, 3)), (symmetric3(), (0, 1, 4)), (dihedral4(), (0, 3, 6)),
+     (quaternion(), (0, 1, 2)), (alternating4(), (0, 1, 5))],
+    ids=["z8", "s3", "d4", "q8", "a4"],
+)
+def test_count_on_shapes_closed_under_no_subgroup(group, shape):
+    for sub in all_subgroups(group)[1:]:
+        assert {group.mul[f][h] for f in shape for h in sub.members} != set(shape)
+    for forbid in ([(1, 1, 1)], [(1, 0, 1), (0, 1, 1)], [(1, 1, 0), (0, 0, 1)]):
+        spec = SftSpec(group, BINARY, shape,
+                       frozenset(Pattern(group, shape, sym) for sym in forbid))
+        assert count_sft(spec) == len(enumerate_sft(spec).configs)
+
+
+def test_count_of_golden_mean_is_the_transfer_trace():
+    for n in [*range(1, 41), 64, 99, 128, 199, 200]:
+        assert count_sft(golden_mean_spec(n)) == golden_mean_cyclic_count(n), n
+
+
+def test_count_without_constraints_and_with_the_empty_pattern():
+    g = cyclic(3)
+    assert count_sft(SftSpec(g, BINARY, (), frozenset({Pattern(g, (), ())}))) == 0
+    assert count_sft(SftSpec(g, BINARY, (), frozenset())) == 8
+    # no |A|^|G| pre-check: 2^40 configurations are counted, not refused
+    assert count_sft(SftSpec(cyclic(40), BINARY, (0,), frozenset())) == 2 ** 40
+
+
+def test_count_budget_counts_states():
+    spec = golden_mean_spec(30)
+    assert count_sft(spec, budget=200) == golden_mean_cyclic_count(30)
+    with pytest.raises(ResourceError, match=r"stopped after \d+ states \(budget 20\)"):
+        count_sft(spec, budget=20)
 
 
 def test_language_and_forbidden_patterns():
