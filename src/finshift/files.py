@@ -15,7 +15,11 @@ from .shiftspace import SftSpec
 
 
 def _lines(path):
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot open file: {exc.strerror}", path) from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:
@@ -31,6 +35,26 @@ def _ints(tokens, path, lineno):
 
 def read_group(path) -> FiniteGroup:
     """Parse a group file: cyclic, product-of-files, or explicit table."""
+    return _read_group(path, {})
+
+
+def _read_group(path, parsed) -> FiniteGroup:
+    """:func:`read_group` that parses each file once per top-level read.
+
+    ``parsed`` maps absolute paths to their groups; ``None`` marks a file
+    whose product factors are being read, so meeting it again is a cycle.
+    """
+    key = os.path.abspath(path)
+    if key in parsed:
+        if parsed[key] is None:
+            raise FormatError("product factors lead back to this file", path)
+        return parsed[key]
+    parsed[key] = None
+    parsed[key] = _parse_group(path, parsed)
+    return parsed[key]
+
+
+def _parse_group(path, parsed) -> FiniteGroup:
     it = _lines(path)
     try:
         lineno, header = next(it)
@@ -49,8 +73,8 @@ def read_group(path) -> FiniteGroup:
     if kind == "product":
         if len(parts) != 4:
             raise FormatError("usage: group product <file> <file>", path, lineno)
-        left = read_group(os.path.join(base, parts[2]))
-        right = read_group(os.path.join(base, parts[3]))
+        left = _read_group(os.path.join(base, parts[2]), parsed)
+        right = _read_group(os.path.join(base, parts[3]), parsed)
         return product(left, right)
     if kind == "table":
         if len(parts) != 3:
@@ -71,6 +95,7 @@ def read_tower(path) -> GroupTower:
     """Parse a tower file: a 'tower' header, then level and embed lines."""
     levels = []
     embeddings = []
+    parsed = {}
     base = os.path.dirname(os.path.abspath(path))
     it = _lines(path)
     try:
@@ -84,7 +109,7 @@ def read_tower(path) -> GroupTower:
         if parts[0] == "level":
             if len(parts) != 2:
                 raise FormatError("usage: level <groupfile>", path, lineno)
-            levels.append(read_group(os.path.join(base, parts[1])))
+            levels.append(_read_group(os.path.join(base, parts[1]), parsed))
         elif parts[0] == "embed":
             if len(parts) < 3 or parts[2] != "pairs":
                 raise FormatError("usage: embed <k> pairs i->j ...", path, lineno)

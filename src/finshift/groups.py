@@ -7,16 +7,10 @@ finite groups connected by injective homomorphisms.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from functools import reduce
+from itertools import repeat
 
 from .errors import InputError, ResourceError, ValidationError
-
-# Orders up to this bound get an exhaustive associativity check; larger
-# tables are spot-checked with ASSOC_SAMPLES random triples.
-EXHAUSTIVE_ASSOC_ORDER = 64
-ASSOC_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -61,20 +55,16 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _find_identity(table):
-    n = len(table)
-    for e in range(n):
-        if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-            return e
-    return None
-
-
-def from_table(table, labels=None, rng=None) -> FiniteGroup:
+def from_table(table, labels=None) -> FiniteGroup:
     """Build and validate a group from an explicit multiplication table.
 
-    Raises :class:`ValidationError` naming the first violated group law.
-    Associativity is checked exhaustively up to order 64 and on random
-    triples above that.
+    Raises :class:`ValidationError` naming the first violated group law:
+    closure, identity, inverse, then associativity.  Associativity is
+    exact at every order, by Light's test on a generating set: the elements
+    ``s`` with ``(x*s)*y == x*(s*y)`` for all ``x, y`` are closed under
+    products, so the table is associative when every generator passes
+    (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1.2).
+    That costs n^2 per generator and at most log2(n) generators.
     """
     n = len(table)
     if n == 0:
@@ -84,64 +74,65 @@ def from_table(table, labels=None, rng=None) -> FiniteGroup:
         row = tuple(row)
         if len(row) != n:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
-        for j, v in enumerate(row):
-            if not (isinstance(v, int) and 0 <= v < n):
-                raise ValidationError(
-                    f"closure violated: entry ({i},{j}) = {v!r} is not an "
-                    f"element index in [0,{n})"
-                )
+        if not (all(map(isinstance, row, repeat(int))) and min(row) >= 0 and max(row) < n):
+            j, v = next(
+                (j, v) for j, v in enumerate(row) if not (isinstance(v, int) and 0 <= v < n)
+            )
+            raise ValidationError(
+                f"closure violated: entry ({i},{j}) = {v!r} is not an "
+                f"element index in [0,{n})"
+            )
         rows.append(row)
     mul = tuple(rows)
 
-    e = _find_identity(mul)
+    neutral = tuple(range(n))
+    e = next(
+        (e for e in range(n)
+         if mul[e] == neutral and tuple(row[e] for row in mul) == neutral),
+        None,
+    )
     if e is None:
         raise ValidationError("no identity: no element acts neutrally on both sides")
 
     inv = []
-    for a in range(n):
-        b = next((b for b in range(n) if mul[a][b] == e and mul[b][a] == e), None)
-        if b is None:
-            raise ValidationError(f"no inverse: element {a} has no two-sided inverse")
+    for a, row in enumerate(mul):
+        b = row.index(e) if e in row else None
+        if b is None or mul[b][a] != e:
+            # a row that is not a permutation may hold e more than once
+            b = next((b for b in range(n) if row[b] == e and mul[b][a] == e), None)
+            if b is None:
+                raise ValidationError(f"no inverse: element {a} has no two-sided inverse")
         inv.append(b)
 
-    if n <= EXHAUSTIVE_ASSOC_ORDER:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = rng or random.Random(0)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(ASSOC_SAMPLES)
-        )
-    for a, b, c in triples:
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise ValidationError(
-                f"non-associative: ({a}*{b})*{c} != {a}*({b}*{c})"
-            )
-
-    return FiniteGroup(mul, e, tuple(inv), tuple(labels) if labels else None)
+    group = FiniteGroup(mul, e, tuple(inv), tuple(labels) if labels else None)
+    for s in _generators(group):
+        srow = mul[s]
+        for x, row in enumerate(mul):
+            if mul[row[s]] != tuple(map(row.__getitem__, srow)):
+                y = next(y for y in range(n) if mul[row[s]][y] != row[srow[y]])
+                raise ValidationError(
+                    f"non-associative: ({x}*{s})*{y} != {x}*({s}*{y})"
+                )
+    return group
 
 
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` (addition mod n)."""
     if n < 1:
         raise InputError(f"cyclic group order must be >= 1, got {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    twice = tuple(range(n)) * 2
+    table = [twice[a : a + n] for a in range(n)]  # row a is 0..n-1 rotated by a
     return from_table(table, labels=[str(a) for a in range(n)])
 
 
 def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with mixed-radix index encoding: index = i + |g1|*j."""
     n1, n2 = g1.order, g2.order
-    table = []
-    for a in range(n1 * n2):
-        i, j = a % n1, a // n1
-        row = []
-        for b in range(n1 * n2):
-            k, l = b % n1, b // n1
-            row.append(g1.mul[i][k] + n1 * g2.mul[j][l])
-        table.append(row)
+    table = [
+        [k + n1 * l for l in row2 for k in row1]
+        for row2 in g2.mul
+        for row1 in g1.mul
+    ]
     labels = [
         f"({g1.label(a % n1)},{g2.label(a // n1)})" for a in range(n1 * n2)
     ]
@@ -208,6 +199,19 @@ def _close_under(parent: FiniteGroup, gens) -> tuple[int, ...]:
                 seen.add(c)
                 frontier.append(c)
     return tuple(sorted(seen))
+
+
+def _generators(g: FiniteGroup) -> list[int]:
+    """A generating set of ``g``: each new generator is the least element
+    outside the closure of the ones before.  In a group that closure is the
+    subgroup they generate, which each new generator at least doubles, so
+    there are at most log2(n) of them."""
+    gens, span = [], {g.identity}
+    for s in g.elements():
+        if s not in span:
+            gens.append(s)
+            span = set(_close_under(g, gens))
+    return gens
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
@@ -367,6 +371,12 @@ class GroupTower:
 
 
 def _check_embedding(lo: FiniteGroup, hi: FiniteGroup, emb) -> None:
+    """Check that ``emb`` is an injective homomorphism ``lo -> hi``.
+
+    A map with ``emb(e) = e`` and ``emb(a*s) = emb(a)*emb(s)`` for every
+    ``a`` and each generator ``s`` is a homomorphism, since every element
+    of a finite group is a product of generators.
+    """
     if len(emb) != lo.order:
         raise ValidationError(
             f"embedding must be total: got {len(emb)} entries for order {lo.order}"
@@ -377,11 +387,15 @@ def _check_embedding(lo: FiniteGroup, hi: FiniteGroup, emb) -> None:
     for a in emb:
         if not (0 <= a < hi.order):
             raise ValidationError(f"embedding image {a} outside the larger group")
-    for a in range(lo.order):
-        for b in range(lo.order):
-            if emb[lo.mul[a][b]] != hi.mul[emb[a]][emb[b]]:
+    e = lo.identity
+    if emb[e] != hi.identity:
+        raise ValidationError(f"not a homomorphism: witness pair ({e},{e})")
+    for s in _generators(lo):
+        es = emb[s]
+        for a in range(lo.order):
+            if emb[lo.mul[a][s]] != hi.mul[emb[a]][es]:
                 raise ValidationError(
-                    f"not a homomorphism: witness pair ({a},{b})"
+                    f"not a homomorphism: witness pair ({a},{s})"
                 )
 
 
@@ -402,8 +416,6 @@ def build_tower(levels, embeddings) -> GroupTower:
                 f"order {hi.order}"
             )
         _check_embedding(lo, hi, emb)
-        if not is_subgroup(hi, emb):
-            raise ValidationError(f"embedding image at level {i} is not a subgroup")
     return GroupTower(levels, embeddings)
 
 

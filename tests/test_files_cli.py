@@ -1,5 +1,7 @@
 """Text file formats and the command-line surface."""
 
+from collections import Counter
+
 import pytest
 
 from finshift import cli, files
@@ -337,3 +339,61 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert cli.main(["group", "validate", bad]) == 2
     err = capsys.readouterr().err
     assert "bad.grp:1:" in err
+
+
+def test_read_tower_builds_each_group_file_once(z2_power_tower_file, monkeypatch):
+    calls = Counter()
+    for name in ("cyclic", "product"):
+        def counted(*args, _build=getattr(files, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(files, name, counted)
+    tower = files.read_tower(z2_power_tower_file)
+    # e1.grp once, then one product per level above it; parsing every
+    # factor afresh took 15 cyclic and 10 product builds
+    assert calls == {"cyclic": 1, "product": 4}
+    assert [g.mul for g in tower.levels] == [g.mul for g in z2_power_tower(5).levels]
+    files.read_tower(z2_power_tower_file)
+    assert calls == {"cyclic": 2, "product": 8}  # nothing is kept between reads
+
+
+def _assert_one_error_line(capsys, *fragments):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["group", "validate", "none.grp"], "none.grp"),
+        (["group", "validate", "pair.grp"], "gone.grp"),
+        (["extend", "z2.sft", "none.twr", "0", "1"], "none.twr"),
+        (["extend", "z2.sft", "holes.twr", "0", "1"], "gone.grp"),
+        (["sft", "entropy", "none.sft"], "none.sft"),
+        (["sft", "entropy", "lost.sft"], "gone.grp"),
+    ],
+    ids=["group", "product-factor", "tower", "tower-level", "sft", "sft-group"],
+)
+def test_cli_missing_files_exit_2(tmp_path, capsys, argv, missing):
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "pair.grp", "group product z2.grp gone.grp\n")
+    _write(tmp_path, "holes.twr", "tower\nlevel z2.grp\nlevel gone.grp\n")
+    _write(tmp_path, "z2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0\n")
+    _write(tmp_path, "lost.sft", "sft\ngroup gone.grp\nalphabet 0 1\nshape 0\n")
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert cli.main(argv) == 2
+    _assert_one_error_line(capsys, f"{missing}: cannot open file")
+
+
+@pytest.mark.parametrize("name", ["self.grp", "b.grp"], ids=["direct", "two-file"])
+def test_cli_product_cycles_exit_2(tmp_path, capsys, name):
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "self.grp", "group product self.grp z2.grp\n")
+    _write(tmp_path, "b.grp", "group product z2.grp c.grp\n")
+    _write(tmp_path, "c.grp", "group product b.grp z2.grp\n")
+    assert cli.main(["group", "validate", str(tmp_path / name)]) == 2
+    _assert_one_error_line(capsys, f"{name}: product factors lead back to this file")

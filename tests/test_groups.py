@@ -1,5 +1,7 @@
 """Group construction, subgroups, cosets and towers."""
 
+import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,8 @@ from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import alternating4, dihedral4, klein, quaternion, symmetric3
 from finshift.groups import (
     Subgroup,
+    _close_under,
+    _generators,
     all_subgroups,
     build_tower,
     coset_action,
@@ -62,16 +66,151 @@ def test_from_table_rejects_broken_tables():
     with pytest.raises(ValidationError):
         from_table([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 1, 1], [3, 0, 1, 2]])
     with pytest.raises(ValidationError, match="associative"):
-        # latin square with identity that fails associativity (order 5)
-        from_table(
-            [
-                [0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 4, 0, 1, 3],
-                [3, 2, 4, 0, 1],
-                [4, 3, 1, 2, 0],
-            ]
-        )
+        from_table(LOOP5)
+
+
+# a latin square with identity that fails associativity (order 5)
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def associative_by_all_triples(table):
+    """Oracle: the first triple (a, b, c) with (ab)c != a(bc), or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def identity_by_search(table):
+    """Oracle: the first element neutral on both sides, or None."""
+    n = len(table)
+    return next(
+        (e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))),
+        None,
+    )
+
+
+def inverses_by_search(table, e):
+    """Oracle: each element's first two-sided inverse, None where it has none."""
+    n = len(table)
+    return [
+        next((b for b in range(n) if table[a][b] == e == table[b][a]), None)
+        for a in range(n)
+    ]
+
+
+def assert_real_associativity_witness(table, message):
+    a, b, c = map(int, re.match(r"non-associative: \((\d+)\*(\d+)\)\*(\d+)", message).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def from_table_verdict(table):
+    """from_table's verdict, checked against the oracles: the law it names
+    (or "accepted"), with the identity, inverses and witnesses it reports."""
+    n = len(table)
+    e = identity_by_search(table)
+    inv = inverses_by_search(table, e) if e is not None else None
+    try:
+        g = from_table(table)
+    except ValidationError as exc:
+        message = str(exc)
+        law = message.split(":")[0]
+        if law == "closure violated":
+            assert any(not 0 <= v < n for row in table for v in row)
+        elif law == "no identity":
+            assert e is None
+        elif law == "no inverse":
+            assert e is not None
+            assert message == f"no inverse: element {inv.index(None)} has no two-sided inverse"
+        else:
+            assert law == "non-associative"
+            assert e is not None and None not in inv
+            assert_real_associativity_witness(table, message)
+        return law
+    assert (g.identity, list(g.inv)) == (e, inv)
+    assert associative_by_all_triples(table) is None
+    return "accepted"
+
+
+TABLE_BASES = [cyclic(n) for n in range(1, 9)] + [
+    product(cyclic(2), cyclic(4)),
+    symmetric3(),
+    dihedral4(),
+    quaternion(),
+    alternating4(),
+]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A base group's table under a random relabelling, with up to three
+    entries overwritten (an out-of-range value now and then)."""
+    g = draw(st.sampled_from(TABLE_BASES))
+    n = g.order
+    name = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[name[a]][name[b]] = name[g.mul[a][b]]
+    cell = st.integers(0, n - 1)
+    for i, j, v in draw(st.lists(st.tuples(cell, cell, st.integers(0, n)), max_size=3)):
+        table[i][j] = v
+    return table
+
+
+def test_from_table_matches_the_oracles_on_perturbed_tables():
+    verdicts = Counter()
+
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    @given(perturbed_tables())
+    def check(table):
+        verdicts[from_table_verdict(table)] += 1
+
+    check()
+    assert verdicts["accepted"] and verdicts["non-associative"], verdicts
+    assert verdicts["no identity"] and verdicts["no inverse"], verdicts
+
+
+def test_generating_sets_have_at_most_log2_n_elements():
+    # Light's test costs n^2 per generator and the embedding check n
+    for g in TABLE_BASES + [cyclic(1000), z2_power_tower(6).levels[-1]]:
+        gens = _generators(g)
+        assert _close_under(g, gens) == tuple(g.elements())
+        assert 2 ** len(gens) <= g.order
+
+
+def _crossed(low, high):
+    """The product table of two tables, index = i + len(low) * j."""
+    return [[k + len(low) * l for l in row2 for k in row1] for row2 in high for row1 in low]
+
+
+def test_from_table_is_exact_above_order_64():
+    # LOOP5 x Z/16, order 80, in both index orders.  With Z/16 in the low
+    # digits the first generator passes Light's test and the second fails.
+    z16 = cyclic(16).mul
+    for table in (_crossed(LOOP5, z16), _crossed(z16, LOOP5)):
+        with pytest.raises(ValidationError, match="non-associative"):
+            from_table(table)
+        assert from_table_verdict(table) == "non-associative"
+
+
+def test_from_table_entry_types_keep_their_verdicts():
+    # bool is an int subclass, so a table of bools is a table of indices
+    g = from_table([[False, True], [True, False]])
+    assert (g.order, g.identity, g.inv) == (2, 0, (0, 1))
+    with pytest.raises(ValidationError, match=r"entry \(0,0\) = True is not"):
+        from_table([[True]])
+    with pytest.raises(ValidationError, match=r"entry \(0,1\) = 1\.0 is not"):
+        from_table([[0, 1.0], [1.0, 0]])
 
 
 @given(st.integers(min_value=1, max_value=12))
@@ -249,6 +388,66 @@ def test_tower_rejects_non_homomorphism():
         build_tower([cyclic(2), cyclic(4)], [(0, 1)])
     with pytest.raises(ValidationError, match="injective"):
         build_tower([cyclic(2), cyclic(4)], [(0, 0)])
+    # respects the first generator of V4 but not the second, whose image
+    # has order 4; the image {0, 2, 4, 6} is a subgroup all the same
+    emb = (0, 4, 2, 6)
+    assert embedding_verdict_by_all_pairs(klein(), cyclic(8), emb) == "homomorphism"
+    with pytest.raises(ValidationError, match=r"homomorphism: witness pair \(2,2\)"):
+        build_tower([klein(), cyclic(8)], [emb])
+
+
+def embedding_verdict_by_all_pairs(lo, hi, emb):
+    """Oracle: the law an index map ``lo -> hi`` breaks, over all pairs."""
+    if len(set(emb)) != len(emb):
+        return "injective"
+    if not all(0 <= a < hi.order for a in emb):
+        return "outside"
+    for a in lo.elements():
+        for b in lo.elements():
+            if emb[lo.mul[a][b]] != hi.mul[emb[a]][emb[b]]:
+                return "homomorphism"
+    return "accepted"
+
+
+EMBEDDING_TARGETS = [
+    cyclic(6),
+    product(cyclic(2), cyclic(4)),
+    symmetric3(),
+    dihedral4(),
+    quaternion(),
+    alternating4(),
+]
+
+
+def test_embedding_check_matches_all_pairs_oracle():
+    verdicts = Counter()
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.data())
+    def check(data):
+        hi = data.draw(st.sampled_from(EMBEDDING_TARGETS))
+        sub = data.draw(st.sampled_from(all_subgroups(hi)))
+        lo, members = sub.as_group()
+        emb = list(members)
+        cell = st.integers(0, lo.order - 1)
+        for a, v in data.draw(st.lists(st.tuples(cell, st.integers(0, hi.order)), max_size=2)):
+            emb[a] = v
+        want = embedding_verdict_by_all_pairs(lo, hi, emb)
+        try:
+            build_tower([lo, hi], [emb])
+        except ValidationError as exc:
+            message = str(exc)
+            assert want in message
+            if want == "homomorphism":
+                a, b = map(int, re.search(r"\((\d+),(\d+)\)", message).groups())
+                assert emb[lo.mul[a][b]] != hi.mul[emb[a]][emb[b]]
+        else:
+            assert want == "accepted"
+        verdicts[want] += 1
+
+    check()
+    assert verdicts["accepted"] and verdicts["homomorphism"], verdicts
+    assert verdicts["injective"] and verdicts["outside"], verdicts
 
 
 def test_z2_power_tower():
