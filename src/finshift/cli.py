@@ -62,8 +62,7 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    spec = files.read_sft(args.sft)
-    tower = files.read_tower(args.tower)
+    spec, tower = files.read_sft_and_tower(args.sft, args.tower)
     count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
     print(f"extended from level {args.frm} to level {args.to}")
     print(f"{count} configurations")
@@ -73,8 +72,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    spec, space = _load_space(args.space, args.budget)
-    tower = files.read_tower(args.tower)
+    spec, tower = files.read_sft_and_tower(args.space, args.tower)
+    space = enumerate_sft(spec, budget=args.budget)
     ambient_level = next(
         (j for j, lvl in enumerate(tower.levels) if lvl == spec.group), None
     )

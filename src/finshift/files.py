@@ -16,14 +16,17 @@ from .shiftspace import SftSpec
 
 def _lines(path):
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot open file: {exc.strerror}", path) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError("not UTF-8 text", path, lineno) from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 def _ints(tokens, path, lineno):
@@ -93,9 +96,24 @@ def _parse_group(path, parsed) -> FiniteGroup:
 
 def read_tower(path) -> GroupTower:
     """Parse a tower file: a 'tower' header, then level and embed lines."""
+    return _read_tower(path, {})
+
+
+def read_sft(path) -> SftSpec:
+    """Parse an SFT spec file."""
+    return _read_sft(path, {})
+
+
+def read_sft_and_tower(sft_path, tower_path) -> tuple[SftSpec, GroupTower]:
+    """Parse an SFT file and a tower file, building a group file both name
+    once: the spec's group is then the very object at its tower level."""
+    parsed = {}
+    return _read_sft(sft_path, parsed), _read_tower(tower_path, parsed)
+
+
+def _read_tower(path, parsed) -> GroupTower:
     levels = []
     embeddings = []
-    parsed = {}
     base = os.path.dirname(os.path.abspath(path))
     it = _lines(path)
     try:
@@ -143,8 +161,7 @@ def read_tower(path) -> GroupTower:
     return build_tower(levels, embeddings)
 
 
-def read_sft(path) -> SftSpec:
-    """Parse an SFT spec file."""
+def _read_sft(path, parsed) -> SftSpec:
     base = os.path.dirname(os.path.abspath(path))
     group = None
     alphabet = None
@@ -160,7 +177,7 @@ def read_sft(path) -> SftSpec:
     for lineno, line in it:
         parts = line.split()
         if parts[0] == "group" and len(parts) == 2:
-            group = read_group(os.path.join(base, parts[1]))
+            group = _read_group(os.path.join(base, parts[1]), parsed)
         elif parts[0] == "alphabet":
             alphabet = Alphabet(tuple(parts[1:]))
         elif parts[0] == "shape":

@@ -27,9 +27,9 @@ from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
+    _picker,
     count_sft,
     enumerate_sft,
-    forbidden_patterns,
 )
 
 
@@ -51,14 +51,6 @@ class ExtensionContext:
     @property
     def cosets(self) -> int:
         return self.decomposition.index
-
-    def base_index(self, ambient_elem: int) -> int:
-        try:
-            return self.base_embed.index(ambient_elem)
-        except ValueError:
-            raise InputError(
-                f"ambient element {ambient_elem} is not in the base subgroup"
-            ) from None
 
 
 def extension_context(
@@ -102,6 +94,18 @@ def family_action(ctx: ExtensionContext, g: int, fam: CosetFamily) -> CosetFamil
     return CosetFamily(ctx.decomposition, tuple(members))
 
 
+def _placement(ctx: ExtensionContext) -> list[tuple[int, int]]:
+    """Where each ambient element reads a coset family: element k reads
+    member ``coset_of[k]`` at the base position of ``k * rep^-1``."""
+    G = ctx.ambient
+    dec = ctx.decomposition
+    lookup = _base_lookup(ctx)
+    return [
+        (dec.coset_of[k], lookup[G.mul[k][G.inv[dec.reps[dec.coset_of[k]]]]])
+        for k in G.elements()
+    ]
+
+
 def assemble(ctx: ExtensionContext, fam: CosetFamily):
     """Glue a coset family into a single ambient configuration.
 
@@ -111,15 +115,7 @@ def assemble(ctx: ExtensionContext, fam: CosetFamily):
     """
     if fam.decomposition != ctx.decomposition:
         raise InputError("family indexed by a different coset decomposition")
-    G = ctx.ambient
-    lookup = _base_lookup(ctx)
-    dec = ctx.decomposition
-    out = [0] * G.order
-    for k in G.elements():
-        i = dec.coset_of[k]
-        c = dec.reps[i]
-        out[k] = fam.members[i][lookup[G.mul[k][G.inv[c]]]]
-    return tuple(out)
+    return tuple(fam.members[i][j] for i, j in _placement(ctx))
 
 
 def disassemble(ctx: ExtensionContext, config) -> CosetFamily:
@@ -158,15 +154,7 @@ def free_extension(
             f"extension would enumerate {len(y.configs)}^{ctx.cosets} "
             f"families, over budget {budget}"
         )
-    # precomputed form of assemble: ambient element k reads family member
-    # coset_of[k] at base position of k * rep^-1
-    G = ctx.ambient
-    dec = ctx.decomposition
-    lookup = _base_lookup(ctx)
-    placement = [
-        (dec.coset_of[k], lookup[G.mul[k][G.inv[dec.reps[dec.coset_of[k]]]]])
-        for k in G.elements()
-    ]
+    placement = _placement(ctx)
     configs = frozenset(
         tuple(combo[i][j] for i, j in placement)
         for combo in iproduct(sorted(y.configs), repeat=ctx.cosets)
@@ -198,8 +186,8 @@ class BaseExtractResult:
     """Outcome of :func:`base_extract`.
 
     ``ok`` is False when re-extending the recovered spec fails to reproduce
-    the input space, in which case ``witness`` is a configuration in the
-    symmetric difference.
+    the input space, in which case ``witness`` is a configuration of the
+    re-extension that is not in the input space.
     """
 
     ok: bool
@@ -213,68 +201,43 @@ def base_extract(
     ctx: ExtensionContext,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> BaseExtractResult:
-    """Recover a base-group SFT spec from an extension.
+    """Recover a base-group SFT spec from an extension, by projection and
+    count.
 
-    Given a forbidden shape for ``x``, the shape is folded into the base
-    subgroup coset by coset (E), re-spread over the touched cosets (the
-    hat shape), and a base pattern is forbidden exactly when all of its
-    re-spread placements are forbidden in ``x``.  The result is verified by
-    round trip; on mismatch a witness configuration is returned instead of
-    trusting the precondition that ``x`` really was a free extension.
+    A shift-invariant ``x`` lies in the free extension of its projection B
+    to the base (each coset's member, shifted back, is in B), so it is a
+    free extension exactly when ``|x| = |B|^[G:H]``.  The spec forbids the
+    patterns missing from B on the shape folded into the base coset by
+    coset; B lies in its SFT, so it presents B exactly when
+    :func:`count_sft` (``budget`` bounds its states) finds ``|B|`` points.
+    Only a failed check builds a witness; the extension is not enumerated.
     """
     G = ctx.ambient
     dec = ctx.decomposition
-    F = tuple(sorted(set(spec_shape)))
-    touched = sorted({dec.coset_of[f] for f in F})
-    reps0 = [dec.reps[i] for i in touched]
-
-    # E = union of F_c c^-1 over touched cosets, inside the base subgroup
-    e_amb = sorted(
-        {G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]] for f in F}
+    lookup = _base_lookup(ctx)
+    e_base = tuple(sorted({
+        lookup[G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]]] for f in spec_shape
+    }))
+    base = set(map(_picker(ctx.base_embed), x.configs))
+    seen = set(map(_picker(e_base), base))
+    forbidden = frozenset(
+        Pattern(ctx.base_group, e_base, sym)
+        for sym in iproduct(range(x.alphabet.size), repeat=len(e_base))
+        if sym not in seen
     )
-    hat = tuple(sorted({G.mul[h][c] for h in e_amb for c in reps0}))
-    bad_hat = {w.symbols for w in forbidden_patterns(x, hat)}
-
-    e_base = tuple(sorted(ctx.base_index(a) for a in e_amb))
-    lookup = {amb: i for i, amb in enumerate(e_amb)}
-
-    # placements[c][j] = position in hat of E-cell j pushed onto coset c
-    placements = []
-    for c in reps0:
-        placements.append(tuple(hat.index(G.mul[h][c]) for h in e_amb))
-    free_cells = [
-        [j for j in range(len(hat)) if j not in set(p)] for p in placements
-    ]
-
-    k = x.alphabet.size
-    forbidden = set()
-    for sym in iproduct(range(k), repeat=len(e_amb)):
-        all_bad = True
-        for p, free in zip(placements, free_cells):
-            fixed = [0] * len(hat)
-            for j, s in zip(p, sym):
-                fixed[j] = s
-            placed_ok = False
-            for fill in iproduct(range(k), repeat=len(free)):
-                for j, s in zip(free, fill):
-                    fixed[j] = s
-                if tuple(fixed) not in bad_hat:
-                    placed_ok = True
-                    break
-            if placed_ok:
-                all_bad = False
-                break
-        if all_bad:
-            base_sym = tuple(
-                sym[lookup[ctx.base_embed[b]]] for b in e_base
-            )
-            forbidden.add(Pattern(ctx.base_group, e_base, base_sym))
-
-    spec = SftSpec(ctx.base_group, x.alphabet, e_base, frozenset(forbidden))
-    redone = enumerate_sft(free_extension_spec(spec, ctx), budget=budget)
-    if redone.configs != x.configs:
-        diff = sorted(redone.configs ^ x.configs)
-        return BaseExtractResult(False, spec, diff[0])
+    spec = SftSpec(ctx.base_group, x.alphabet, e_base, forbidden)
+    if len(x.configs) < len(base) ** ctx.cosets:
+        # assembled families are distinct, so at most |x| + 1 are built
+        placement = _placement(ctx)
+        families = iproduct(sorted(base), repeat=ctx.cosets)
+        assembled = (tuple(f[i][j] for i, j in placement) for f in families)
+        witness = next(c for c in assembled if c not in x.configs)
+        return BaseExtractResult(False, spec, witness)
+    if count_sft(spec, budget=budget) != len(base):
+        # a base point the spec allows but B lacks, on one coset
+        extra = min(enumerate_sft(spec, budget=budget).configs - base)
+        fam = CosetFamily(dec, (extra,) + (min(base),) * (ctx.cosets - 1))
+        return BaseExtractResult(False, spec, assemble(ctx, fam))
     return BaseExtractResult(True, spec, None)
 
 

@@ -18,7 +18,7 @@ class FiniteGroup:
     """An explicit finite group.
 
     ``mul[a][b]`` is the element index of the product ``a * b``.  Instances
-    are immutable and validated on construction; see :func:`from_table`.
+    are immutable; :func:`from_table` validates tables from outside.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -117,26 +117,30 @@ def from_table(table, labels=None) -> FiniteGroup:
 
 
 def cyclic(n: int) -> FiniteGroup:
-    """The cyclic group of order ``n`` (addition mod n)."""
+    """The cyclic group of order ``n`` (addition mod n), a group by
+    construction: not validated, with identity 0 and inverses ``-a mod n``."""
     if n < 1:
         raise InputError(f"cyclic group order must be >= 1, got {n}")
     twice = tuple(range(n)) * 2
-    table = [twice[a : a + n] for a in range(n)]  # row a is 0..n-1 rotated by a
-    return from_table(table, labels=[str(a) for a in range(n)])
+    mul = tuple(twice[a : a + n] for a in range(n))  # row a is 0..n-1 rotated by a
+    inv = tuple(-a % n for a in range(n))
+    return FiniteGroup(mul, 0, inv, tuple(map(str, range(n))))
 
 
 def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Direct product with mixed-radix index encoding: index = i + |g1|*j."""
+    """Direct product with mixed-radix index encoding: index = i + |g1|*j.
+    Not validated; identity and inverses are the factors', componentwise."""
     n1, n2 = g1.order, g2.order
-    table = [
-        [k + n1 * l for l in row2 for k in row1]
+    mul = tuple(
+        tuple(k + n1 * l for l in row2 for k in row1)
         for row2 in g2.mul
         for row1 in g1.mul
-    ]
-    labels = [
+    )
+    inv = tuple(i + n1 * j for j in g2.inv for i in g1.inv)
+    labels = tuple(
         f"({g1.label(a % n1)},{g2.label(a // n1)})" for a in range(n1 * n2)
-    ]
-    return from_table(table, labels=labels)
+    )
+    return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv, labels)
 
 
 def make_group(spec) -> FiniteGroup:
@@ -174,15 +178,21 @@ class Subgroup:
 
         Returns ``(group, embed)`` where ``embed[i]`` is the parent index of
         standalone element ``i``.  Standalone indices follow the sorted
-        member order.
+        member order.  Closure is the only law checked: a nonempty finite
+        subset closed under products is a subgroup.
         """
-        members = self.members
+        members, parent = self.members, self.parent
         pos = {m: i for i, m in enumerate(members)}
-        table = [
-            [pos[self.parent.mul[a][b]] for b in members] for a in members
-        ]
-        labels = [self.parent.label(m) for m in members]
-        return from_table(table, labels=labels), members
+        try:
+            mul = tuple(
+                tuple(pos[parent.mul[a][b]] for b in members) for a in members
+            )
+            identity = pos[parent.identity]
+        except KeyError:
+            raise InputError("member set is not closed under the group laws") from None
+        inv = tuple(pos[parent.inv[m]] for m in members)
+        labels = tuple(parent.label(m) for m in members)
+        return FiniteGroup(mul, identity, inv, labels), members
 
 
 def _close_under(parent: FiniteGroup, gens) -> tuple[int, ...]:

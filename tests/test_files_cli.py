@@ -208,6 +208,15 @@ def test_cli_extend_and_extract(tmp_path, doubling_tower, capsys):
     assert "forbid 1 1" in out
 
 
+def test_cli_extract_full_shift(tmp_path, doubling_tower, capsys):
+    # an empty shape forbids nothing: the full shift on Z/4 is the free
+    # extension of the full shift on Z/2
+    full = _write(tmp_path, "full.sft", "sft\ngroup z4.grp\nalphabet 0 1\nshape\n")
+    assert cli.main(["extract", full, doubling_tower, "0"]) == 0
+    out = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+    assert out == ["base spec on level 0 (group of order 2)", "shape"]
+
+
 @pytest.fixture
 def z2_power_tower_file(tmp_path):
     """(Z/2)^1 -> ... -> (Z/2)^5 as files, matching ``z2_power_tower(5)``."""
@@ -358,6 +367,31 @@ def test_read_tower_builds_each_group_file_once(z2_power_tower_file, monkeypatch
     assert calls == {"cyclic": 2, "product": 8}  # nothing is kept between reads
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "e2.sft", "e.twr", "1", "4"],
+        ["extract", "e3.sft", "e.twr", "1"],
+    ],
+    ids=["extend", "extract"],
+)
+def test_cli_builds_the_sft_group_once(tmp_path, z2_power_tower_file, monkeypatch,
+                                       capsys, argv):
+    _write(tmp_path, "e2.sft", "sft\ngroup e2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    _write(tmp_path, "e3.sft", "sft\ngroup e3.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    calls = Counter()
+    for name in ("cyclic", "product"):
+        def counted(*args, _build=getattr(files, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(files, name, counted)
+    assert cli.main([str(tmp_path / a) if "." in a else a for a in argv]) == 0
+    # the spec's group file is a tower level, built once for both reads;
+    # reading the two files apart built it, and e1.grp, a second time
+    assert calls == {"cyclic": 1, "product": 4}
+
+
 def _assert_one_error_line(capsys, *fragments):
     out, err = capsys.readouterr()
     assert out == ""
@@ -397,3 +431,23 @@ def test_cli_product_cycles_exit_2(tmp_path, capsys, name):
     _write(tmp_path, "c.grp", "group product b.grp z2.grp\n")
     assert cli.main(["group", "validate", str(tmp_path / name)]) == 2
     _assert_one_error_line(capsys, f"{name}: product factors lead back to this file")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["group", "validate", "bad.grp"], "bad.grp:1:"),
+        (["extend", "z2.sft", "bad.twr", "0", "1"], "bad.twr:2:"),
+        (["sft", "entropy", "bad.sft"], "bad.sft:3:"),
+    ],
+    ids=["grp", "twr", "sft"],
+)
+def test_cli_files_not_utf8_exit_2(tmp_path, capsys, argv, where):
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "z2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0\n")
+    (tmp_path / "bad.grp").write_bytes(b"group cyclic \xff2\n")
+    (tmp_path / "bad.twr").write_bytes(b"tower\nlevel z2.grp \xff\n")
+    (tmp_path / "bad.sft").write_bytes(b"sft\ngroup z2.grp\nalphabet 0 \xff\nshape 0\n")
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert cli.main(argv) == 2
+    _assert_one_error_line(capsys, f"{where} not UTF-8 text")

@@ -2,18 +2,27 @@
 base extraction."""
 
 import random
+from collections import Counter
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError
 from finshift.fixtures import (
+    alternating4,
     cyclic_doubling_tower,
+    dihedral4,
     golden_mean_like_spec,
+    klein,
     random_sft_spec,
     standard_specs,
+    symmetric3,
     two_point_spec,
 )
 from finshift.freext import (
+    BaseExtractResult,
     all_families,
     assemble,
     base_extract,
@@ -26,9 +35,15 @@ from finshift.freext import (
     tower_context,
     tower_extend,
 )
-from finshift.groups import cyclic, generated_subgroup, z2_power_tower
-from finshift.patterns import CosetFamily, shift_config
-from finshift.shiftspace import enumerate_sft
+from finshift.groups import all_subgroups, cyclic, generated_subgroup, z2_power_tower
+from finshift.patterns import BINARY, CosetFamily, Pattern, shift_config
+from finshift.shiftspace import (
+    DEFAULT_CANDIDATE_BUDGET,
+    SftSpec,
+    enumerate_sft,
+    forbidden_patterns,
+    full_shift,
+)
 
 
 def _klein_ctx():
@@ -43,9 +58,7 @@ def _z2_in_z4_ctx(reps=None):
 def test_context_shape():
     ctx = _z2_in_z4_ctx()
     assert ctx.cosets == 2
-    assert ctx.base_index(2) == 1
-    with pytest.raises(InputError):
-        ctx.base_index(1)
+    assert ctx.base_embed == (0, 2)
 
 
 def test_assemble_disassemble_round_trip():
@@ -153,6 +166,105 @@ def test_base_extract_detects_non_extension():
     result = base_extract(x, (0, 1), ctx)
     assert not result.ok
     assert result.witness is not None
+
+
+def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDGET):
+    """Oracle for :func:`base_extract`: fold the shape into the base (E),
+    re-spread it over the touched cosets (the hat shape), forbid a base
+    pattern exactly when every hat placement of it is forbidden in ``x``,
+    and check by enumerating the re-extension.  It forbids the empty
+    pattern when the shape is empty, so it is compared on nonempty shapes."""
+    G = ctx.ambient
+    dec = ctx.decomposition
+    F = tuple(sorted(set(spec_shape)))
+    touched = sorted({dec.coset_of[f] for f in F})
+    reps0 = [dec.reps[i] for i in touched]
+    e_amb = sorted({G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]] for f in F})
+    hat = tuple(sorted({G.mul[h][c] for h in e_amb for c in reps0}))
+    bad_hat = {w.symbols for w in forbidden_patterns(x, hat)}
+    e_base = tuple(sorted(ctx.base_embed.index(a) for a in e_amb))
+    lookup = {amb: i for i, amb in enumerate(e_amb)}
+    # placements[c][j] = position in hat of E-cell j pushed onto coset c
+    placements = [tuple(hat.index(G.mul[h][c]) for h in e_amb) for c in reps0]
+    free_cells = [[j for j in range(len(hat)) if j not in set(p)] for p in placements]
+    k = x.alphabet.size
+    forbidden = set()
+    for sym in iproduct(range(k), repeat=len(e_amb)):
+        all_bad = True
+        for p, free in zip(placements, free_cells):
+            fixed = [0] * len(hat)
+            for j, s in zip(p, sym):
+                fixed[j] = s
+            placed_ok = False
+            for fill in iproduct(range(k), repeat=len(free)):
+                for j, s in zip(free, fill):
+                    fixed[j] = s
+                if tuple(fixed) not in bad_hat:
+                    placed_ok = True
+                    break
+            if placed_ok:
+                all_bad = False
+                break
+        if all_bad:
+            base_sym = tuple(sym[lookup[ctx.base_embed[b]]] for b in e_base)
+            forbidden.add(Pattern(ctx.base_group, e_base, base_sym))
+    spec = SftSpec(ctx.base_group, x.alphabet, e_base, frozenset(forbidden))
+    redone = enumerate_sft(free_extension_spec(spec, ctx), budget=budget)
+    if redone.configs != x.configs:
+        return BaseExtractResult(False, spec, sorted(redone.configs ^ x.configs)[0])
+    return BaseExtractResult(True, spec, None)
+
+
+# every proper nontrivial subgroup, abelian and not, normal and not
+EXTRACT_CONTEXTS = [
+    subgroup_context(g, sub)
+    for g in (cyclic(4), cyclic(6), klein(), symmetric3(), dihedral4(), alternating4())
+    for sub in all_subgroups(g)
+    if 1 < sub.order < g.order
+]
+
+
+def test_base_extract_matches_the_placement_oracle():
+    verdicts = Counter()
+
+    @settings(deadline=None, max_examples=250, derandomize=True)
+    @given(st.sampled_from(EXTRACT_CONTEXTS), st.booleans(), st.booleans(),
+           st.randoms(use_true_random=False))
+    def check(ctx, lift, own_shape, rng):
+        if lift:
+            spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
+        else:
+            spec = random_sft_spec(ctx.ambient, rng)
+        x = enumerate_sft(spec)
+        shape = spec.forbidden_shape
+        if not own_shape:  # a shape that need not present x
+            shape = rng.sample(range(ctx.ambient.order), rng.randint(1, 3))
+        got = base_extract(x, shape, ctx)
+        want = base_extract_by_placements(x, shape, ctx)
+        assert got.ok == want.ok
+        # a shift-invariant x has every placement of p forbidden exactly
+        # when p is missing from its projection, so the specs agree always
+        assert got.spec == want.spec
+        projection = {tuple(c[a] for a in ctx.base_embed) for c in x.configs}
+        free = len(x.configs) == len(projection) ** ctx.cosets
+        if not got.ok:
+            redone = enumerate_sft(free_extension_spec(got.spec, ctx)).configs
+            assert got.witness in redone and got.witness not in x.configs
+        verdicts[got.ok, free] += 1
+
+    check()
+    # both verdicts, and both ways to fail: x is not the extension of its
+    # projection, or the folded shape does not present the projection
+    assert set(verdicts) == {(True, True), (False, False), (False, True)}, verdicts
+
+
+def test_base_extract_of_the_full_shift():
+    # nothing is forbidden on an empty shape: the full shift is free
+    for ctx in EXTRACT_CONTEXTS:
+        x = full_shift(ctx.ambient, BINARY)
+        result = base_extract(x, (), ctx)
+        assert result.ok
+        assert result.spec.forbidden_shape == () and not result.spec.forbidden
 
 
 def test_tower_extend_matches_direct():

@@ -232,6 +232,26 @@ def test_product_is_componentwise(n, m):
             assert g.mul[a][b] == (i + k) % n + n * ((j + l) % m)
 
 
+def test_trusted_constructors_build_what_from_table_validates():
+    # cyclic, product and as_group skip validation: their tables must pass it
+    # every other fixture has identity 0, which hides a wrong closed form
+    z3_e2 = from_table([[(a + b + 1) % 3 for b in range(3)] for a in range(3)])
+    fixtures = [cyclic(2), klein(), symmetric3(), dihedral4(), quaternion(), z3_e2]
+    groups = [cyclic(n) for n in range(1, 65)]
+    groups += [product(a, b) for a in fixtures for b in fixtures]
+    groups += [
+        sub.as_group()[0]
+        for g in (symmetric3(), dihedral4(), alternating4(), product(z3_e2, cyclic(2)))
+        for sub in all_subgroups(g)
+    ]
+    for g in groups:
+        assert g == from_table(g.mul, labels=g.labels)
+    g = cyclic(6)
+    for members in [(0, 1), (1, 3, 5), ()]:
+        with pytest.raises(InputError, match="not closed"):
+            Subgroup(g, members).as_group()
+
+
 def test_generated_subgroup():
     g = cyclic(4)
     assert generated_subgroup(g, set()).members == (0,)
