@@ -56,7 +56,6 @@ from .shiftspace import (
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
-    enumerate_subshifts,
     forbidden_patterns,
     full_shift,
     is_shift_invariant,

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import dynprops, files, suites, zline
-from .errors import FinshiftError
+from .errors import FinshiftError, InputError
 from .freext import base_extract, tower_context, tower_extension_count
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
 
@@ -86,7 +86,7 @@ def _cmd_extract(args) -> int:
         return 1
     print(f"base spec on level {args.level} "
           f"(group of order {ctx.base_group.order})")
-    print(f"shape {' '.join(str(f) for f in result.spec.forbidden_shape)}")
+    print(" ".join(["shape", *map(str, result.spec.forbidden_shape)]))
     for w in sorted(result.spec.forbidden, key=lambda w: w.symbols):
         print("forbid " + " ".join(spec.alphabet.symbols[s] for s in w.symbols))
     return 0
@@ -97,15 +97,16 @@ def _cmd_check(args) -> int:
     kind = args.check_kind
     if kind == "si":
         if args.witness is not None:
-            k = tuple(int(t) for t in args.witness.split(","))
-            verdict = dynprops.strongly_irreducible_witness(space, k)
+            items = args.witness.split(",") if args.witness else []
+            k = [_integer(t, "--witness") for t in items]
+            verdict = dynprops.strongly_irreducible_witness(space, k, budget=args.budget)
             if verdict.ok:
                 print(f"strongly irreducible with witness set {sorted(set(k))}")
                 return 0
             u, v = verdict.counterexample
             print(f"FAIL: counterexample patterns {u.as_dict()} and {v.as_dict()}")
             return 1
-        minimal = dynprops.minimal_si_witnesses(space)
+        minimal = dynprops.minimal_si_witnesses(space, budget=args.budget)
         rows = [("witness",)] + [
             (" ".join(str(a) for a in k) or "(empty)",) for k in minimal
         ]
@@ -253,14 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{name}: {text!r} is not an integer") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is None:
-        args.budget = int(
-            os.environ.get(BUDGET_ENV_VAR, DEFAULT_CANDIDATE_BUDGET)
-        )
     try:
+        if args.budget is None:
+            text = os.environ.get(BUDGET_ENV_VAR, DEFAULT_CANDIDATE_BUDGET)
+            args.budget = _integer(text, "$" + BUDGET_ENV_VAR)
         return args.fn(args)
     except FinshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -269,7 +276,3 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -17,11 +17,10 @@ from .groups import GroupTower, all_subgroups
 from .patterns import Pattern, shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
-    DEFAULT_ORBIT_CAP,
     SftSpec,
     ShiftSpace,
+    _picker,
     count_sft,
-    enumerate_subshifts,
     language,
     orbits,
 )
@@ -153,57 +152,77 @@ class SiVerdict:
     counterexample: tuple[Pattern, Pattern] | None = None
 
 
-def _joint_fillable(y: ShiftSpace, u: Pattern, v: Pattern) -> bool:
-    for x in y.configs:
-        if all(x[g] == s for g, s in zip(u.shape, u.symbols)) and all(
-            x[g] == s for g, s in zip(v.shape, v.symbols)
-        ):
-            return True
-    return False
+def _si_test(y: ShiftSpace, budget: int):
+    """The test of witness sets K on one table of the counts |π_S(Y)| for
+    every shape S ⊆ G, indexed by bitmask (bit g stands for element g).
 
-
-def strongly_irreducible_witness(y: ShiftSpace, k) -> SiVerdict:
-    """Exhaustively check the separation property for the witness set ``k``.
-
-    For every ordered pair of language patterns u, v whose shapes satisfy
-    shape(u) disjoint from k*shape(v), some configuration must contain
-    both.  Returns the lexicographically least counterexample otherwise.
+    SI is monotone in U, so only U = G ∖ K·V matters for each V; there the
+    U- and V-patterns that occur together are the patterns on U ∪ V (U and
+    V overlap when e is not in K).  So K works exactly when
+    |π_{U∪V}(Y)| = |π_U(Y)|·|π_V(Y)| for every V.  The test returns the
+    bitmasks (U, V) of the first failing V, ascending, or None.  ``budget``
+    bounds the projections, a pass over Y each, plus the product tests.
     """
-    G = y.group
-    k = tuple(sorted(set(k)))
-    for a in k:
-        if not (0 <= a < G.order):
-            raise InputError(f"{a} is not an element index")
-    elems = list(G.elements())
-    shapes = []
-    for r in range(G.order + 1):
-        shapes.extend(combinations(elems, r))
-    langs = {f: sorted(language(y, f), key=lambda w: w.symbols) for f in shapes}
+    n, mul, full = y.group.order, y.group.mul, (1 << y.group.order) - 1
+    work = [0, 0]  # projections, product tests
 
-    for fu in shapes:
-        for fv in shapes:
-            kfv = {G.mul[a][f] for a in k for f in fv}
-            if set(fu) & kfv:
-                continue
-            for u in langs[fu]:
-                for v in langs[fv]:
-                    if not _joint_fillable(y, u, v):
-                        return SiVerdict(False, (u, v))
-    return SiVerdict(True)
+    def spend(kind):
+        if sum(work) >= budget:
+            raise ResourceError(f"SI check stopped after {work[0]} projections "
+                                f"and {work[1]} product tests (budget {budget})")
+        work[kind] += 1
+
+    counts = []
+    for mask in range(full + 1):
+        spend(0)
+        pick = _picker([g for g in range(n) if mask >> g & 1])
+        counts.append(len({pick(x) for x in y.configs}))
+
+    def failure(k):
+        k_times = [sum(1 << g for g in {mul[a][f] for a in k}) for f in range(n)]
+        kv = [0] * (full + 1)  # kv[V] is the bitmask of K·V
+        for v in range(1, full + 1):
+            spend(1)
+            low = v & -v
+            kv[v] = kv[v ^ low] | k_times[low.bit_length() - 1]
+            u = full ^ kv[v]
+            if counts[u | v] != counts[u] * counts[v]:
+                return u, v
+        return None
+
+    return failure
 
 
-def minimal_si_witnesses(y: ShiftSpace) -> list[tuple[int, ...]]:
-    """All inclusion-minimal witness sets for which the space is strongly
-    irreducible.  Uses monotonicity: supersets of a witness always work."""
-    G = y.group
-    elems = list(G.elements())
-    good = []
-    for r in range(G.order + 1):
-        for k in combinations(elems, r):
-            ks = set(k)
-            if any(set(m) <= ks for m in good):
-                continue  # superset of a known witness
-            if strongly_irreducible_witness(y, k).ok:
+def strongly_irreducible_witness(
+    y: ShiftSpace, k, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> SiVerdict:
+    """Check that any language patterns u on U and v on V, with U disjoint
+    from K·V, occur together in some configuration, by :func:`_si_test`.
+    A counterexample is the least pair, sorted by symbols, of patterns on
+    the first failing U and V that never occur together."""
+    k, elements = set(k), set(y.group.elements())
+    if not k <= elements:
+        raise InputError(f"{min(k - elements)} is not an element index")
+    failure = _si_test(y, budget)(k)
+    if failure is None:
+        return SiVerdict(True)
+    shapes = [tuple(g for g in y.group.elements() if m >> g & 1) for m in failure]
+    pick_u, pick_v = map(_picker, shapes)
+    joint = {(pick_u(x), pick_v(x)) for x in y.configs}
+    lang_u, lang_v = sorted({u for u, _ in joint}), sorted({v for _, v in joint})
+    pair = next((u, v) for u in lang_u for v in lang_v if (u, v) not in joint)
+    return SiVerdict(False, tuple(Pattern(y.group, *w) for w in zip(shapes, pair)))
+
+
+def minimal_si_witnesses(
+    y: ShiftSpace, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> list[tuple[int, ...]]:
+    """The inclusion-minimal witness sets K, by size, then lexicographically,
+    on one table of :func:`_si_test`; supersets of a witness are skipped."""
+    test, good = _si_test(y, budget), []
+    for r in range(y.group.order + 1):
+        for k in combinations(y.group.elements(), r):
+            if not any(set(m) <= set(k) for m in good) and test(k) is None:
                 good.append(k)
     return good
 
@@ -214,20 +233,19 @@ class EntropyMinimalVerdict:
     counterexample: ShiftSpace | None = None
 
 
-def is_entropy_minimal(
-    y: ShiftSpace, subshifts=None, cap: int = DEFAULT_ORBIT_CAP
-) -> EntropyMinimalVerdict:
+def is_entropy_minimal(y: ShiftSpace, subshifts=None) -> EntropyMinimalVerdict:
     """True iff every nonempty proper subshift has strictly smaller entropy.
 
-    On a finite group this reduces to strict cardinality decrease; the
-    reduction is asserted as a cross-check.  ``subshifts`` may be injected
-    (e.g. by tests); it defaults to all orbit unions.
+    Entropy on a finite group grows with cardinality, and every proper
+    subshift lies in Y minus one orbit, so only those are checked, one per
+    orbit; that the size drops is asserted as a cross-check.  ``subshifts``
+    may be injected (e.g. by tests) in their place.
     """
     if not y.configs:
         raise DomainError("entropy minimality of the empty space is undefined")
     h = entropy(y)
     if subshifts is None:
-        subshifts = enumerate_subshifts(y, cap=cap)
+        subshifts = (ShiftSpace(y.group, y.alphabet, y.configs - o) for o in orbits(y))
     for z in subshifts:
         if not z.configs or z.configs == y.configs:
             continue
@@ -437,6 +455,8 @@ def mme_unique_check(
     """
     if not y.configs:
         raise DomainError("cannot sweep measures on the empty space")
+    if grid < 1:
+        raise InputError(f"grid must be >= 1, not {grid}")
     parts = orbits(y)
     r = len(parts)
     est = math.comb(grid + r - 1, r - 1)

@@ -26,7 +26,6 @@ from .patterns import (
 )
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
-DEFAULT_ORBIT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,6 @@ class ShiftSpace:
 
     def __len__(self):
         return len(self.configs)
-
-    def sorted_configs(self) -> list:
-        return sorted(self.configs)
-
-    def patterns(self) -> list[Pattern]:
-        return [pattern_from_config(self.group, c) for c in self.sorted_configs()]
 
 
 def full_shift(group: FiniteGroup, alphabet: Alphabet) -> ShiftSpace:
@@ -267,22 +260,6 @@ def orbits(y: ShiftSpace) -> list[frozenset]:
         parts.append(orb)
         remaining -= orb
     return sorted(parts, key=min)
-
-
-def enumerate_subshifts(y: ShiftSpace, cap: int = DEFAULT_ORBIT_CAP) -> list[ShiftSpace]:
-    """All unions of orbits, including the empty and the full space."""
-    parts = orbits(y)
-    if len(parts) > cap:
-        raise ResourceError(
-            f"{len(parts)} orbits exceed the subshift enumeration cap {cap}"
-        )
-    out = []
-    for mask in range(1 << len(parts)):
-        configs = frozenset().union(
-            *(parts[i] for i in range(len(parts)) if mask >> i & 1)
-        )
-        out.append(ShiftSpace(y.group, y.alphabet, configs))
-    return out
 
 
 @dataclass(frozen=True)

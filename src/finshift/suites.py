@@ -318,15 +318,10 @@ def _extensions_si(seed):
 
 @_check("theorem-1/two-point-space-not-si")
 def _two_point_not_si(seed):
+    # supersets of a witness work, so every proper K fails iff only G is minimal
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    full = tuple(range(4))
-    for k in range(1 << 4):
-        subset = tuple(i for i in range(4) if k >> i & 1)
-        verdict = dynprops.strongly_irreducible_witness(y, subset)
-        if subset == full:
-            assert verdict.ok
-        else:
-            assert not verdict.ok, f"K={subset} unexpectedly SI"
+    minimal = dynprops.minimal_si_witnesses(y)
+    assert minimal == [(0, 1, 2, 3)], f"minimal witness sets {minimal}"
 
 
 @_check("theorem-1/sofic-image-re-presents-as-sft")

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from finshift.dynprops import (
     ZERO_SINGLETON,
     DEFAULT_AUT_CAP,
     EntropyValue,
+    SiVerdict,
     automorphism_group,
     entropy,
     entropy_set,
@@ -158,6 +159,146 @@ def test_si_monotone_in_witness_set():
             assert strongly_irreducible_witness(y, tuple(subset)).ok
 
 
+def si_pair_search(y):
+    """Oracle: the exhaustive SI search, as a function of the witness set
+    K.  Every ordered pair of shapes U, V with U disjoint from K·V is
+    tried, and on each every pair of a U-pattern and a V-pattern is looked
+    up among the pairs the configurations show.  A failure carries the
+    least pair in shape order, then symbol order.  The outcome for each
+    pair of shapes is kept across witness sets."""
+    G = y.group
+    shapes = [s for r in range(G.order + 1) for s in combinations(G.elements(), r)]
+    langs = {f: sorted({tuple(x[g] for g in f) for x in y.configs}) for f in shapes}
+    first_gap = {}
+
+    def gap(fu, fv):
+        if (fu, fv) not in first_gap:
+            joint = {
+                (tuple(x[g] for g in fu), tuple(x[g] for g in fv)) for x in y.configs
+            }
+            first_gap[fu, fv] = next(
+                ((u, v) for u in langs[fu] for v in langs[fv] if (u, v) not in joint),
+                None,
+            )
+        return first_gap[fu, fv]
+
+    def verdict(k):
+        k_times = {fv: {G.mul[a][f] for a in k for f in fv} for fv in shapes}
+        for fu in shapes:
+            for fv in shapes:
+                if set(fu) & k_times[fv]:
+                    continue
+                found = gap(fu, fv)
+                if found:
+                    u, v = found
+                    return SiVerdict(False, (Pattern(G, fu, u), Pattern(G, fv, v)))
+        return SiVerdict(True)
+
+    return verdict
+
+
+def minimal_witnesses_by_pair_search(y):
+    """Oracle: every witness set by size, then lexicographically, skipping
+    supersets of those found, each decided by :func:`si_pair_search`."""
+    verdict = si_pair_search(y)
+    good = []
+    for r in range(y.group.order + 1):
+        for k in combinations(y.group.elements(), r):
+            if not any(set(m) <= set(k) for m in good) and verdict(k).ok:
+                good.append(k)
+    return good
+
+
+def enumerate_subshifts(y, cap=20):
+    """Oracle: all unions of orbits, including the empty and the full
+    space."""
+    parts = orbits(y)
+    if len(parts) > cap:
+        raise ResourceError(
+            f"{len(parts)} orbits exceed the subshift enumeration cap {cap}"
+        )
+    out = []
+    for mask in range(1 << len(parts)):
+        configs = frozenset().union(
+            *(parts[i] for i in range(len(parts)) if mask >> i & 1)
+        )
+        out.append(ShiftSpace(y.group, y.alphabet, configs))
+    return out
+
+
+def _assert_counterexample(y, k, verdict):
+    """The premise holds for the returned pair, both patterns occur, no
+    configuration carries both, and no smaller such pair, by symbols,
+    lives on the same two shapes."""
+    u, v = verdict.counterexample
+    k_fv = {y.group.mul[a][f] for a in k for f in v.shape}
+    assert not set(u.shape) & k_fv
+    on = lambda w: [tuple(x[g] for g in w.shape) for x in y.configs]
+    joint = set(zip(on(u), on(v)))
+    missing = [(a, b) for a in set(on(u)) for b in set(on(v)) if (a, b) not in joint]
+    assert min(missing) == (u.symbols, v.symbols)
+
+
+SI_GROUPS = [cyclic(n) for n in range(2, 6)] + [klein(), symmetric3()]
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(st.sampled_from(SI_GROUPS), st.integers(0, 10_000))
+def test_si_verdicts_match_pair_search(group, seed):
+    # every witness set, those without the identity included
+    y = enumerate_sft(random_sft_spec(group, random.Random(seed)))
+    oracle = si_pair_search(y)
+    for mask in range(1 << group.order):
+        k = tuple(a for a in group.elements() if mask >> a & 1)
+        verdict = strongly_irreducible_witness(y, k)
+        assert verdict.ok == oracle(k).ok, k
+        if not verdict.ok:
+            _assert_counterexample(y, k, verdict)
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(st.sampled_from(SI_GROUPS), st.integers(0, 10_000))
+def test_minimal_si_witnesses_match_pair_search(group, seed):
+    y = enumerate_sft(random_sft_spec(group, random.Random(seed)))
+    assert minimal_si_witnesses(y) == minimal_witnesses_by_pair_search(y)
+
+
+@pytest.mark.parametrize(
+    "group, shape, witness_sets",
+    [
+        (dihedral4(), (0, 1), [(0,), (1,), (0, 1), (0, 7), (1, 2, 3), tuple(range(8))]),
+        (quaternion(), (0, 1, 2), [(0,), (2, 3, 5), (0, 2, 3, 5), (0, 1, 2, 5), tuple(range(8))]),
+    ],
+    ids=["d4", "q8"],
+)
+def test_si_verdicts_match_pair_search_on_order_8(group, shape, witness_sets):
+    # all ones is forbidden on every translate F*g of the shape: which
+    # witness sets work depends on multiplying K·V on the left, not the right
+    ones = Pattern(group, shape, (1,) * len(shape))
+    y = enumerate_sft(SftSpec(group, BINARY, shape, frozenset({ones})))
+    oracle = si_pair_search(y)
+    verdicts = []
+    for k in witness_sets:
+        verdict = strongly_irreducible_witness(y, k)
+        assert verdict.ok == oracle(k).ok, k
+        if not verdict.ok:
+            _assert_counterexample(y, k, verdict)
+        verdicts.append(verdict.ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_si_budget_names_the_work_done():
+    y = enumerate_sft(golden_mean_like_spec(cyclic(6)))
+    assert minimal_si_witnesses(y) == minimal_witnesses_by_pair_search(y)
+    # 64 projections fill the table, then the candidates' product tests run
+    with pytest.raises(ResourceError, match=r"^SI check stopped after 64 "
+                       r"projections and 36 product tests \(budget 100\)$"):
+        minimal_si_witnesses(y, budget=100)
+    with pytest.raises(ResourceError, match=r"after 10 projections and 0 product "
+                       r"tests \(budget 10\)"):
+        strongly_irreducible_witness(y, (0, 1), budget=10)
+
+
 def test_entropy_minimality_on_fixtures():
     for name, spec in standard_specs():
         y = enumerate_sft(spec)
@@ -172,6 +313,21 @@ def test_entropy_minimality_counterexample_branch():
     verdict = is_entropy_minimal(y, subshifts=fake)
     assert not verdict.ok
     assert verdict.counterexample is fake[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000))
+def test_entropy_minimality_matches_subshift_oracle(group, seed):
+    y = random_subshift(group, seed, max_configs=16, max_orbits=8)
+    oracle = is_entropy_minimal(y, subshifts=enumerate_subshifts(y))
+    assert is_entropy_minimal(y) == oracle
+
+
+def test_full_shift_on_z8_is_entropy_minimal():
+    # 36 orbits: over the cap of 20 on which all 2^36 orbit unions were built
+    y = full_shift(cyclic(8), BINARY)
+    assert len(orbits(y)) == 36
+    assert is_entropy_minimal(y).ok
 
 
 def test_zero_entropy_classification():

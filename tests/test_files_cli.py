@@ -1,6 +1,10 @@
 """Text file formats and the command-line surface."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +217,7 @@ def test_cli_extract_full_shift(tmp_path, doubling_tower, capsys):
     # extension of the full shift on Z/2
     full = _write(tmp_path, "full.sft", "sft\ngroup z4.grp\nalphabet 0 1\nshape\n")
     assert cli.main(["extract", full, doubling_tower, "0"]) == 0
-    out = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+    out = capsys.readouterr().out.splitlines()
     assert out == ["base spec on level 0 (group of order 2)", "shape"]
 
 
@@ -451,3 +455,50 @@ def test_cli_files_not_utf8_exit_2(tmp_path, capsys, argv, where):
     argv = [str(tmp_path / a) if "." in a else a for a in argv]
     assert cli.main(argv) == 2
     _assert_one_error_line(capsys, f"{where} not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "argv, env, fragment",
+    [
+        (["check", "mme", "golden5.sft", "--grid", "0"], None, "grid must be >= 1, not 0"),
+        (["check", "mme", "golden5.sft", "--grid", "-3"], None, "grid must be >= 1, not -3"),
+        (["check", "si", "golden5.sft", "--witness", "a"], None, "--witness: 'a' is not an integer"),
+        (["check", "si", "golden5.sft", "--witness", "0,,1"], None, "--witness: '' is not an integer"),
+        (["check", "si", "golden5.sft", "--witness", "0,5"], None, "5 is not an element"),
+        (["sft", "entropy", "golden5.sft"], "abc", "$FINSHIFT_BUDGET: 'abc' is not an integer"),
+    ],
+    ids=["grid-0", "grid-negative", "witness-letter", "witness-empty-item",
+         "witness-outside", "budget-env"],
+)
+def test_cli_bad_numeric_input_exit_2(tmp_path, golden5, capsys, monkeypatch,
+                                      argv, env, fragment):
+    if env is not None:
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, env)
+    assert cli.main([str(tmp_path / a) if a.endswith(".sft") else a for a in argv]) == 2
+    _assert_one_error_line(capsys, fragment)
+
+
+def test_cli_si_empty_witness_set_and_budget(tmp_path, golden5, capsys):
+    _write(tmp_path, "z3.grp", "group cyclic 3\n")
+    point = _write(tmp_path, "point.sft", "sft\ngroup z3.grp\nalphabet 0 1\nshape 0\nforbid 1\n")
+    # one configuration: K = {} already separates, and is what check si lists
+    assert cli.main(["check", "si", point]) == 0
+    assert capsys.readouterr().out.splitlines() == ["witness", "(empty)"]
+    assert cli.main(["check", "si", point, "--witness", ""]) == 0
+    assert capsys.readouterr().out == "strongly irreducible with witness set []\n"
+    assert cli.main(["check", "si", golden5, "--witness", ""]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: counterexample patterns ")
+    assert cli.main(["--budget", "40", "check", "si", golden5]) == 2
+    _assert_one_error_line(
+        capsys, "SI check stopped after 32 projections and 8 product tests (budget 40)"
+    )
+
+
+def test_python_m_finshift_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "finshift", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: finshift ")

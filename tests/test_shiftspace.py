@@ -28,7 +28,6 @@ from finshift.shiftspace import (
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
-    enumerate_subshifts,
     forbidden_patterns,
     full_shift,
     is_shift_invariant,
@@ -37,6 +36,7 @@ from finshift.shiftspace import (
     spec_from_space,
 )
 from finshift.zline import golden_mean_cyclic_count, golden_mean_spec
+from test_dynprops import enumerate_subshifts
 
 COUNT_GROUPS = [cyclic(n) for n in range(2, 9)] + [
     klein(), symmetric3(), dihedral4(), quaternion(), alternating4()
