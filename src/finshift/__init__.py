@@ -61,6 +61,8 @@ from .shiftspace import (
     is_shift_invariant,
     language,
     orbits,
+    project,
+    shift_permutations,
     spec_from_space,
 )
 from .freext import (
@@ -103,8 +105,8 @@ from .dynprops import (
 )
 from .zline import (
     EvenCoverMismatch,
+    even_cover_accepts,
     even_cover_factor_check,
-    even_shift_padded_oracle,
     even_shift_word_check,
     golden_mean_cyclic_count,
     golden_mean_entropy_estimate,

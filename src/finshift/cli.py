@@ -162,8 +162,7 @@ def _cmd_zline(args) -> int:
         n = args.n if args.n is not None else 12
         rows = [("n", "admissible-words")]
         for m in range(1, n + 1):
-            zline.even_cover_factor_check(m)
-            rows.append((m, len(zline._cover_words(m))))
+            rows.append((m, zline.even_cover_factor_check(m)))
         _emit_table(rows, args.format)
         print("cover and oracle agree at every length")
         return 0

@@ -19,10 +19,10 @@ from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
-    _picker,
     count_sft,
-    language,
     orbits,
+    project,
+    shift_permutations,
 )
 
 FLOAT_TOL = 1e-9
@@ -175,8 +175,7 @@ def _si_test(y: ShiftSpace, budget: int):
     counts = []
     for mask in range(full + 1):
         spend(0)
-        pick = _picker([g for g in range(n) if mask >> g & 1])
-        counts.append(len({pick(x) for x in y.configs}))
+        counts.append(len(project(y, [g for g in range(n) if mask >> g & 1])))
 
     def failure(k):
         k_times = [sum(1 << g for g in {mul[a][f] for a in k}) for f in range(n)]
@@ -207,8 +206,8 @@ def strongly_irreducible_witness(
     if failure is None:
         return SiVerdict(True)
     shapes = [tuple(g for g in y.group.elements() if m >> g & 1) for m in failure]
-    pick_u, pick_v = map(_picker, shapes)
-    joint = {(pick_u(x), pick_v(x)) for x in y.configs}
+    cut = len(shapes[0])
+    joint = {(w[:cut], w[cut:]) for w in project(y, shapes[0] + shapes[1])}
     lang_u, lang_v = sorted({u for u, _ in joint}), sorted({v for _, v in joint})
     pair = next((u, v) for u in lang_u for v in lang_v if (u, v) not in joint)
     return SiVerdict(False, tuple(Pattern(y.group, *w) for w in zip(shapes, pair)))
@@ -307,13 +306,7 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
     built.
     """
     n = len(y.configs)
-    configs = sorted(y.configs)
-    pos = {c: i for i, c in enumerate(configs)}
-    # shift maps as permutations of config indices
-    shifts = [
-        tuple(pos[shift_config(y.group, g, c)] for c in configs)
-        for g in y.group.elements()
-    ]
+    shifts = shift_permutations(y)
     stabilizer = [
         frozenset(g for g, s in enumerate(shifts) if s[i] == i) for i in range(n)
     ]
@@ -417,9 +410,15 @@ def partition_entropy(y: ShiftSpace, mu: InvariantMeasure, f) -> float:
     """
     if mu.space != y:
         raise InputError("measure defined on a different space")
+    f = tuple(f)
+    masses = {}
+    # each configuration read on f and then on the whole group, so that its
+    # weight goes to its cylinder in one pass
+    for w in project(y, f + tuple(y.group.elements())):
+        cylinder = w[:len(f)]
+        masses[cylinder] = masses.get(cylinder, 0) + mu.weights[w[len(f):]]
     total = 0.0
-    for w in language(y, f):
-        mass = mu.cylinder_mass(w)
+    for mass in masses.values():
         if mass > 0:
             total -= float(mass) * math.log(mass)
     return total

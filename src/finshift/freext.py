@@ -27,9 +27,10 @@ from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
-    _picker,
     count_sft,
     enumerate_sft,
+    project,
+    spec_from_space,
 )
 
 
@@ -218,25 +219,19 @@ def base_extract(
     e_base = tuple(sorted({
         lookup[G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]]] for f in spec_shape
     }))
-    base = set(map(_picker(ctx.base_embed), x.configs))
-    seen = set(map(_picker(e_base), base))
-    forbidden = frozenset(
-        Pattern(ctx.base_group, e_base, sym)
-        for sym in iproduct(range(x.alphabet.size), repeat=len(e_base))
-        if sym not in seen
-    )
-    spec = SftSpec(ctx.base_group, x.alphabet, e_base, forbidden)
+    base = ShiftSpace(ctx.base_group, x.alphabet, frozenset(project(x, ctx.base_embed)))
+    spec = spec_from_space(base, e_base)
     if len(x.configs) < len(base) ** ctx.cosets:
         # assembled families are distinct, so at most |x| + 1 are built
         placement = _placement(ctx)
-        families = iproduct(sorted(base), repeat=ctx.cosets)
+        families = iproduct(sorted(base.configs), repeat=ctx.cosets)
         assembled = (tuple(f[i][j] for i, j in placement) for f in families)
         witness = next(c for c in assembled if c not in x.configs)
         return BaseExtractResult(False, spec, witness)
     if count_sft(spec, budget=budget) != len(base):
         # a base point the spec allows but B lacks, on one coset
-        extra = min(enumerate_sft(spec, budget=budget).configs - base)
-        fam = CosetFamily(dec, (extra,) + (min(base),) * (ctx.cosets - 1))
+        extra = min(enumerate_sft(spec, budget=budget).configs - base.configs)
+        fam = CosetFamily(dec, (extra,) + (min(base.configs),) * (ctx.cosets - 1))
         return BaseExtractResult(False, spec, assemble(ctx, fam))
     return BaseExtractResult(True, spec, None)
 

@@ -33,12 +33,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def label(self, a: int) -> str:
         if self.labels is not None:
             return self.labels[a]
@@ -169,9 +163,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as a standalone group plus its embedding.

@@ -6,7 +6,9 @@ configurations.  Two independent enumeration routes exist: a pruned
 depth-first search (:func:`enumerate_sft`) and a naive filter over the full
 configuration space (:func:`enumerate_sft_naive`), kept as each other's
 oracle.  :func:`count_sft` counts the configurations without listing them,
-and both enumerators are its oracles.
+and both enumerators are its oracles.  :func:`project` reads the symbols
+that configurations carry on a shape, which is how languages, presentations
+and the other modules read them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from operator import itemgetter
 
 from .errors import InputError, ResourceError, ValidationError
 from .groups import FiniteGroup
-from .patterns import (
-    Alphabet,
-    Pattern,
-    pattern_from_config,
-    restrict,
-    shift_config,
-)
+from .patterns import Alphabet, Pattern, shift_config
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 
@@ -74,17 +70,14 @@ def is_shift_invariant(y: ShiftSpace) -> bool:
     )
 
 
-def _windows(spec: SftSpec):
-    """For each group element g, the cells read by the shifted shape.
+def _windows(group: FiniteGroup, shape):
+    """For each group element g, the cells read by the shape shifted by g.
 
-    Cell k of window g is ``f_k * g`` so that matching a forbidden pattern
-    against the window realizes the condition on ``(shifted x)|_F``.
+    Cell k of window g is ``f_k * g`` so that matching a pattern on the
+    shape against the window realizes the condition on ``(shifted x)|_F``.
     """
-    mul = spec.group.mul
-    return [
-        tuple(mul[f][g] for f in spec.forbidden_shape)
-        for g in spec.group.elements()
-    ]
+    mul = group.mul
+    return [tuple(mul[f][g] for f in shape) for g in group.elements()]
 
 
 def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:
@@ -102,7 +95,7 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
             f"search space {k}^{n} exceeds the candidate budget {budget}"
         )
     forbidden = {w.symbols for w in spec.forbidden}
-    windows = _windows(spec)
+    windows = _windows(spec.group, spec.forbidden_shape)
     # windows that become fully assigned exactly when position p is set
     by_last = [[] for _ in range(n)]
     for cells in windows:
@@ -145,6 +138,15 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
+def project(y: ShiftSpace, cells) -> set[tuple]:
+    """The symbols each configuration of ``y`` carries on ``cells``, in the
+    order given: the language of ``y`` on that shape, as symbol tuples."""
+    cells = tuple(cells)
+    if any(not 0 <= c < y.group.order for c in cells):
+        raise InputError("shape contains indices outside the group")
+    return set(map(_picker(cells), y.configs))
+
+
 def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Number of configurations of the spec's SFT, without listing them.
 
@@ -166,7 +168,7 @@ def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
         return 0  # forbidding the empty pattern kills every configuration
     by_last = [[] for _ in range(n)]
     last_read = list(range(n))  # last window end reading each cell
-    for cells in _windows(spec):
+    for cells in _windows(spec.group, spec.forbidden_shape):
         end = max(cells)
         by_last[end].append(cells)
         for c in cells:
@@ -210,7 +212,7 @@ def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -
             f"search space {k}^{n} exceeds the candidate budget {budget}"
         )
     forbidden = {w.symbols for w in spec.forbidden}
-    windows = _windows(spec)
+    windows = _windows(spec.group, spec.forbidden_shape)
     if forbidden and not spec.forbidden_shape:
         return ShiftSpace(spec.group, spec.alphabet, frozenset())
     keep = []
@@ -225,17 +227,13 @@ def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -
 def language(y: ShiftSpace, f) -> set[Pattern]:
     """All restrictions of the space's configurations to the shape ``f``."""
     f = tuple(sorted(set(f)))
-    if f and f[-1] >= y.group.order:
-        raise InputError("shape contains indices outside the group")
-    return {
-        restrict(pattern_from_config(y.group, x), f) for x in y.configs
-    }
+    return {Pattern(y.group, f, w) for w in project(y, f)}
 
 
 def forbidden_patterns(y: ShiftSpace, f) -> set[Pattern]:
     """The complement of the f-language inside all patterns on ``f``."""
     f = tuple(sorted(set(f)))
-    lang = {w.symbols for w in language(y, f)}
+    lang = project(y, f)
     return {
         Pattern(y.group, f, sym)
         for sym in iproduct(range(y.alphabet.size), repeat=len(f))
@@ -260,6 +258,17 @@ def orbits(y: ShiftSpace) -> list[frozenset]:
         parts.append(orb)
         remaining -= orb
     return sorted(parts, key=min)
+
+
+def shift_permutations(y: ShiftSpace) -> list[tuple[int, ...]]:
+    """Each shift map, by group element, as a permutation of the indices of
+    the sorted configurations."""
+    configs = sorted(y.configs)
+    pos = {c: i for i, c in enumerate(configs)}
+    return [
+        tuple(pos[shift_config(y.group, g, c)] for c in configs)
+        for g in y.group.elements()
+    ]
 
 
 @dataclass(frozen=True)
@@ -287,15 +296,12 @@ def apply_block_code(x: ShiftSpace, b: BlockMap) -> ShiftSpace:
     """
     if b.domain != x:
         raise InputError("block map domain does not match the space")
-    mul = x.group.mul
-    cells_for = [
-        tuple(mul[f][g] for f in b.window) for g in x.group.elements()
-    ]
+    windows = [_picker(cells) for cells in _windows(x.group, b.window)]
     images = set()
     for config in x.configs:
         out = []
-        for g in x.group.elements():
-            key = tuple(config[c] for c in cells_for[g])
+        for window in windows:
+            key = window(config)
             if key not in b.table:
                 raise ValidationError(
                     f"window pattern {key} missing from the block map table"

@@ -47,6 +47,7 @@ from .shiftspace import (
     full_shift,
     is_shift_invariant,
     orbits,
+    shift_permutations,
     spec_from_space,
 )
 
@@ -121,16 +122,6 @@ def _klein_families():
 
 def _z2_specs():
     return [(name, spec) for name, spec in standard_specs() if spec.group.order == 2]
-
-
-def _shift_permutations(y: ShiftSpace):
-    """Each shift map as a permutation of the sorted configurations."""
-    configs = sorted(y.configs)
-    pos = {c: i for i, c in enumerate(configs)}
-    return [
-        tuple(pos[shift_config(y.group, g, c)] for c in configs)
-        for g in y.group.elements()
-    ]
 
 
 @_check("free-extension/conjugacy-identity")
@@ -344,7 +335,7 @@ def _automorphism_orders(seed):
         aut = dynprops.automorphism_group(y)
         assert aut.order == order, f"order {aut.order}, want {order}"
         for p in aut.elements:
-            for s in _shift_permutations(y):
+            for s in shift_permutations(y):
                 assert all(p[s[i]] == s[p[i]] for i in range(len(p))), (
                     f"{p} does not commute with shift {s}"
                 )
@@ -354,7 +345,7 @@ def _automorphism_orders(seed):
 def _shifts_inside_aut(seed):
     y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
     aut = set(dynprops.automorphism_group(y, cap=16).elements)
-    for g, perm in enumerate(_shift_permutations(y)):
+    for g, perm in enumerate(shift_permutations(y)):
         assert perm in aut, f"shift by {g} missing"
 
 
@@ -481,7 +472,7 @@ def _gap_witnesses(seed):
     for k in range(2, 11):
         word = zline.sft_gap_witness(k)
         assert len(word) == 2 * k + 3
-        assert not zline.even_shift_padded_oracle(word), k
+        assert not zline.even_cover_accepts(word), k
 
 
 @_check("zline/rational-log-exclusion-shadow")

@@ -91,80 +91,48 @@ def even_shift_word_check(w) -> bool:
     return True
 
 
-def _closed_word_ok(word) -> bool:
-    # the word is flanked by explicit zeros, so every block is interior
-    return all(length % 2 == 0 for _, length in _blocks(word))
+def even_cover_accepts(word) -> bool:
+    """Whether ``word`` labels a path in the even shift's two-state cover,
+    A -0-> A, A -1-> B, B -1-> A (Lind and Marcus, *An Introduction to
+    Symbolic Dynamics and Coding*, §3.1).
 
-
-def even_shift_padded_oracle(w, pad_limit: int = 2) -> bool:
-    """Brute-force extendability oracle for the even shift.
-
-    Searches over left/right pads of length up to ``pad_limit`` for a
-    padding that, once flanked by zeros, closes every block at even
-    length.  Any boundary block's parity is settled by at most one extra
-    symbol, so the small default horizon decides the same set as longer
-    ones; tests cross-check horizons.
+    Every state has in- and out-edges, so every path is bi-extendable and
+    the accepted words are the even shift's words.  The cover runs as a
+    ``(state, label) -> state`` map from the start set {A, B}.
     """
-    word = _parse_word(w)
-    pads = [()]
-    for length in range(1, pad_limit + 1):
-        pads.extend(iproduct((0, 1), repeat=length))
-    for left in pads:
-        for right in pads:
-            if _closed_word_ok((0,) + left + word + right + (0,)):
-                return True
-    return False
-
-
-_COVER_EDGES = {  # state -> [(label, next_state)]
-    "A": [(0, "A"), (1, "B")],
-    "B": [(1, "A")],
-}
-
-
-def _cover_words(n: int) -> set:
-    """Label sequences of all bi-extendable paths of length n in the
-    two-state cover."""
-    words = set()
-
-    def walk(state, labels):
-        if len(labels) == n:
-            words.add(tuple(labels))
-            return
-        for label, nxt in _COVER_EDGES[state]:
-            walk(nxt, labels + [label])
-
-    # every state has in- and out-edges, so every path is bi-extendable
-    for start in _COVER_EDGES:
-        walk(start, [])
-    return words
+    step = {("A", 0): "A", ("A", 1): "B", ("B", 1): "A"}
+    states = {"A", "B"}
+    for label in _parse_word(word):
+        states = {step[q, label] for q in states if (q, label) in step}
+    return bool(states)
 
 
 class EvenCoverMismatch(FinshiftError):
     def __init__(self, word, in_cover):
-        side = "cover only" if in_cover else "oracle only"
+        side = "cover only" if in_cover else "word check only"
         super().__init__(f"even-shift mismatch at {word} ({side})")
         self.word = word
 
 
-def even_cover_factor_check(n: int, pad_limit: int = 2) -> bool:
-    """Compare the cover presentation with the padded brute-force oracle.
+def even_cover_factor_check(n: int) -> int:
+    """Compare the cover with :func:`even_shift_word_check` on every binary
+    word of length n, in lexicographic order; return the number of
+    admissible words.
 
-    Raises :class:`EvenCoverMismatch` with a witness word when the label
-    language of the cover differs from the oracle-admissible words.
+    Raises :class:`EvenCoverMismatch` on the least word where the two
+    disagree.
     """
     if n > 16:
         raise InputError("cover check is limited to word length 16")
-    from_cover = _cover_words(n)
-    from_oracle = {
-        word
-        for word in iproduct((0, 1), repeat=n)
-        if even_shift_padded_oracle(word, pad_limit=pad_limit)
-    }
-    if from_cover != from_oracle:
-        diff = sorted(from_cover ^ from_oracle)
-        raise EvenCoverMismatch(diff[0], diff[0] in from_cover)
-    return True
+    if n < 0:
+        raise InputError("word length must be >= 0")
+    count = 0
+    for word in iproduct((0, 1), repeat=n):
+        in_cover = even_cover_accepts(word)
+        if in_cover != even_shift_word_check(word):
+            raise EvenCoverMismatch(word, in_cover)
+        count += in_cover
+    return count
 
 
 def sft_gap_witness(k: int):

@@ -307,6 +307,16 @@ def test_cli_check_and_zline(golden5, capsys):
     assert "011111110" in capsys.readouterr().out
 
 
+def test_cli_zline_even_output(capsys):
+    assert cli.main(["zline", "even", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "admissible-words"]
+    assert [line.split() for line in lines[1:-1]] == [
+        [str(n), str(c)] for n, c in enumerate([2, 4, 7, 12, 20, 33], start=1)
+    ]
+    assert lines[-1] == "cover and oracle agree at every length"
+
+
 def test_cli_entropy_set(doubling_tower, capsys):
     assert cli.main(
         ["--format", "tsv", "entropy-set", doubling_tower, "--max-level", "2",

@@ -36,7 +36,7 @@ from finshift.freext import (
     tower_extend,
 )
 from finshift.groups import all_subgroups, cyclic, generated_subgroup, z2_power_tower
-from finshift.patterns import BINARY, CosetFamily, Pattern, shift_config
+from finshift.patterns import BINARY, Alphabet, CosetFamily, Pattern, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -156,6 +156,25 @@ def test_base_extract_round_trip_on_fixtures():
         assert result.ok, name
         recovered = enumerate_sft(result.spec)
         assert recovered.configs == enumerate_sft(spec).configs, name
+
+
+def test_base_extract_round_trip_on_an_unsorted_embedding():
+    # Z/4 into Z/8 by 1 -> 6: base element i sits at 6i, so the projection
+    # reads the base cells in embedding order 0, 6, 4, 2.  Read sorted, the
+    # base would be reflected by i -> -i, which fixes every binary space on
+    # Z/4; the ternary space without 01 (it has 0 2 1 0, not 0 1 2 0) moves.
+    ctx = extension_context(cyclic(8), cyclic(4), (0, 6, 4, 2))
+    rng = random.Random(8)
+    specs = [spec for _, spec in standard_specs() if spec.group == ctx.base_group]
+    specs += [random_sft_spec(ctx.base_group, rng) for _ in range(20)]
+    ternary = Alphabet(("0", "1", "2"))
+    no_01 = Pattern(ctx.base_group, (0, 1), (0, 1))
+    specs.append(SftSpec(ctx.base_group, ternary, (0, 1), frozenset({no_01})))
+    for spec in specs:
+        lifted = free_extension_spec(spec, ctx)
+        result = base_extract(enumerate_sft(lifted), lifted.forbidden_shape, ctx)
+        assert result.ok, spec
+        assert enumerate_sft(result.spec).configs == enumerate_sft(spec).configs, spec
 
 
 def test_base_extract_detects_non_extension():

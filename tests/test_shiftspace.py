@@ -1,12 +1,15 @@
 """SFT enumeration, languages, orbits, subshifts and block codes."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finshift.dynprops import measure_from_orbit_masses, partition_entropy
 from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import (
     alternating4,
@@ -20,10 +23,18 @@ from finshift.fixtures import (
     two_point_spec,
 )
 from finshift.groups import all_subgroups, cyclic
-from finshift.patterns import BINARY, Alphabet, Pattern
+from finshift.patterns import (
+    BINARY,
+    Alphabet,
+    Pattern,
+    pattern_from_config,
+    restrict,
+    shift_config,
+)
 from finshift.shiftspace import (
     BlockMap,
     SftSpec,
+    ShiftSpace,
     apply_block_code,
     count_sft,
     enumerate_sft,
@@ -33,11 +44,14 @@ from finshift.shiftspace import (
     is_shift_invariant,
     language,
     orbits,
+    project,
+    shift_permutations,
     spec_from_space,
 )
 from finshift.zline import golden_mean_cyclic_count, golden_mean_spec
 from test_dynprops import enumerate_subshifts
 
+PROJECTION_GROUPS = [cyclic(n) for n in range(2, 7)] + [klein(), symmetric3(), dihedral4()]
 COUNT_GROUPS = [cyclic(n) for n in range(2, 9)] + [
     klein(), symmetric3(), dihedral4(), quaternion(), alternating4()
 ]
@@ -183,6 +197,60 @@ def test_language_and_forbidden_patterns():
     assert bad == {(0, 1), (1, 0)}
 
 
+def language_by_patterns(y, f):
+    """Oracle for :func:`language`: one Pattern per configuration,
+    restricted to the shape."""
+    f = tuple(sorted(set(f)))
+    return {restrict(pattern_from_config(y.group, x), f) for x in y.configs}
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.sampled_from(PROJECTION_GROUPS), st.sampled_from(["empty", "random", "whole"]),
+       st.randoms(use_true_random=False))
+def test_projection_routes_match_the_pattern_oracle(group, shape_kind, rng):
+    # a random SFT, thinned to a random union of its orbits, so that some
+    # spaces are not presented by any shape smaller than the group
+    parts = orbits(enumerate_sft(random_sft_spec(group, rng)))
+    parts = [o for o in parts if rng.random() < 0.7] or parts[:1]
+    y = ShiftSpace(group, BINARY, frozenset().union(*parts))
+    n = group.order
+    f = {"empty": [], "whole": list(range(n)),
+         "random": rng.sample(range(n), rng.randint(1, n))}[shape_kind]
+    lang = language_by_patterns(y, f)
+    assert language(y, f) == lang
+    cells = tuple(sorted(f))
+    missing = {
+        Pattern(group, cells, sym) for sym in iproduct((0, 1), repeat=len(cells))
+    } - lang
+    assert forbidden_patterns(y, f) == missing
+    assert spec_from_space(y, f) == SftSpec(group, BINARY, cells, frozenset(missing))
+    weights = [rng.randint(0, 3) for _ in parts[1:]] + [1]
+    mu = measure_from_orbit_masses(y, [Fraction(w, sum(weights)) for w in weights])
+    want = -sum(float(m) * math.log(m) for m in map(mu.cylinder_mass, lang) if m)
+    assert abs(partition_entropy(y, mu, f) - want) < 1e-12
+
+
+def test_project_keeps_the_given_cell_order():
+    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
+    assert project(y, (3, 1, 1)) == {(x[3], x[1], x[1]) for x in y.configs}
+    assert project(y, ()) == {()}
+    for cells in ((5,), (0, -1)):
+        with pytest.raises(InputError):
+            project(y, cells)
+
+
+def test_shift_permutations_follow_the_group_elements():
+    # on S3 the shift by g and by its inverse differ for the 3-cycles
+    y = enumerate_sft(golden_mean_like_spec(symmetric3()))
+    configs = sorted(y.configs)
+    perms = shift_permutations(y)
+    assert len(perms) == y.group.order
+    for g, perm in enumerate(perms):
+        assert [configs[j] for j in perm] == [
+            shift_config(y.group, g, x) for x in configs
+        ], g
+
+
 def test_spec_from_space_round_trip():
     for name, spec in standard_specs():
         y = enumerate_sft(spec)
@@ -234,8 +302,6 @@ def test_block_code_domain_mismatch():
 
 
 def test_block_code_commutes_with_shift():
-    from finshift.patterns import shift_config
-
     y = full_shift(cyclic(4), BINARY)
     xor = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
     mul = y.group.mul

@@ -1,25 +1,49 @@
 """Integer-line demos: golden mean counts, even shift cover, gap witnesses."""
 
 import math
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finshift import zline
 from finshift.errors import InputError
 from finshift.shiftspace import enumerate_sft
 from finshift.zline import (
     LOG_GOLDEN,
     EvenCoverMismatch,
-    _cover_words,
+    even_cover_accepts,
     even_cover_factor_check,
-    even_shift_padded_oracle,
     even_shift_word_check,
     golden_mean_cyclic_count,
     golden_mean_entropy_estimate,
     golden_mean_spec,
     sft_gap_witness,
 )
+
+
+def _closed_word_ok(word) -> bool:
+    # the word is flanked by explicit zeros, so every block of ones is interior
+    return all(len(run) % 2 == 0 for run in "".join(map(str, word)).split("0"))
+
+
+def even_shift_padded_oracle(w, pad_limit: int = 2) -> bool:
+    """Brute-force extendability oracle for the even shift.
+
+    Searches over left/right pads of length up to ``pad_limit`` for a
+    padding that, once flanked by zeros, closes every block at even
+    length.  Any boundary block's parity is settled by at most one extra
+    symbol, so the small default horizon decides the same set as longer
+    ones; a test cross-checks horizons.
+    """
+    word = tuple(int(s) for s in w)
+    pads = [p for n in range(pad_limit + 1) for p in iproduct((0, 1), repeat=n)]
+    return any(
+        _closed_word_ok((0,) + left + word + right + (0,))
+        for left in pads
+        for right in pads
+    )
 
 
 def test_small_counts():
@@ -95,22 +119,49 @@ def test_padded_oracle_horizon_stable(word):
     )
 
 
+def test_word_check_equals_padded_oracle():
+    for n in range(13):
+        for word in iproduct((0, 1), repeat=n):
+            assert even_shift_word_check(word) == even_shift_padded_oracle(word), word
+
+
+def test_cover_accepts_examples():
+    assert even_cover_accepts("0110")
+    assert even_cover_accepts("111")  # boundary blocks are unconstrained
+    assert even_cover_accepts("")
+    assert not even_cover_accepts("010")
+    assert not even_cover_accepts((0, 1, 1, 1, 0))
+    with pytest.raises(InputError):
+        even_cover_accepts("2")
+
+
 def test_cover_factor_check_rejects_long_words():
     # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement
     with pytest.raises(InputError):
         even_cover_factor_check(17)
 
 
-def test_cover_mismatch_is_reported():
-    # a deliberately starved oracle (no padding) disagrees with the cover
-    with pytest.raises(EvenCoverMismatch):
-        even_cover_factor_check(3, pad_limit=0)
+def test_cover_factor_check_rejects_negative_lengths():
+    with pytest.raises(InputError):
+        even_cover_factor_check(-1)
 
 
-def test_cover_word_counts_are_sane():
-    for n in range(1, 10):
-        words = _cover_words(n)
-        assert all(even_shift_padded_oracle(w) for w in words)
+def test_cover_mismatch_is_reported(monkeypatch):
+    # a word check that admits everything disagrees with the cover first on
+    # 010, the least word with an odd interior block
+    monkeypatch.setattr(zline, "even_shift_word_check", lambda w: True)
+    with pytest.raises(EvenCoverMismatch, match="word check only") as info:
+        even_cover_factor_check(3)
+    assert info.value.word == (0, 1, 0)
+
+
+def test_admissible_word_counts_are_fibonacci():
+    # the words of length n are counted by F(n+3) - 1 (F(1) = F(2) = 1)
+    fib = [0, 1]
+    while len(fib) < 20:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(17):
+        assert even_cover_factor_check(n) == fib[n + 3] - 1, n
 
 
 def test_gap_witness():
