@@ -28,7 +28,6 @@ from .groups import (
     from_table,
     generated_subgroup,
     is_subgroup,
-    make_group,
     product,
     right_cosets,
     z2_power_tower,
@@ -38,15 +37,7 @@ from .patterns import (
     Alphabet,
     CosetFamily,
     Pattern,
-    config_from_pattern,
-    empty_pattern,
-    extensions,
-    join,
-    make_pattern,
-    pattern_from_config,
-    restrict,
     shift_config,
-    shift_pattern,
 )
 from .shiftspace import (
     BlockMap,
@@ -56,10 +47,8 @@ from .shiftspace import (
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
-    forbidden_patterns,
     full_shift,
     is_shift_invariant,
-    language,
     orbits,
     project,
     shift_permutations,
@@ -76,7 +65,6 @@ from .freext import (
     family_action,
     free_extension,
     free_extension_spec,
-    subgroup_context,
     tower_context,
     tower_extend,
     tower_extension_count,

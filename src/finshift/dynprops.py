@@ -61,19 +61,13 @@ class EntropyValue:
         n, m = self.count, self.denom
         if n < 1 or m < 1:
             raise InputError("entropy parameters must be positive integers")
-        if n == 1:
-            m = 1
-        else:
-            reduced = True
-            while reduced:
-                reduced = False
-                for d in range(m, 1, -1):
-                    if m % d == 0:
-                        r = _int_root(n, d)
-                        if r is not None:
-                            n, m = r, m // d
-                            reduced = True
-                            break
+        # take the root for the largest d dividing m with n a perfect d-th
+        # power (n = 1 gives d = m); were the root a perfect e-th power for
+        # some e dividing m/d, d*e would be larger
+        for d in range(m, 1, -1):
+            if m % d == 0 and (r := _int_root(n, d)) is not None:
+                n, m = r, m // d
+                break
         object.__setattr__(self, "count", n)
         object.__setattr__(self, "denom", m)
 

@@ -67,12 +67,6 @@ def extension_context(
     return ExtensionContext(ambient, sub, base_group, base_embed, dec)
 
 
-def subgroup_context(ambient: FiniteGroup, sub: Subgroup, reps=None) -> ExtensionContext:
-    """Context for a subgroup given directly inside the ambient group."""
-    base_group, embed = sub.as_group()
-    return extension_context(ambient, base_group, embed, reps=reps)
-
-
 def _base_lookup(ctx: ExtensionContext) -> dict[int, int]:
     return {amb: i for i, amb in enumerate(ctx.base_embed)}
 
@@ -213,17 +207,12 @@ def base_extract(
     :func:`count_sft` (``budget`` bounds its states) finds ``|B|`` points.
     Only a failed check builds a witness; the extension is not enumerated.
     """
-    G = ctx.ambient
-    dec = ctx.decomposition
-    lookup = _base_lookup(ctx)
-    e_base = tuple(sorted({
-        lookup[G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]]] for f in spec_shape
-    }))
+    placement = _placement(ctx)
+    e_base = {placement[f][1] for f in spec_shape}
     base = ShiftSpace(ctx.base_group, x.alphabet, frozenset(project(x, ctx.base_embed)))
     spec = spec_from_space(base, e_base)
     if len(x.configs) < len(base) ** ctx.cosets:
         # assembled families are distinct, so at most |x| + 1 are built
-        placement = _placement(ctx)
         families = iproduct(sorted(base.configs), repeat=ctx.cosets)
         assembled = (tuple(f[i][j] for i, j in placement) for f in families)
         witness = next(c for c in assembled if c not in x.configs)
@@ -231,8 +220,8 @@ def base_extract(
     if count_sft(spec, budget=budget) != len(base):
         # a base point the spec allows but B lacks, on one coset
         extra = min(enumerate_sft(spec, budget=budget).configs - base.configs)
-        fam = CosetFamily(dec, (extra,) + (min(base.configs),) * (ctx.cosets - 1))
-        return BaseExtractResult(False, spec, assemble(ctx, fam))
+        members = (extra,) + (min(base.configs),) * (ctx.cosets - 1)
+        return BaseExtractResult(False, spec, tuple(members[i][j] for i, j in placement))
     return BaseExtractResult(True, spec, None)
 
 

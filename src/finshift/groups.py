@@ -137,22 +137,6 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv, labels)
 
 
-def make_group(spec) -> FiniteGroup:
-    """Build a group from a description tuple.
-
-    Accepted forms: ``("cyclic", n)``, ``("product", spec, spec)`` and
-    ``("table", rows)``.
-    """
-    kind = spec[0]
-    if kind == "cyclic":
-        return cyclic(spec[1])
-    if kind == "product":
-        return product(make_group(spec[1]), make_group(spec[2]))
-    if kind == "table":
-        return from_table(spec[1])
-    raise InputError(f"unknown group description {kind!r}")
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its sorted member indices inside a parent group."""

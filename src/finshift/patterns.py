@@ -1,15 +1,13 @@
-"""Patterns over a finite ambient group: shift, restrict, extend and join.
+"""Alphabets, patterns and coset families over a finite ambient group.
 
-A pattern assigns symbol indices to a subset of the group's elements.  A
-pattern whose shape is the whole group is a configuration; shift spaces
-store configurations as plain symbol tuples for speed, and this module
-provides the conversions.
+A pattern assigns symbol indices to a subset of the group's elements; SFT
+specs forbid patterns on one shape.  Shift spaces store full
+configurations as plain symbol tuples, which :func:`shift_config` shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .errors import InputError
 from .groups import CosetDecomposition, FiniteGroup
@@ -44,7 +42,7 @@ class Pattern:
     """A partial configuration: ``symbols[k]`` sits at element ``shape[k]``.
 
     ``shape`` is strictly increasing; the empty pattern (empty shape) is
-    legal and acts as the join identity.
+    legal.
     """
 
     group: FiniteGroup
@@ -59,93 +57,15 @@ class Pattern:
         if self.shape and not (0 <= self.shape[0] and self.shape[-1] < self.group.order):
             raise InputError("shape contains indices outside the group")
 
-    def value(self, g: int) -> int:
-        i = self.shape.index(g)
-        return self.symbols[i]
-
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.shape, self.symbols))
 
-    def is_full(self) -> bool:
-        return len(self.shape) == self.group.order
-
-
-def make_pattern(group: FiniteGroup, assignment: dict[int, int]) -> Pattern:
-    shape = tuple(sorted(assignment))
-    return Pattern(group, shape, tuple(assignment[g] for g in shape))
-
-
-def empty_pattern(group: FiniteGroup) -> Pattern:
-    return Pattern(group, (), ())
-
-
-def pattern_from_config(group: FiniteGroup, config) -> Pattern:
-    """Wrap a full symbol tuple as a Pattern on the whole group."""
-    if len(config) != group.order:
-        raise InputError("configuration length must equal the group order")
-    return Pattern(group, tuple(range(group.order)), tuple(config))
-
-
-def config_from_pattern(w: Pattern):
-    if not w.is_full():
-        raise InputError("pattern does not cover the whole group")
-    return w.symbols
-
-
-def shift_pattern(g: int, w: Pattern) -> Pattern:
-    """Translate ``w`` by ``g``: the result has shape ``F g^-1`` and reads
-    ``w`` at ``h*g``."""
-    G = w.group
-    if not (0 <= g < G.order):
-        raise InputError(f"{g} is not an element index")
-    ginv = G.inv[g]
-    return make_pattern(
-        G, {G.mul[f][ginv]: s for f, s in zip(w.shape, w.symbols)}
-    )
-
 
 def shift_config(group: FiniteGroup, g: int, config):
-    """Translate a full configuration tuple by ``g``."""
+    """Translate a full configuration tuple by ``g``: the result reads
+    ``config`` at ``h*g`` for each element h."""
     mul = group.mul
     return tuple(config[mul[h][g]] for h in range(group.order))
-
-
-def restrict(w: Pattern, e) -> Pattern:
-    e = tuple(sorted(set(e)))
-    d = w.as_dict()
-    missing = [x for x in e if x not in d]
-    if missing:
-        raise InputError(f"restriction target {missing[0]} is outside the shape")
-    return Pattern(w.group, e, tuple(d[x] for x in e))
-
-
-def extensions(w: Pattern, f, alphabet: Alphabet) -> set[Pattern]:
-    """All patterns on the superset shape ``f`` that restrict back to ``w``."""
-    f = tuple(sorted(set(f)))
-    d = w.as_dict()
-    outside = [x for x in w.shape if x not in set(f)]
-    if outside:
-        raise InputError(f"shape element {outside[0]} missing from extension shape")
-    free = [x for x in f if x not in d]
-    out = set()
-    for combo in iproduct(range(alphabet.size), repeat=len(free)):
-        full = dict(d)
-        full.update(zip(free, combo))
-        out.add(Pattern(w.group, f, tuple(full[x] for x in f)))
-    return out
-
-
-def join(u: Pattern, v: Pattern) -> Pattern:
-    """Union of two disjoint patterns; commutative, with the empty pattern
-    as identity."""
-    if u.group != v.group:
-        raise InputError("cannot join patterns over different groups")
-    overlap = set(u.shape) & set(v.shape)
-    if overlap:
-        raise InputError(f"shapes overlap at element {min(overlap)}")
-    d = u.as_dict()
-    d.update(v.as_dict())
-    return make_pattern(u.group, d)
 
 
 @dataclass(frozen=True)

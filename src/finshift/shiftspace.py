@@ -7,8 +7,8 @@ depth-first search (:func:`enumerate_sft`) and a naive filter over the full
 configuration space (:func:`enumerate_sft_naive`), kept as each other's
 oracle.  :func:`count_sft` counts the configurations without listing them,
 and both enumerators are its oracles.  :func:`project` reads the symbols
-that configurations carry on a shape, which is how languages, presentations
-and the other modules read them.
+that configurations carry on a shape, which is how presentations and the
+other modules read a space's language.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class SftSpec:
     def __post_init__(self):
         shape = tuple(sorted(set(self.forbidden_shape)))
         object.__setattr__(self, "forbidden_shape", shape)
-        if shape and shape[-1] >= self.group.order:
+        if shape and not (0 <= shape[0] and shape[-1] < self.group.order):
             raise InputError("forbidden shape contains indices outside the group")
         for w in self.forbidden:
             if w.shape != shape:
@@ -224,27 +224,16 @@ def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -
     return ShiftSpace(spec.group, spec.alphabet, frozenset(keep))
 
 
-def language(y: ShiftSpace, f) -> set[Pattern]:
-    """All restrictions of the space's configurations to the shape ``f``."""
-    f = tuple(sorted(set(f)))
-    return {Pattern(y.group, f, w) for w in project(y, f)}
-
-
-def forbidden_patterns(y: ShiftSpace, f) -> set[Pattern]:
-    """The complement of the f-language inside all patterns on ``f``."""
-    f = tuple(sorted(set(f)))
-    lang = project(y, f)
-    return {
-        Pattern(y.group, f, sym)
-        for sym in iproduct(range(y.alphabet.size), repeat=len(f))
-        if sym not in lang
-    }
-
-
 def spec_from_space(y: ShiftSpace, f) -> SftSpec:
     """Present ``y`` by forbidding exactly the non-occurring f-patterns."""
     f = tuple(sorted(set(f)))
-    return SftSpec(y.group, y.alphabet, f, frozenset(forbidden_patterns(y, f)))
+    lang = project(y, f)
+    forbidden = frozenset(
+        Pattern(y.group, f, sym)
+        for sym in iproduct(range(y.alphabet.size), repeat=len(f))
+        if sym not in lang
+    )
+    return SftSpec(y.group, y.alphabet, f, forbidden)
 
 
 def orbits(y: ShiftSpace) -> list[frozenset]:

@@ -32,7 +32,6 @@ from finshift.dynprops import (
 from finshift.errors import DomainError, InputError, ResourceError
 from finshift.fixtures import (
     dihedral4,
-    empty_spec,
     golden_mean_like_spec,
     klein,
     quaternion,
@@ -42,7 +41,7 @@ from finshift.fixtures import (
     two_point_spec,
 )
 from finshift.groups import all_subgroups, cyclic, z2_power_tower
-from finshift.patterns import BINARY, Pattern, make_pattern, shift_config
+from finshift.patterns import BINARY, Pattern, shift_config
 from finshift.shiftspace import SftSpec, ShiftSpace, enumerate_sft, full_shift, orbits
 
 PROPERTY_GROUPS = [cyclic(n) for n in range(2, 7)] + [
@@ -60,6 +59,31 @@ def test_entropy_value_canonical_form():
     assert str(EntropyValue(11, 5)) == "log(11)/5"
     with pytest.raises(InputError):
         EntropyValue(0, 3)
+
+
+def canonical_entropy_pair(n, m):
+    """Oracle for the canonical form of log(n)/m: among integer pairs
+    (c, q) with c^m = n^q, the one with the least q >= 1.  q = m always has
+    c = n; below it, c is found from a float guess, exact for n < 2^53."""
+    for q in range(1, m):
+        guess = round(n ** (q / m))
+        for c in (guess - 1, guess, guess + 1):
+            if c ** m == n ** q:
+                return c, q
+    return n, m
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.integers(1, 3000),
+        st.builds(pow, st.integers(1, 12), st.integers(1, 12)),
+    ),
+    st.integers(1, 64),
+)
+def test_entropy_value_canonical_form_matches_the_least_denominator(n, m):
+    value = EntropyValue(n, m)
+    assert (value.count, value.denom) == canonical_entropy_pair(n, m)
 
 
 def test_entropy_value_ordering():
@@ -484,7 +508,7 @@ def test_partition_entropy_golden_mean_single_cell():
     # cylinder masses at one cell: 15 ones over 5 positions in 11 configs
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
     mu = mme(y)
-    one = make_pattern(y.group, {0: 1})
+    one = Pattern(y.group, (0,), (1,))
     assert mu.cylinder_mass(one) == Fraction(3, 11)
     expected = -(
         float(Fraction(8, 11)) * math.log(Fraction(8, 11))

@@ -448,6 +448,16 @@ def test_cli_product_cycles_exit_2(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
+    "argv", [["sft", "enum", "neg.sft"], ["extract", "neg.sft", "tower.twr", "0"]],
+    ids=["enum", "extract"],
+)
+def test_cli_negative_shape_cell_exit_2(tmp_path, doubling_tower, capsys, argv):
+    _write(tmp_path, "neg.sft", "sft\ngroup z4.grp\nalphabet 0 1\nshape -1 0\n")
+    assert cli.main([str(tmp_path / a) if "." in a else a for a in argv]) == 2
+    _assert_one_error_line(capsys, "forbidden shape contains indices outside the group")
+
+
+@pytest.mark.parametrize(
     "argv, where",
     [
         (["group", "validate", "bad.grp"], "bad.grp:1:"),

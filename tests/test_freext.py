@@ -31,18 +31,17 @@ from finshift.freext import (
     family_action,
     free_extension,
     free_extension_spec,
-    subgroup_context,
     tower_context,
     tower_extend,
 )
-from finshift.groups import all_subgroups, cyclic, generated_subgroup, z2_power_tower
+from finshift.groups import all_subgroups, cyclic, z2_power_tower
 from finshift.patterns import BINARY, Alphabet, CosetFamily, Pattern, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     enumerate_sft,
-    forbidden_patterns,
     full_shift,
+    spec_from_space,
 )
 
 
@@ -138,13 +137,6 @@ def test_extension_independent_of_representatives():
         assert free_extension(y, _z2_in_z4_ctx(reps=reps)).configs == reference
 
 
-def test_subgroup_context_matches_embedding_context():
-    g = cyclic(4)
-    ctx = subgroup_context(g, generated_subgroup(g, {2}))
-    assert ctx.base_embed == (0, 2)
-    assert ctx.base_group.order == 2
-
-
 def test_base_extract_round_trip_on_fixtures():
     ctx = _klein_ctx()
     for name, spec in standard_specs():
@@ -200,7 +192,7 @@ def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDG
     reps0 = [dec.reps[i] for i in touched]
     e_amb = sorted({G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]] for f in F})
     hat = tuple(sorted({G.mul[h][c] for h in e_amb for c in reps0}))
-    bad_hat = {w.symbols for w in forbidden_patterns(x, hat)}
+    bad_hat = {w.symbols for w in spec_from_space(x, hat).forbidden}
     e_base = tuple(sorted(ctx.base_embed.index(a) for a in e_amb))
     lookup = {amb: i for i, amb in enumerate(e_amb)}
     # placements[c][j] = position in hat of E-cell j pushed onto coset c
@@ -236,7 +228,7 @@ def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDG
 
 # every proper nontrivial subgroup, abelian and not, normal and not
 EXTRACT_CONTEXTS = [
-    subgroup_context(g, sub)
+    extension_context(g, *sub.as_group())
     for g in (cyclic(4), cyclic(6), klein(), symmetric3(), dihedral4(), alternating4())
     for sub in all_subgroups(g)
     if 1 < sub.order < g.order

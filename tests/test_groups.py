@@ -21,7 +21,6 @@ from finshift.groups import (
     from_table,
     generated_subgroup,
     is_subgroup,
-    make_group,
     product,
     right_cosets,
     z2_power_tower,
@@ -47,14 +46,6 @@ def test_klein_four():
     g = product(cyclic(2), cyclic(2))
     assert g.order == 4
     assert all(g.element_order(a) <= 2 for a in g.elements())
-
-
-def test_make_group_forms():
-    assert make_group(("cyclic", 6)).order == 6
-    assert make_group(("product", ("cyclic", 2), ("cyclic", 3))).order == 6
-    assert make_group(("table", [[0, 1], [1, 0]])).order == 2
-    with pytest.raises(InputError):
-        make_group(("nonsense",))
 
 
 def test_from_table_rejects_broken_tables():

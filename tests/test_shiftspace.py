@@ -23,14 +23,7 @@ from finshift.fixtures import (
     two_point_spec,
 )
 from finshift.groups import all_subgroups, cyclic
-from finshift.patterns import (
-    BINARY,
-    Alphabet,
-    Pattern,
-    pattern_from_config,
-    restrict,
-    shift_config,
-)
+from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 from finshift.shiftspace import (
     BlockMap,
     SftSpec,
@@ -39,10 +32,8 @@ from finshift.shiftspace import (
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
-    forbidden_patterns,
     full_shift,
     is_shift_invariant,
-    language,
     orbits,
     project,
     shift_permutations,
@@ -61,8 +52,10 @@ def test_spec_normalizes_shape():
     g = cyclic(4)
     spec = SftSpec(g, BINARY, (1, 0, 1), frozenset())
     assert spec.forbidden_shape == (0, 1)
-    with pytest.raises(InputError):
-        SftSpec(g, BINARY, (0, 9), frozenset())
+    # nothing forbidden, so no pattern checks these shapes: the spec must
+    for shape in ((0, 9), (-1, 0)):
+        with pytest.raises(InputError, match="outside the group"):
+            SftSpec(g, BINARY, shape, frozenset())
     with pytest.raises(InputError):
         SftSpec(g, BINARY, (0,), frozenset({Pattern(g, (0, 1), (1, 1))}))
 
@@ -191,17 +184,16 @@ def test_count_budget_counts_states():
 
 def test_language_and_forbidden_patterns():
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    lang = {w.symbols for w in language(y, (0, 2))}
-    assert lang == {(0, 0), (1, 1)}
-    bad = {w.symbols for w in forbidden_patterns(y, (0, 2))}
+    assert project(y, (0, 2)) == {(0, 0), (1, 1)}
+    bad = {w.symbols for w in spec_from_space(y, (0, 2)).forbidden}
     assert bad == {(0, 1), (1, 0)}
 
 
 def language_by_patterns(y, f):
-    """Oracle for :func:`language`: one Pattern per configuration,
-    restricted to the shape."""
+    """Oracle for :func:`project`: each configuration read cell by cell on
+    the sorted shape."""
     f = tuple(sorted(set(f)))
-    return {restrict(pattern_from_config(y.group, x), f) for x in y.configs}
+    return {tuple(x[c] for c in f) for x in y.configs}
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -217,16 +209,17 @@ def test_projection_routes_match_the_pattern_oracle(group, shape_kind, rng):
     f = {"empty": [], "whole": list(range(n)),
          "random": rng.sample(range(n), rng.randint(1, n))}[shape_kind]
     lang = language_by_patterns(y, f)
-    assert language(y, f) == lang
     cells = tuple(sorted(f))
+    assert project(y, cells) == lang
     missing = {
         Pattern(group, cells, sym) for sym in iproduct((0, 1), repeat=len(cells))
-    } - lang
-    assert forbidden_patterns(y, f) == missing
+        if sym not in lang
+    }
     assert spec_from_space(y, f) == SftSpec(group, BINARY, cells, frozenset(missing))
     weights = [rng.randint(0, 3) for _ in parts[1:]] + [1]
     mu = measure_from_orbit_masses(y, [Fraction(w, sum(weights)) for w in weights])
-    want = -sum(float(m) * math.log(m) for m in map(mu.cylinder_mass, lang) if m)
+    cylinders = (Pattern(group, cells, sym) for sym in lang)
+    want = -sum(float(m) * math.log(m) for m in map(mu.cylinder_mass, cylinders) if m)
     assert abs(partition_entropy(y, mu, f) - want) < 1e-12
 
 
