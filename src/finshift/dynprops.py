@@ -120,7 +120,7 @@ def entropy_set(
     tower: GroupTower,
     max_level: int,
     max_n: int,
-    budget: int = 1 << 20,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> set[EntropyValue]:
     """All values log(n)/|H| for subgroups H of the tower levels and n <= max_n.
 
@@ -436,13 +436,13 @@ class MmeUniqueVerdict:
 
 
 def mme_unique_check(
-    y: ShiftSpace, grid: int, budget: int = 1 << 22, tol: float = FLOAT_TOL
+    y: ShiftSpace, grid: int, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> MmeUniqueVerdict:
     """Sweep the simplex of orbit-constant measures at the given resolution.
 
     The exact uniform measure is always included as a candidate alongside
     the grid points.  Reports the set of maximizers of measure entropy
-    within ``tol`` of the maximum.  Each point is scored in closed form,
+    within ``FLOAT_TOL`` of the maximum.  Each point is scored in closed form,
     ``-sum(m_o * log(m_o / |o|)) / |G|`` over the orbits ``o``, which is
     what :func:`measure_entropy` computes from the measure's cylinders.
     """
@@ -482,7 +482,7 @@ def mme_unique_check(
         ) / y.group.order
         scored.append((masses, h))
         best = max(best, h)
-    maximizers = tuple(m for m, h in scored if h >= best - tol)
+    maximizers = tuple(m for m, h in scored if h >= best - FLOAT_TOL)
     uniform_is_max = uniform_masses in maximizers
     return MmeUniqueVerdict(
         unique=len(maximizers) == 1,

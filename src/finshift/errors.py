@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all finshift modules."""
+"""Exception hierarchy and default budget shared by all finshift modules."""
+
+# the default of every ``budget`` parameter: the most units of work one
+# call may do (DFS nodes, states, closures, families, grid points, ...)
+DEFAULT_CANDIDATE_BUDGET = 1 << 24
 
 
 class FinshiftError(Exception):

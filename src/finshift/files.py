@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .groups import FiniteGroup, GroupTower, build_tower, cyclic, from_table, product
 from .patterns import Alphabet, Pattern
 from .shiftspace import SftSpec
@@ -179,9 +179,12 @@ def _read_sft(path, parsed) -> SftSpec:
         if parts[0] == "group" and len(parts) == 2:
             group = _read_group(os.path.join(base, parts[1]), parsed)
         elif parts[0] == "alphabet":
-            alphabet = Alphabet(tuple(parts[1:]))
+            try:
+                alphabet = Alphabet(tuple(parts[1:]))
+            except InputError as exc:
+                raise FormatError(str(exc), path, lineno) from None
         elif parts[0] == "shape":
-            shape = tuple(_ints(parts[1:], path, lineno))
+            shape, shape_line = tuple(_ints(parts[1:], path, lineno)), lineno
         elif parts[0] == "forbid":
             forbid_rows.append((lineno, parts[1:]))
         else:
@@ -189,7 +192,11 @@ def _read_sft(path, parsed) -> SftSpec:
     if group is None or alphabet is None or shape is None:
         raise FormatError("sft file needs group, alphabet and shape lines", path)
     if len(set(shape)) != len(shape):
-        raise FormatError("shape indices must be distinct", path)
+        raise FormatError("shape indices must be distinct", path, shape_line)
+    for c in shape:
+        if not 0 <= c < group.order:
+            raise FormatError(f"shape index {c} is outside the group of order "
+                              f"{group.order}", path, shape_line)
     # symbols are positional against the declared shape order
     order = sorted(range(len(shape)), key=lambda i: shape[i])
     sorted_shape = tuple(shape[i] for i in order)
@@ -203,7 +210,7 @@ def _read_sft(path, parsed) -> SftSpec:
             )
         try:
             symbols = tuple(alphabet.index(row[i]) for i in order)
-        except Exception:
+        except InputError:
             raise FormatError(f"unknown symbol in {row!r}", path, lineno) from None
         forbidden.add(Pattern(group, sorted_shape, symbols))
     return SftSpec(group, alphabet, sorted_shape, frozenset(forbidden))

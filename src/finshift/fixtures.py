@@ -30,7 +30,7 @@ def _permutation_group(degree: int, gens) -> FiniteGroup:
     elems = sorted(elems)
     index = {p: i for i, p in enumerate(elems)}
     table = [[index[tuple(q[p[x]] for x in range(degree))] for q in elems] for p in elems]
-    return from_table(table, labels=["".join(map(str, p)) for p in elems])
+    return from_table(table)
 
 
 def symmetric3() -> FiniteGroup:

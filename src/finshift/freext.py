@@ -39,12 +39,12 @@ class ExtensionContext:
     """Everything needed to extend shifts from a base group to an ambient one.
 
     ``base_embed[i]`` is the ambient element index of base element ``i``;
-    the decomposition fixes the coset representatives used to index
+    the decomposition into right cosets of the embedded base
+    (``decomposition.subgroup``) fixes the representatives that index
     families.
     """
 
     ambient: FiniteGroup
-    base: Subgroup
     base_group: FiniteGroup
     base_embed: tuple[int, ...]
     decomposition: CosetDecomposition
@@ -64,7 +64,7 @@ def extension_context(
     base_embed = tuple(base_embed)
     sub = Subgroup(ambient, tuple(sorted(base_embed)))
     dec = right_cosets(ambient, sub, reps=reps)
-    return ExtensionContext(ambient, sub, base_group, base_embed, dec)
+    return ExtensionContext(ambient, base_group, base_embed, dec)
 
 
 def _base_lookup(ctx: ExtensionContext) -> dict[int, int]:
@@ -225,10 +225,10 @@ def base_extract(
     return BaseExtractResult(True, spec, None)
 
 
-def tower_context(tower: GroupTower, i: int, j: int, reps=None) -> ExtensionContext:
+def tower_context(tower: GroupTower, i: int, j: int) -> ExtensionContext:
     """Context extending tower level ``i`` directly into level ``j``."""
     embed = tower.embed_up(i, j)  # checks 0 <= i <= j < len(levels) first
-    return extension_context(tower.levels[j], tower.levels[i], embed, reps=reps)
+    return extension_context(tower.levels[j], tower.levels[i], embed)
 
 
 def _check_levels(group: FiniteGroup, tower: GroupTower, i: int, j: int) -> None:

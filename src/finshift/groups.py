@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .errors import InputError, ResourceError, ValidationError
+from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """An explicit finite group.
+    """An explicit finite group: it is its table, so two groups with the
+    same table are equal.
 
     ``mul[a][b]`` is the element index of the product ``a * b``.  Instances
     are immutable; :func:`from_table` validates tables from outside.
@@ -24,7 +25,6 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -32,11 +32,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
 
     def element_order(self, a: int) -> int:
         n, x = 1, a
@@ -49,7 +44,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def from_table(table, labels=None) -> FiniteGroup:
+def from_table(table) -> FiniteGroup:
     """Build and validate a group from an explicit multiplication table.
 
     Raises :class:`ValidationError` naming the first violated group law:
@@ -98,7 +93,7 @@ def from_table(table, labels=None) -> FiniteGroup:
                 raise ValidationError(f"no inverse: element {a} has no two-sided inverse")
         inv.append(b)
 
-    group = FiniteGroup(mul, e, tuple(inv), tuple(labels) if labels else None)
+    group = FiniteGroup(mul, e, tuple(inv))
     for s in _generators(group):
         srow = mul[s]
         for x, row in enumerate(mul):
@@ -118,23 +113,20 @@ def cyclic(n: int) -> FiniteGroup:
     twice = tuple(range(n)) * 2
     mul = tuple(twice[a : a + n] for a in range(n))  # row a is 0..n-1 rotated by a
     inv = tuple(-a % n for a in range(n))
-    return FiniteGroup(mul, 0, inv, tuple(map(str, range(n))))
+    return FiniteGroup(mul, 0, inv)
 
 
 def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with mixed-radix index encoding: index = i + |g1|*j.
     Not validated; identity and inverses are the factors', componentwise."""
-    n1, n2 = g1.order, g2.order
+    n1 = g1.order
     mul = tuple(
         tuple(k + n1 * l for l in row2 for k in row1)
         for row2 in g2.mul
         for row1 in g1.mul
     )
     inv = tuple(i + n1 * j for j in g2.inv for i in g1.inv)
-    labels = tuple(
-        f"({g1.label(a % n1)},{g2.label(a // n1)})" for a in range(n1 * n2)
-    )
-    return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv, labels)
+    return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv)
 
 
 @dataclass(frozen=True)
@@ -166,8 +158,7 @@ class Subgroup:
         except KeyError:
             raise InputError("member set is not closed under the group laws") from None
         inv = tuple(pos[parent.inv[m]] for m in members)
-        labels = tuple(parent.label(m) for m in members)
-        return FiniteGroup(mul, identity, inv, labels), members
+        return FiniteGroup(mul, identity, inv), members
 
 
 def _close_under(parent: FiniteGroup, gens) -> tuple[int, ...]:
@@ -215,7 +206,7 @@ def is_subgroup(g: FiniteGroup, members) -> bool:
     return all(g.mul[a][b] in s and g.inv[a] in s for a in s for b in s)
 
 
-def all_subgroups(g: FiniteGroup, budget: int = 1 << 20) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup, budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[Subgroup]:
     """Every subgroup of ``g``, sorted by order and then by members.
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of

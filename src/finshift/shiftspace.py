@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .errors import InputError, ResourceError, ValidationError
+from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
 from .groups import FiniteGroup
 from .patterns import Alphabet, Pattern, shift_config
-
-DEFAULT_CANDIDATE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -87,34 +85,33 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     ascending; a partial assignment is pruned as soon as some fully
     assigned window matches a forbidden pattern.  The search keeps its
     own stack, so its depth is not bounded by the recursion limit.
+    ``budget`` bounds the nodes visited, one per symbol tried at a cell; a
+    :class:`ResourceError` reports how many were.
     """
     n = spec.group.order
     k = spec.alphabet.size
-    if k ** n > budget:
-        raise ResourceError(
-            f"search space {k}^{n} exceeds the candidate budget {budget}"
-        )
     forbidden = {w.symbols for w in spec.forbidden}
-    windows = _windows(spec.group, spec.forbidden_shape)
-    # windows that become fully assigned exactly when position p is set
+    # windows that become fully assigned exactly when position p is set; the
+    # empty window is checked at the first cell, so forbidding it kills all
     by_last = [[] for _ in range(n)]
-    for cells in windows:
-        if cells:
-            by_last[max(cells)].append(cells)
-
-    if forbidden and not spec.forbidden_shape:
-        # forbidding the empty pattern kills every configuration
-        return ShiftSpace(spec.group, spec.alphabet, frozenset())
+    for cells in _windows(spec.group, spec.forbidden_shape):
+        by_last[max(cells, default=0)].append(cells)
     found = []
     config = [0] * n
     tried = [0] * n  # next symbol to try at each position
     p, last = 0, n - 1
+    nodes = 0
     while p >= 0:
         s = tried[p]
         if s == k:
             tried[p] = 0
             p -= 1
             continue
+        if nodes >= budget:
+            raise ResourceError(
+                f"SFT enumeration stopped after {nodes} nodes (budget {budget})"
+            )
+        nodes += 1
         tried[p] = s + 1
         config[p] = s
         for cells in by_last[p]:
@@ -164,12 +161,10 @@ def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     forbidden = {w.symbols for w in spec.forbidden}
     if not forbidden:
         return k ** n
-    if not spec.forbidden_shape:
-        return 0  # forbidding the empty pattern kills every configuration
     by_last = [[] for _ in range(n)]
     last_read = list(range(n))  # last window end reading each cell
     for cells in _windows(spec.group, spec.forbidden_shape):
-        end = max(cells)
+        end = max(cells, default=0)  # an empty window, at the first cell
         by_last[end].append(cells)
         for c in cells:
             last_read[c] = max(last_read[c], end)
@@ -213,8 +208,6 @@ def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -
         )
     forbidden = {w.symbols for w in spec.forbidden}
     windows = _windows(spec.group, spec.forbidden_shape)
-    if forbidden and not spec.forbidden_shape:
-        return ShiftSpace(spec.group, spec.alphabet, frozenset())
     keep = []
     for config in iproduct(range(k), repeat=n):
         if all(

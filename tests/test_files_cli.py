@@ -188,6 +188,20 @@ def test_cli_sft_enum(golden5, capsys):
     assert "11 configurations" in capsys.readouterr().out
 
 
+def test_cli_enumerates_few_points_among_many_candidates(tmp_path, capsys):
+    # 2^30 candidates, of which 2 are points: the search visits 118 nodes
+    _write(tmp_path, "z30.grp", "group cyclic 30\n")
+    two = _write(
+        tmp_path, "two.sft", "sft\ngroup z30.grp\nalphabet 0 1\nshape 0 1\nforbid 0 1\nforbid 1 0\n"
+    )
+    assert cli.main(["sft", "enum", two]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 configurations"
+    assert cli.main(["check", "entmin", two]) == 0
+    assert capsys.readouterr().out == "entropy minimal\n"
+    assert cli.main(["--budget", "117", "sft", "enum", two]) == 2
+    _assert_one_error_line(capsys, "error: SFT enumeration stopped after 117 nodes (budget 117)")
+
+
 def test_cli_extend_and_extract(tmp_path, doubling_tower, capsys):
     _write(tmp_path, "z2.grp", "group cyclic 2\n")
     base = _write(
@@ -454,7 +468,50 @@ def test_cli_product_cycles_exit_2(tmp_path, capsys, name):
 def test_cli_negative_shape_cell_exit_2(tmp_path, doubling_tower, capsys, argv):
     _write(tmp_path, "neg.sft", "sft\ngroup z4.grp\nalphabet 0 1\nshape -1 0\n")
     assert cli.main([str(tmp_path / a) if "." in a else a for a in argv]) == 2
-    _assert_one_error_line(capsys, "forbidden shape contains indices outside the group")
+    _assert_one_error_line(capsys, "neg.sft:4: shape index -1 is outside the group of order 4")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("alphabet 0 1\nshape 0 9\nforbid 1 1", "4: shape index 9 is outside the group of order 4"),
+        ("alphabet 0 1\nshape 0 0", "4: shape indices must be distinct"),
+        ("alphabet a a\nshape 0 1", "3: alphabet symbols must be distinct"),
+        ("alphabet\nshape 0 1", "3: alphabet needs at least one symbol"),
+    ],
+    ids=["shape-past-order", "shape-repeated", "alphabet-repeated", "alphabet-empty"],
+)
+def test_cli_sft_file_errors_name_the_file_and_line(tmp_path, capsys, body, message):
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    bad = _write(tmp_path, "bad.sft", f"sft\ngroup z4.grp\n{body}\n")
+    assert cli.main(["sft", "enum", bad]) == 2
+    _assert_one_error_line(capsys, f"bad.sft:{message}")
+
+
+@pytest.mark.parametrize(
+    "command, levels", [("extend", ["1", "2"]), ("extract", ["0"])], ids=["extend", "extract"]
+)
+def test_cli_a_group_is_its_table(tmp_path, capsys, command, levels):
+    # Z/4 written out as a table is the tower level; a spec on
+    # `group cyclic 4` lives on that level all the same
+    for n in (2, 4, 8):
+        _write(tmp_path, f"z{n}.grp", f"group cyclic {n}\n")
+    rows = "".join(" ".join(str((a + b) % 4) for b in range(4)) + "\n" for a in range(4))
+    _write(tmp_path, "z4table.grp", "group table 4\n" + rows)
+    tower = _write(
+        tmp_path,
+        "t.twr",
+        "tower\nlevel z2.grp\nlevel z4table.grp\nlevel z8.grp\n"
+        "embed 0 pairs 0->0 1->2\nembed 1 pairs 0->0 1->2 2->4 3->6\n",
+    )
+    outputs = []
+    for group in ("z4table.grp", "z4.grp"):
+        sft = _write(tmp_path, "s.sft",
+                     f"sft\ngroup {group}\nalphabet 0 1\nshape 0 2\nforbid 1 1\n")
+        assert cli.main([command, sft, tower, *levels]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,26 @@ def _z2_in_z4_ctx(reps=None):
     return extension_context(cyclic(4), cyclic(2), (0, 2), reps=reps)
 
 
+def _non_normal(g, order):
+    """The first subgroup of ``g`` of the given order that is not normal."""
+    return next(
+        sub for sub in all_subgroups(g)
+        if sub.order == order
+        and any(g.mul[g.mul[g.inv[a]][h]][a] not in sub.members
+                for a in g.elements() for h in sub.members)
+    )
+
+
+# an order-2 subgroup of S3, a reflection subgroup of D4 and an order-3
+# subgroup of A4: none is normal, so left and right cosets differ
+NON_NORMAL = [_non_normal(symmetric3(), 2), _non_normal(dihedral4(), 2),
+              _non_normal(alternating4(), 3)]
+
+
+def _non_normal_ctx(sub, reps=None):
+    return extension_context(sub.parent, *sub.as_group(), reps=reps)
+
+
 def test_context_shape():
     ctx = _z2_in_z4_ctx()
     assert ctx.cosets == 2
@@ -78,12 +98,18 @@ def test_assemble_is_a_bijection():
 
 def test_family_action_is_equivariant():
     ctx = _klein_ctx()
-    fams = all_families(ctx, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    for fam in fams:
-        for g in ctx.ambient.elements():
-            assert assemble(ctx, family_action(ctx, g, fam)) == shift_config(
-                ctx.ambient, g, assemble(ctx, fam)
-            )
+    cases = [(ctx, all_families(ctx, [(0, 0), (0, 1), (1, 0), (1, 1)]))]
+    rng = random.Random(4)
+    for sub in NON_NORMAL:
+        ctx = _non_normal_ctx(sub)
+        configs = list(iproduct((0, 1), repeat=sub.order))
+        cases.append((ctx, rng.sample(all_families(ctx, configs), 40)))
+    for ctx, fams in cases:
+        for fam in fams:
+            for g in ctx.ambient.elements():
+                assert assemble(ctx, family_action(ctx, g, fam)) == shift_config(
+                    ctx.ambient, g, assemble(ctx, fam)
+                )
 
 
 def test_family_action_composition():
@@ -122,12 +148,17 @@ def test_free_extension_cardinality():
 
 def test_spec_route_equals_space_route():
     ctx = _klein_ctx()
-    for name, spec in standard_specs():
-        if spec.group.order != 2:
-            continue
+    cases = [(ctx, spec) for _, spec in standard_specs() if spec.group.order == 2]
+    rng = random.Random(5)
+    for sub in NON_NORMAL:
+        ctx = _non_normal_ctx(sub)
+        base = ctx.base_group
+        cases += [(ctx, golden_mean_like_spec(base)), (ctx, two_point_spec(base))]
+        cases += [(ctx, random_sft_spec(base, rng)) for _ in range(5)]
+    for ctx, spec in cases:
         via_spec = enumerate_sft(free_extension_spec(spec, ctx))
         via_space = free_extension(enumerate_sft(spec), ctx)
-        assert via_spec.configs == via_space.configs, name
+        assert via_spec.configs == via_space.configs, (ctx.ambient, spec)
 
 
 def test_extension_independent_of_representatives():
@@ -135,6 +166,13 @@ def test_extension_independent_of_representatives():
     reference = free_extension(y, _z2_in_z4_ctx()).configs
     for reps in [(0, 1), (0, 3), (2, 1), (2, 3)]:
         assert free_extension(y, _z2_in_z4_ctx(reps=reps)).configs == reference
+    for sub in NON_NORMAL:
+        ctx = _non_normal_ctx(sub)
+        y = enumerate_sft(golden_mean_like_spec(ctx.base_group))
+        reference = free_extension(y, ctx).configs
+        choices = [sorted(c) for c in ctx.decomposition.cosets]
+        for reps in iproduct(*choices):
+            assert free_extension(y, _non_normal_ctx(sub, reps)).configs == reference
 
 
 def test_base_extract_round_trip_on_fixtures():

@@ -236,7 +236,7 @@ def test_trusted_constructors_build_what_from_table_validates():
         for sub in all_subgroups(g)
     ]
     for g in groups:
-        assert g == from_table(g.mul, labels=g.labels)
+        assert g == from_table(g.mul)
     g = cyclic(6)
     for members in [(0, 1), (1, 3, 5), ()]:
         with pytest.raises(InputError, match="not closed"):

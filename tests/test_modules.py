@@ -1,9 +1,13 @@
-"""Module boundaries: no finshift module uses another module's private names."""
+"""Module boundaries: no finshift module uses another module's private
+names, and every budget has the one default."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import finshift
+from finshift import shiftspace
 
 PACKAGE = Path(finshift.__file__).parent
 
@@ -57,3 +61,30 @@ def test_no_module_uses_another_modules_private_names():
         if (names := foreign_private_names(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def budget_defaults():
+    """Each public function of a finshift module that takes ``budget``,
+    by qualified name, with that parameter's default."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"finshift.{path.stem}")
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            param = inspect.signature(fn).parameters.get("budget")
+            if param is not None:
+                found[f"{fn.__module__}.{name}"] = param.default
+    return found
+
+
+def test_every_budget_defaults_to_the_one_default_budget():
+    found = budget_defaults()
+    for name in ("shiftspace.enumerate_sft", "shiftspace.count_sft", "groups.all_subgroups",
+                 "dynprops.entropy_set", "dynprops.mme_unique_check"):
+        assert f"finshift.{name}" in found
+    # the very object, so that a copy of its value is caught as well
+    assert {
+        name: default for name, default in found.items()
+        if default is not shiftspace.DEFAULT_CANDIDATE_BUDGET
+    } == {}

@@ -89,10 +89,53 @@ def test_forbidding_empty_pattern_kills_everything():
 
 def test_budget_guard():
     spec = SftSpec(cyclic(8), BINARY, (0,), frozenset())
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError,
+                       match=r"^SFT enumeration stopped after 100 nodes \(budget 100\)$"):
         enumerate_sft(spec, budget=100)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"^search space 2\^8 exceeds the candidate budget 100$"):
         enumerate_sft_naive(spec, budget=100)
+
+
+def test_enumeration_budget_counts_nodes_not_candidates():
+    # 2^30 candidates, 2 points: 2 nodes at cell 0, then 2 per point at each
+    # of the 29 cells after it
+    spec = two_point_spec(cyclic(30))
+    assert enumerate_sft(spec).configs == {(0,) * 30, (1,) * 30}
+    assert len(enumerate_sft(spec, budget=118)) == 2
+    with pytest.raises(ResourceError, match=r"stopped after 117 nodes \(budget 117\)"):
+        enumerate_sft(spec, budget=117)
+
+
+def search_nodes(spec):
+    """Oracle for the nodes :func:`enumerate_sft` visits: each symbol tried
+    at cell m extends a prefix on cells 0..m-1 that no window lying wholly
+    inside those cells forbids."""
+    n, k = spec.group.order, spec.alphabet.size
+    forbidden = {w.symbols for w in spec.forbidden}
+    windows = [
+        tuple(spec.group.mul[f][g] for f in spec.forbidden_shape) for g in spec.group.elements()
+    ]
+    nodes = 0
+    for m in range(n):
+        inside = [w for w in windows if max(w) < m]
+        nodes += k * sum(
+            all(tuple(prefix[c] for c in w) not in forbidden for w in inside)
+            for prefix in iproduct(range(k), repeat=m)
+        )
+    return nodes
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([cyclic(5), cyclic(8), symmetric3(), dihedral4(), quaternion()]),
+)
+def test_enumeration_budget_is_the_nodes_visited(seed, group):
+    spec = random_sft_spec(group, random.Random(seed))
+    nodes = search_nodes(spec)
+    assert enumerate_sft(spec, budget=nodes).configs == enumerate_sft_naive(spec).configs
+    with pytest.raises(ResourceError, match=rf"stopped after {nodes - 1} nodes"):
+        enumerate_sft(spec, budget=nodes - 1)
 
 
 def test_enumeration_matches_naive_on_fixtures():
