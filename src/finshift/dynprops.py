@@ -25,7 +25,6 @@ from .shiftspace import (
     shift_permutations,
 )
 
-FLOAT_TOL = 1e-9
 DEFAULT_AUT_CAP = 100
 
 
@@ -363,17 +362,6 @@ class InvariantMeasure:
             if len(vals) != 1:
                 raise InputError("measure is not constant on a shift orbit")
 
-    def cylinder_mass(self, w: Pattern) -> Fraction:
-        cells = list(zip(w.shape, w.symbols))
-        return sum(
-            (
-                wt
-                for c, wt in self.weights.items()
-                if all(c[g] == s for g, s in cells)
-            ),
-            Fraction(0),
-        )
-
 
 def mme(y: ShiftSpace) -> InvariantMeasure:
     """The uniform measure, which attains the topological entropy."""
@@ -427,7 +415,7 @@ def measure_entropy(y: ShiftSpace, mu: InvariantMeasure) -> float:
 
 @dataclass(frozen=True)
 class MmeUniqueVerdict:
-    """Result of a grid sweep over orbit-constant invariant measures."""
+    """The measures of maximal entropy among the invariant measures."""
 
     unique: bool
     uniform_is_max: bool
@@ -435,58 +423,27 @@ class MmeUniqueVerdict:
     maximizers: tuple  # orbit-mass vectors attaining the maximum
 
 
-def mme_unique_check(
-    y: ShiftSpace, grid: int, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> MmeUniqueVerdict:
-    """Sweep the simplex of orbit-constant measures at the given resolution.
+def mme_unique_check(y: ShiftSpace, grid: int) -> MmeUniqueVerdict:
+    """Decide the measures of maximal entropy exactly: the uniform measure
+    is the only one, with entropy ``entropy(y)``.
 
-    The exact uniform measure is always included as a candidate alongside
-    the grid points.  Reports the set of maximizers of measure entropy
-    within ``FLOAT_TOL`` of the maximum.  Each point is scored in closed form,
-    ``-sum(m_o * log(m_o / |o|)) / |G|`` over the orbits ``o``, which is
-    what :func:`measure_entropy` computes from the measure's cylinders.
+    An invariant measure is constant on each orbit ``o``, so it is fixed by
+    its orbit masses ``m_o``, and its entropy is
+    ``Σ m_o·log(|o|/m_o) / |G|`` over the orbits with ``m_o > 0``.  Since
+    log is strictly concave, Gibbs' inequality gives
+    ``Σ m_o·log(|o|/m_o) <= log Σ_{m_o > 0} |o| <= log |Y|``, with equality
+    exactly when ``m_o = |o|/|Y|`` for every orbit.  No measure is scored;
+    the tests compare the verdict with an exact sweep of the simplex.
+    ``grid`` must be at least 1 and has no effect.
     """
     if not y.configs:
-        raise DomainError("cannot sweep measures on the empty space")
+        raise DomainError("the empty shift space carries no measure")
     if grid < 1:
         raise InputError(f"grid must be >= 1, not {grid}")
-    parts = orbits(y)
-    r = len(parts)
-    est = math.comb(grid + r - 1, r - 1)
-    if est > budget:
-        raise ResourceError(
-            f"simplex grid of ~{est} points exceeds the budget {budget}"
-        )
-
-    def compositions(total, bins):
-        if bins == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, bins - 1):
-                yield (first,) + rest
-
-    uniform_masses = tuple(Fraction(len(orb), len(y.configs)) for orb in parts)
-    candidates = [uniform_masses]
-    for comp in compositions(grid, r):
-        masses = tuple(Fraction(c, grid) for c in comp)
-        if masses != uniform_masses:
-            candidates.append(masses)
-
-    sizes = [len(orb) for orb in parts]
-    best = -1.0
-    scored = []
-    for masses in candidates:
-        h = -sum(
-            float(m) * math.log(m / size) for m, size in zip(masses, sizes) if m
-        ) / y.group.order
-        scored.append((masses, h))
-        best = max(best, h)
-    maximizers = tuple(m for m, h in scored if h >= best - FLOAT_TOL)
-    uniform_is_max = uniform_masses in maximizers
+    uniform = tuple(Fraction(len(orb), len(y.configs)) for orb in orbits(y))
     return MmeUniqueVerdict(
-        unique=len(maximizers) == 1,
-        uniform_is_max=uniform_is_max,
-        max_entropy=best,
-        maximizers=maximizers,
+        unique=True,
+        uniform_is_max=True,
+        max_entropy=float(entropy(y)),
+        maximizers=(uniform,),
     )

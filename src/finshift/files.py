@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import os
 
-from .errors import FormatError, InputError
-from .groups import FiniteGroup, GroupTower, build_tower, cyclic, from_table, product
+from .errors import FinshiftError, FormatError, InputError
+from .groups import FiniteGroup, GroupTower, check_embedding, cyclic, from_table, product
 from .patterns import Alphabet, Pattern
 from .shiftspace import SftSpec
 
@@ -34,6 +34,15 @@ def _ints(tokens, path, lineno):
         return [int(t) for t in tokens]
     except ValueError:
         raise FormatError(f"expected integers, got {tokens!r}", path, lineno) from None
+
+
+def _built(build, path, lineno, *args):
+    """``build(*args)``, a group builder or check, with its error naming the
+    file and line it was read from."""
+    try:
+        return build(*args)
+    except FinshiftError as exc:
+        raise FormatError(str(exc), path, lineno) from None
 
 
 def read_group(path) -> FiniteGroup:
@@ -72,7 +81,7 @@ def _parse_group(path, parsed) -> FiniteGroup:
         if len(parts) != 3:
             raise FormatError("usage: group cyclic <n>", path, lineno)
         (n,) = _ints(parts[2:], path, lineno)
-        return cyclic(n)
+        return _built(cyclic, path, lineno, n)
     if kind == "product":
         if len(parts) != 4:
             raise FormatError("usage: group product <file> <file>", path, lineno)
@@ -84,13 +93,13 @@ def _parse_group(path, parsed) -> FiniteGroup:
             raise FormatError("usage: group table <n>", path, lineno)
         (n,) = _ints(parts[2:], path, lineno)
         rows = []
-        for lineno, line in it:
-            rows.append(_ints(line.split(), path, lineno))
+        for row_line, line in it:
+            rows.append(_ints(line.split(), path, row_line))
             if len(rows) == n:
                 break
         if len(rows) != n:
             raise FormatError(f"expected {n} table rows, got {len(rows)}", path)
-        return from_table(rows)
+        return _built(from_table, path, lineno, rows)
     raise FormatError(f"unknown group kind {kind!r}", path, lineno)
 
 
@@ -156,9 +165,15 @@ def _read_tower(path, parsed) -> GroupTower:
                     f"embedding must be total on 0..{lo.order - 1}", path, lineno
                 )
             embeddings.append(tuple(pairs[i] for i in range(lo.order)))
+            _built(check_embedding, path, lineno, levels, k, embeddings[k])
         else:
             raise FormatError(f"unknown tower directive {parts[0]!r}", path, lineno)
-    return build_tower(levels, embeddings)
+    # embed lines come in order, each after both its levels: only missing
+    # ones are left to find
+    if len(embeddings) < len(levels) - 1:
+        raise FormatError(f"{len(levels)} levels need {len(levels) - 1} embed lines, "
+                          f"got {len(embeddings)}", path)
+    return GroupTower(tuple(levels), tuple(embeddings))
 
 
 def _read_sft(path, parsed) -> SftSpec:

@@ -346,13 +346,20 @@ class GroupTower:
         return emb
 
 
-def _check_embedding(lo: FiniteGroup, hi: FiniteGroup, emb) -> None:
-    """Check that ``emb`` is an injective homomorphism ``lo -> hi``.
+def check_embedding(levels, i: int, emb) -> None:
+    """Check that ``emb`` is an injective homomorphism from ``levels[i]``
+    into ``levels[i + 1]``.
 
     A map with ``emb(e) = e`` and ``emb(a*s) = emb(a)*emb(s)`` for every
     ``a`` and each generator ``s`` is a homomorphism, since every element
     of a finite group is a product of generators.
     """
+    lo, hi = levels[i], levels[i + 1]
+    if hi.order % lo.order != 0:
+        raise ValidationError(
+            f"level {i} order {lo.order} does not divide level {i+1} "
+            f"order {hi.order}"
+        )
     if len(emb) != lo.order:
         raise ValidationError(
             f"embedding must be total: got {len(emb)} entries for order {lo.order}"
@@ -385,13 +392,7 @@ def build_tower(levels, embeddings) -> GroupTower:
             f"got {len(embeddings)}"
         )
     for i, emb in enumerate(embeddings):
-        lo, hi = levels[i], levels[i + 1]
-        if hi.order % lo.order != 0:
-            raise ValidationError(
-                f"level {i} order {lo.order} does not divide level {i+1} "
-                f"order {hi.order}"
-            )
-        _check_embedding(lo, hi, emb)
+        check_embedding(levels, i, emb)
     return GroupTower(levels, embeddings)
 
 

@@ -389,11 +389,21 @@ def _mme_attains(seed):
         assert abs(dynprops.measure_entropy(y, mu) - h) < 1e-12, name
 
 
+def _assert_exact_mme(y, verdict):
+    """The verdict names the uniform measure, its orbit masses summed from
+    :func:`dynprops.mme`, as the one maximizer, at the topological entropy."""
+    mu = dynprops.mme(y)
+    uniform = tuple(sum(mu.weights[c] for c in orb) for orb in orbits(y))
+    assert verdict == dynprops.MmeUniqueVerdict(
+        unique=True, uniform_is_max=True,
+        max_entropy=float(dynprops.entropy(y)), maximizers=(uniform,),
+    ), verdict
+
+
 @_check("theorem-2/mme-unique-on-golden-mean")
 def _mme_unique(seed):
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    verdict = dynprops.mme_unique_check(y, grid=200)
-    assert verdict.unique and verdict.uniform_is_max
+    _assert_exact_mme(y, dynprops.mme_unique_check(y, grid=200))
 
 
 @_check("theorem-2/two-fixed-point-mme")
@@ -402,9 +412,8 @@ def _two_fixed_points(seed):
     # at h = log(2)/4: both Dirac measures are invariant but carry zero
     # measure entropy
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    verdict = dynprops.mme_unique_check(y, grid=100)
-    assert verdict.unique and verdict.uniform_is_max
-    assert abs(verdict.max_entropy - math.log(2) / 4) < 1e-12, verdict.max_entropy
+    _assert_exact_mme(y, dynprops.mme_unique_check(y, grid=100))
+    assert abs(float(dynprops.entropy(y)) - math.log(2) / 4) < 1e-12
     for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
         dirac = dynprops.measure_from_orbit_masses(y, masses)
         assert dynprops.measure_entropy(y, dirac) == 0.0

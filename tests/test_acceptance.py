@@ -76,7 +76,7 @@ CRITERIA = {
         "theorem-2/entropy-minimality",
     ]),
     13: ("the uniform measure is the unique measure of maximal entropy",
-         None, [
+         1.0, [
              "theorem-2/mme-attains-topological-entropy",
              "theorem-2/mme-unique-on-golden-mean",
              "theorem-2/two-fixed-point-mme",

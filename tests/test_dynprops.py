@@ -504,12 +504,21 @@ def test_mme_is_uniform_and_attains_entropy():
     assert abs(measure_entropy(y, mu) - float(entropy(y))) < 1e-12
 
 
+def cylinder_mass(mu, w):
+    """The measure of the cylinder of pattern ``w``: the summed weights of
+    the configurations that carry ``w``."""
+    return sum(
+        (wt for c, wt in mu.weights.items() if all(c[g] == s for g, s in zip(w.shape, w.symbols))),
+        Fraction(0),
+    )
+
+
 def test_partition_entropy_golden_mean_single_cell():
     # cylinder masses at one cell: 15 ones over 5 positions in 11 configs
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
     mu = mme(y)
     one = Pattern(y.group, (0,), (1,))
-    assert mu.cylinder_mass(one) == Fraction(3, 11)
+    assert cylinder_mass(mu, one) == Fraction(3, 11)
     expected = -(
         float(Fraction(8, 11)) * math.log(Fraction(8, 11))
         + float(Fraction(3, 11)) * math.log(Fraction(3, 11))
@@ -551,7 +560,7 @@ def test_mme_unique_on_golden_mean():
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
     verdict = mme_unique_check(y, grid=60)
     assert verdict.unique and verdict.uniform_is_max
-    assert abs(verdict.max_entropy - float(entropy(y))) < 1e-12
+    assert verdict.max_entropy == float(entropy(y))
 
 
 def test_mme_unique_on_two_point_space():
@@ -565,33 +574,33 @@ def test_mme_unique_on_two_point_space():
         assert measure_entropy(y, dirac) < verdict.max_entropy
 
 
-def test_mme_grid_budget():
-    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    with pytest.raises(ResourceError):
-        mme_unique_check(y, grid=10_000, budget=1000)
+def compositions(total, bins):
+    """Every tuple of ``bins`` non-negative integers summing to ``total``."""
+    if bins == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, bins - 1):
+            yield (first,) + rest
 
 
 def mme_sweep_by_measures(y, grid, tol=1e-9):
     """Oracle: build each grid point's InvariantMeasure and take its
-    entropy from the cylinder language over the whole group."""
+    entropy from the cylinder language over the whole group, checking it
+    against the closed form ``Σ m_o·log(|o|/m_o)/|G|`` on the way."""
     parts = orbits(y)
-    r = len(parts)
-
-    def compositions(total, bins):
-        if bins == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, bins - 1):
-                yield (first,) + rest
-
     uniform = tuple(Fraction(len(orb), len(y.configs)) for orb in parts)
     candidates = [uniform] + [
         masses
-        for masses in (tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, r))
+        for masses in (tuple(Fraction(c, grid) for c in comp) for comp in compositions(grid, len(parts)))
         if masses != uniform
     ]
-    scored = [(m, measure_entropy(y, measure_from_orbit_masses(y, m))) for m in candidates]
+    scored = []
+    for m in candidates:
+        h = measure_entropy(y, measure_from_orbit_masses(y, m))
+        closed = sum(float(w) * math.log(len(orb) / w) for w, orb in zip(m, parts) if w)
+        assert abs(h - closed / y.group.order) < 1e-12
+        scored.append((m, h))
     best = max(h for _, h in scored)
     maximizers = tuple(m for m, h in scored if h >= best - tol)
     return len(maximizers) == 1, uniform in maximizers, best, maximizers
@@ -624,6 +633,53 @@ def test_mme_sweep_matches_measure_oracle(y):
 @given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000), st.integers(1, 8))
 def test_mme_sweep_matches_measure_oracle_on_random_specs(group, seed, grid):
     _assert_same_verdict(random_subshift(group, seed, 2 * group.order, 4), grid)
+
+
+def mme_sweep_exact(y, grid):
+    """Oracle: the grid points c/N, N = ``grid``, whose measure entropy is
+    not below the uniform measure's, decided in integers.
+
+    At orbit masses c_o/N, N·|G|·h = log Π(|o|·N)^{c_o} − log Π c_o^{c_o}
+    (with 0^0 = 1), and N·|G|·h(uniform) = log |Y|^N, so h < h(uniform)
+    exactly when Π(|o|·N)^{c_o} < |Y|^N · Π c_o^{c_o}: the cross powers
+    :class:`EntropyValue` compares by.  A point at the uniform masses ties.
+    """
+    sizes = [len(orb) for orb in orbits(y)]
+    bound = len(y.configs) ** grid
+    not_below = []
+    for comp in compositions(grid, len(sizes)):
+        left = math.prod((size * grid) ** c for size, c in zip(sizes, comp))
+        right = bound * math.prod(c ** c for c in comp)
+        if left >= right:
+            not_below.append((tuple(Fraction(c, grid) for c in comp), left == right))
+    return not_below
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000), st.integers(1, 40))
+def test_mme_verdict_matches_the_exact_sweep(group, seed, grid):
+    y = random_subshift(group, seed, 2 * group.order, 4)
+    verdict = mme_unique_check(y, grid=grid)
+    assert (verdict.unique, verdict.uniform_is_max) == (True, True)
+    assert verdict.max_entropy == float(entropy(y))
+    (uniform,) = verdict.maximizers
+    # on the grid of its own denominator the maximizer ties with the
+    # uniform measure and every other point lies strictly below; on the
+    # drawn grid, so does every point but the maximizer, if it is there
+    own = math.lcm(*(m.denominator for m in uniform))
+    assert mme_sweep_exact(y, own) == [(uniform, True)]
+    on_grid = grid % own == 0
+    assert mme_sweep_exact(y, grid) == ([(uniform, True)] if on_grid else [])
+
+
+def test_mme_exact_sweep_has_no_false_tie_on_a_fine_grid():
+    # the float sweep's tolerance made a tie of the points next to the
+    # uniform one on the two-point space at N = 100000; the integers do not
+    y = enumerate_sft(two_point_spec(cyclic(2)))
+    n = 100_000
+    for c in (n // 2 - 1, n // 2 + 1):
+        assert 2 ** n * c ** c * (n - c) ** (n - c) > n ** n
+    assert mme_unique_check(y, grid=n).maximizers == ((Fraction(1, 2), Fraction(1, 2)),)
 
 
 def test_variational_inequality_on_grid():

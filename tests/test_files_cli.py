@@ -321,6 +321,18 @@ def test_cli_check_and_zline(golden5, capsys):
     assert "011111110" in capsys.readouterr().out
 
 
+def test_cli_mme_has_no_false_tie_on_a_fine_grid(tmp_path, capsys):
+    # a float sweep at this resolution counted six grid points beside the
+    # uniform one as maximizers; the exact verdict has no grid to tie on
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    two = _write(tmp_path, "two.sft",
+                 "sft\ngroup z2.grp\nalphabet 0 1\nshape 0 1\nforbid 0 1\nforbid 1 0\n")
+    assert cli.main(["check", "mme", two, "--grid", "100000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == ["uniform attains the maximum: True", "unique maximizer: True"]
+    assert "maximizers" not in out
+
+
 def test_cli_zline_even_output(capsys):
     assert cli.main(["zline", "even", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -357,11 +369,10 @@ def test_cli_main_shares_one_parser_without_leaking_values(tmp_path, capsys):
     assert cli.main(["--format", "tsv", "--budget", "7",
                      "check", "mme", two, "--grid", "2"]) == 0
     capsys.readouterr()
-    # the default grid of 100 has 101 points: over a budget of 50, so the
-    # refusal shows both the grid and the budget this call ran with
-    assert cli.main(["--budget", "50", "check", "mme", two]) == 2
+    # the refusal shows the budget this call ran with, not the one before
+    assert cli.main(["--budget", "3", "check", "mme", two]) == 2
     out, err = capsys.readouterr()
-    assert err == "error: simplex grid of ~101 points exceeds the budget 50\n"
+    assert err == "error: SFT enumeration stopped after 3 nodes (budget 3)\n"
     assert cli.main(["check", "mme", two]) == 0
     assert "unique maximizer: True" in capsys.readouterr().out
     assert cli.main(["--format", "tsv", "check", "aut", two]) == 0
@@ -486,6 +497,50 @@ def test_cli_sft_file_errors_name_the_file_and_line(tmp_path, capsys, body, mess
     bad = _write(tmp_path, "bad.sft", f"sft\ngroup z4.grp\n{body}\n")
     assert cli.main(["sft", "enum", bad]) == 2
     _assert_one_error_line(capsys, f"bad.sft:{message}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sft", "entropy", "na.sft"], "na.grp:1: non-associative: (1*1)*2 != 1*(1*2)"),
+        (["group", "validate", "z0.grp"], "z0.grp:1: cyclic group order must be >= 1, got 0"),
+        (["extend", "z2.sft", "nonhom.twr", "0", "2"],
+         "nonhom.twr:6: not a homomorphism: witness pair (3,1)"),
+        (["extend", "z2.sft", "short.twr", "0", "1"], "short.twr: 3 levels need 2 embed lines, got 1"),
+    ],
+    ids=["table-via-sft", "cyclic-0", "embed-line", "embed-missing"],
+)
+def test_cli_group_and_tower_errors_name_the_file_and_line(tmp_path, capsys, argv, message):
+    for n in (2, 4, 8):
+        _write(tmp_path, f"z{n}.grp", f"group cyclic {n}\n")
+    _write(tmp_path, "z0.grp", "group cyclic 0\n")
+    _write(tmp_path, "na.grp", "group table 3\n0 1 2\n1 2 0\n2 0 0\n")
+    _write(tmp_path, "na.sft", "sft\ngroup na.grp\nalphabet 0 1\nshape 0\n")
+    _write(tmp_path, "z2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0\n")
+    levels = "tower\nlevel z2.grp\nlevel z4.grp\nlevel z8.grp\n"
+    # the first embed line is sound; the second sends Z/4 onto 0..3 in Z/8
+    _write(tmp_path, "nonhom.twr",
+           levels + "embed 0 pairs 0->0 1->2\nembed 1 pairs 0->0 1->1 2->2 3->3\n")
+    _write(tmp_path, "short.twr", levels + "embed 0 pairs 0->0 1->2\n")
+    assert cli.main([str(tmp_path / a) if "." in a else a for a in argv]) == 2
+    _assert_one_error_line(capsys, message)
+
+
+def test_cli_extract_takes_the_first_matching_level_from_the_base_up(tmp_path, capsys):
+    # levels Z/2, Z/2, Z/4: a space over Z/2 lies on level 0 for a base on
+    # level 0 and on level 1 for a base on level 1
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    tower = _write(tmp_path, "rep.twr",
+                   "tower\nlevel z2.grp\nlevel z2.grp\nlevel z4.grp\n"
+                   "embed 0 pairs 0->0 1->1\nembed 1 pairs 0->0 1->2\n")
+    g2 = _write(tmp_path, "g2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    for level in ("0", "1"):
+        assert cli.main(["extract", g2, tower, level]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"base spec on level {level} (group of order 2)", "shape 0 1", "forbid 1 1"]
+    assert cli.main(["extract", g2, tower, "2"]) == 2
+    _assert_one_error_line(capsys, "the space's group is not a tower level from 2 up")
 
 
 @pytest.mark.parametrize(

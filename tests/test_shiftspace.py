@@ -40,7 +40,7 @@ from finshift.shiftspace import (
     spec_from_space,
 )
 from finshift.zline import golden_mean_cyclic_count, golden_mean_spec
-from test_dynprops import enumerate_subshifts
+from test_dynprops import cylinder_mass, enumerate_subshifts
 
 PROJECTION_GROUPS = [cyclic(n) for n in range(2, 7)] + [klein(), symmetric3(), dihedral4()]
 COUNT_GROUPS = [cyclic(n) for n in range(2, 9)] + [
@@ -262,7 +262,7 @@ def test_projection_routes_match_the_pattern_oracle(group, shape_kind, rng):
     weights = [rng.randint(0, 3) for _ in parts[1:]] + [1]
     mu = measure_from_orbit_masses(y, [Fraction(w, sum(weights)) for w in weights])
     cylinders = (Pattern(group, cells, sym) for sym in lang)
-    want = -sum(float(m) * math.log(m) for m in map(mu.cylinder_mass, cylinders) if m)
+    want = -sum(float(m) * math.log(m) for m in (cylinder_mass(mu, w) for w in cylinders) if m)
     assert abs(partition_entropy(y, mu, f) - want) < 1e-12
 
 
