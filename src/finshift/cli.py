@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import dynprops, files, suites, zline
 from .errors import FinshiftError, InputError
 from .freext import base_extract, tower_context, tower_extension_count
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
-
-BUDGET_ENV_VAR = "FINSHIFT_BUDGET"
 
 
 def _entropy_line(value: dynprops.EntropyValue) -> str:
@@ -64,10 +61,10 @@ def _cmd_sft(args) -> int:
 def _cmd_extend(args) -> int:
     spec, tower = files.read_sft_and_tower(args.sft, args.tower)
     count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
+    h = dynprops.count_entropy(count, tower.levels[args.to].order)
     print(f"extended from level {args.frm} to level {args.to}")
     print(f"{count} configurations")
-    order = tower.levels[args.to].order
-    print(_entropy_line(dynprops.count_entropy(count, order)))
+    print(_entropy_line(h))
     return 0
 
 
@@ -127,7 +124,7 @@ def _cmd_check(args) -> int:
         print(dynprops.zero_entropy_classify(space))
         return 0
     if kind == "aut":
-        aut = dynprops.automorphism_group(space, cap=args.aut_cap)
+        aut = dynprops.automorphism_group(space, budget=args.budget)
         print(f"automorphism group order {aut.order}")
         _emit_table([row for row in aut.composition], args.format)
         return 0
@@ -151,25 +148,27 @@ def _cmd_entropy_set(args) -> int:
 
 
 def _cmd_zline(args) -> int:
+    # each table runs from its first row to n, and has at least that row
+    first, default = {"golden": (3, 20), "even": (1, 12), "gap": (2, 10)}[args.zline_kind]
+    n = args.n if args.n is not None else default
+    if n < first:
+        raise InputError(f"zline {args.zline_kind} needs n >= {first}, not {n}")
     if args.zline_kind == "golden":
-        n = args.n if args.n is not None else 20
         rows = [("n", "estimate")]
-        for m in range(3, n + 1):
+        for m in range(first, n + 1):
             rows.append((m, f"{zline.golden_mean_entropy_estimate(m):.6f}"))
         _emit_table(rows, args.format)
         print(f"reference log(phi) = {zline.LOG_GOLDEN:.6f}")
         return 0
     if args.zline_kind == "even":
-        n = args.n if args.n is not None else 12
         rows = [("n", "admissible-words")]
-        for m in range(1, n + 1):
-            rows.append((m, zline.even_cover_factor_check(m)))
+        for m in range(first, n + 1):
+            rows.append((m, zline.even_cover_factor_check(m, budget=args.budget)))
         _emit_table(rows, args.format)
         print("cover and oracle agree at every length")
         return 0
-    k = args.n if args.n is not None else 10
     rows = [("k", "witness")]
-    for m in range(2, k + 1):
+    for m in range(first, n + 1):
         word = zline.sft_gap_witness(m)
         rows.append((m, "".join(str(s) for s in word)))
     _emit_table(rows, args.format)
@@ -190,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finshift",
         description="symbolic dynamics on finite groups and towers",
     )
-    parser.add_argument("--budget", type=int, default=None,
-                        help="search budget (overrides $" + BUDGET_ENV_VAR + ")")
+    parser.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
+                        help="most units of work one step may do; must be >= 1")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -232,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated witness set for the si check")
     p.add_argument("--grid", type=int, default=100,
                    help="no effect: the mme check is decided exactly; must be >= 1")
-    p.add_argument("--aut-cap", type=int, default=dynprops.DEFAULT_AUT_CAP,
-                   help="largest automorphism group order the aut check builds")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("entropy-set", help="truncated entropy set of a tower")
@@ -265,9 +262,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget is None:
-            text = os.environ.get(BUDGET_ENV_VAR, DEFAULT_CANDIDATE_BUDGET)
-            args.budget = _integer(text, "$" + BUDGET_ENV_VAR)
+        if args.budget < 1:
+            raise InputError(f"--budget must be >= 1, not {args.budget}")
         return args.fn(args)
     except FinshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)

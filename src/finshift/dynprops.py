@@ -25,8 +25,6 @@ from .shiftspace import (
     shift_permutations,
 )
 
-DEFAULT_AUT_CAP = 100
-
 
 def _int_root(n: int, d: int):
     """Exact d-th root of n, or None if n is not a perfect d-th power."""
@@ -121,19 +119,19 @@ def entropy_set(
     max_n: int,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> set[EntropyValue]:
-    """All values log(n)/|H| for subgroups H of the tower levels and n <= max_n.
+    """All values log(n)/|H| for subgroups H of the tower levels up to
+    ``max_level`` and n <= max_n.
 
-    Every subgroup of every level up to ``max_level`` is enumerated
-    (budgeted).
+    Each level embeds in the next by an injective homomorphism, checked
+    when the tower is built, so a subgroup of a lower level maps onto a
+    subgroup of the same order on every level above: only the subgroups of
+    the top level, ``tower.levels[max_level - 1]``, are closed (budgeted).
     """
     if max_level < 1 or max_level > len(tower.levels):
         raise InputError(f"max_level must be in [1, {len(tower.levels)}]")
     if max_n < 1:
         raise InputError("max_n must be >= 1")
-    orders = {1}
-    for level in tower.levels[:max_level]:
-        for sub in all_subgroups(level, budget=budget):
-            orders.add(sub.order)
+    orders = {sub.order for sub in all_subgroups(tower.levels[max_level - 1], budget=budget)}
     return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
 
 
@@ -284,7 +282,9 @@ class AutomorphismGroup:
         return len(self.elements)
 
 
-def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> AutomorphismGroup:
+def automorphism_group(
+    y: ShiftSpace, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> AutomorphismGroup:
     """All permutations of the configurations that commute with every shift
     map, by extension over orbit representatives.
 
@@ -293,10 +293,9 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
     stabilizer whose orbit no other representative took; then
     ``s_g[i] -> s_g[j]`` for every shift ``s_g`` (tom Dieck,
     *Transformation Groups*, §I.4).  Every partial choice completes, so the
-    work grows with the group found.  ``cap`` bounds the order of that
-    group, which can be as large as ``n!``: the choices are counted as they
-    grow, before any permutation or the order-squared composition table is
-    built.
+    work grows with the group found.  ``budget`` bounds the partial choices
+    built plus the order-squared entries of the composition table; the
+    table is refused before it is built.
     """
     n = len(y.configs)
     shifts = shift_permutations(y)
@@ -305,20 +304,24 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
     ]
     orbit_of = [min(s[i] for s in shifts) for i in range(n)]
     reps = sorted(set(orbit_of))
-    partial = [()]  # images of the representatives chosen so far
+    partial, choices = [()], 0  # images of the representatives chosen so far
     for i in reps:
         targets = [j for j in range(n) if stabilizer[j] == stabilizer[i]]
-        partial = [
-            chosen + (j,)
-            for chosen in partial
-            for j in targets
-            if orbit_of[j] not in {orbit_of[t] for t in chosen}
-        ]
-        if len(partial) > cap:
-            raise ResourceError(
-                f"automorphism group reached order {len(partial)}, "
-                f"over the cap {cap}"
-            )
+        grown = []
+        for chosen in partial:
+            used = {orbit_of[t] for t in chosen}
+            for j in targets:
+                if orbit_of[j] not in used:
+                    if choices >= budget:
+                        raise ResourceError(f"automorphism search stopped after {choices} "
+                                            f"partial choices (budget {budget})")
+                    choices += 1
+                    grown.append(chosen + (j,))
+        partial = grown
+    order = len(partial)
+    if choices + order ** 2 > budget:
+        raise ResourceError(f"automorphism group of order {order} needs "
+                            f"{order ** 2} table entries (budget {budget})")
     autos = []
     for chosen in partial:
         perm = [0] * n
@@ -328,14 +331,9 @@ def automorphism_group(y: ShiftSpace, cap: int = DEFAULT_AUT_CAP) -> Automorphis
         autos.append(tuple(perm))
     autos.sort()
     index = {p: i for i, p in enumerate(autos)}
-    table = []
-    for p in autos:
-        row = []
-        for q in autos:
-            comp = tuple(p[q[i]] for i in range(n))
-            row.append(index[comp])
-        table.append(tuple(row))
-    return AutomorphismGroup(y, tuple(autos), tuple(table))
+    # entry (p, q) is p after q
+    table = tuple(tuple(index[tuple(p[x] for x in q)] for q in autos) for p in autos)
+    return AutomorphismGroup(y, tuple(autos), table)
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,10 @@ def cyclic_doubling_tower(depth: int) -> GroupTower:
     return build_tower(levels, embeddings)
 
 
-def two_point_spec(group: FiniteGroup, partner: int = 1) -> SftSpec:
+def two_point_spec(group: FiniteGroup) -> SftSpec:
     """Only the constant configurations survive: forbid every non-constant
-    binary pattern on {identity, partner}."""
-    shape = tuple(sorted({group.identity, partner}))
+    binary pattern on {identity, element 1}."""
+    shape = tuple(sorted({group.identity, 1}))
     forbidden = frozenset(
         Pattern(group, shape, sym)
         for sym in iproduct((0, 1), repeat=len(shape))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from itertools import product as iproduct
 
-from .errors import FinshiftError, InputError
+from .errors import DEFAULT_CANDIDATE_BUDGET, FinshiftError, InputError, ResourceError
 from .groups import cyclic
 from .patterns import BINARY, Pattern
 from .shiftspace import SftSpec
@@ -114,18 +114,20 @@ class EvenCoverMismatch(FinshiftError):
         self.word = word
 
 
-def even_cover_factor_check(n: int) -> int:
+def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Compare the cover with :func:`even_shift_word_check` on every binary
     word of length n, in lexicographic order; return the number of
-    admissible words.
+    admissible words.  ``budget`` bounds the 2^n words compared, and a
+    longer length is refused before any is.
 
     Raises :class:`EvenCoverMismatch` on the least word where the two
     disagree.
     """
-    if n > 16:
-        raise InputError("cover check is limited to word length 16")
     if n < 0:
         raise InputError("word length must be >= 0")
+    if 2 ** n > budget:
+        raise ResourceError(f"even-shift cover check needs {2 ** n} words "
+                            f"of length {n} (budget {budget})")
     count = 0
     for word in iproduct((0, 1), repeat=n):
         in_cover = even_cover_accepts(word)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from finshift.dynprops import (
     POSITIVE,
     ZERO_SINGLETON,
-    DEFAULT_AUT_CAP,
     EntropyValue,
     SiVerdict,
     automorphism_group,
@@ -31,6 +30,7 @@ from finshift.dynprops import (
 )
 from finshift.errors import DomainError, InputError, ResourceError
 from finshift.fixtures import (
+    cyclic_doubling_tower,
     dihedral4,
     golden_mean_like_spec,
     klein,
@@ -145,6 +145,23 @@ def test_entropy_set_truncation():
     assert got == want
     with pytest.raises(InputError):
         entropy_set(z2_power_tower(3), max_level=9, max_n=4)
+
+
+def entropy_set_by_levels(tower, max_level, max_n):
+    """Oracle: the subgroup orders of every level up to ``max_level``."""
+    orders = {sub.order for level in tower.levels[:max_level] for sub in all_subgroups(level)}
+    return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [z2_power_tower(d) for d in range(1, 6)] + [cyclic_doubling_tower(d) for d in range(1, 5)],
+    ids=[f"z2-power-{d}" for d in range(1, 6)] + [f"cyclic-doubling-{d}" for d in range(1, 5)],
+)
+def test_entropy_set_closes_the_top_level_only(tower):
+    for max_level in range(1, len(tower.levels) + 1):
+        assert (entropy_set(tower, max_level=max_level, max_n=5)
+                == entropy_set_by_levels(tower, max_level, max_n=5)), max_level
 
 
 def test_full_shift_is_si_with_identity_witness():
@@ -385,36 +402,42 @@ def test_automorphism_group_closure():
             assert aut.elements[aut.composition[i][j]] == comp
 
 
-def test_automorphism_cap():
-    with pytest.raises(ResourceError):
-        automorphism_group(full_shift(cyclic(4), BINARY), cap=10)
+def test_automorphism_budget_counts_partial_choices():
+    # full shift over Z/4: the choices pass a budget of 10 long before the
+    # group is found
+    with pytest.raises(ResourceError, match=r"stopped after 10 partial choices \(budget 10\)"):
+        automorphism_group(full_shift(cyclic(4), BINARY), budget=10)
 
 
-def test_automorphism_cap_bounds_the_group_found():
+def test_automorphism_budget_boundary_is_choices_plus_table():
     # golden mean over Z/5: a fixed point and two free orbits of size 5,
-    # so |Aut| = 1 * (5^2 * 2!) = 50 from 11 configurations
+    # so |Aut| = 1 * (5^2 * 2!) = 50 from 11 configurations; the choices
+    # grow 1, 10, 50 (61 in all) and the table has 50^2 = 2500 entries
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    assert 36 < 50 <= DEFAULT_AUT_CAP
-    aut = automorphism_group(y)
+    aut = automorphism_group(y, budget=61 + 2500)
     assert aut.order == 50
+    assert automorphism_group(y, budget=1 << 70) == aut  # past any machine word
     configs = sorted(y.configs)
     pos = {c: i for i, c in enumerate(configs)}
     shifts = [[pos[shift_config(y.group, g, c)] for c in configs]
               for g in y.group.elements()]
     assert all(p[s[i]] == s[p[i]] for p in aut.elements for s in shifts
                for i in range(len(p)))
-    with pytest.raises(ResourceError, match="reached order 50, over the cap 49"):
-        automorphism_group(y, cap=49)
+    with pytest.raises(ResourceError, match=r"order 50 needs 2500 table entries \(budget 2560\)"):
+        automorphism_group(y, budget=61 + 2500 - 1)
+    with pytest.raises(ResourceError, match=r"2500 table entries \(budget 61\)"):
+        automorphism_group(y, budget=61)  # the choices alone fit
+    with pytest.raises(ResourceError, match=r"stopped after 60 partial choices \(budget 60\)"):
+        automorphism_group(y, budget=60)
 
 
-def test_automorphism_cap_refuses_large_groups_early():
+def test_automorphism_budget_refuses_the_table_before_building_it():
     # golden mean over Z/7: 29 configurations, |Aut| = 7^4 * 4! = 57624;
-    # the choices are counted level by level: 1, 28, 588, 8232, ...
+    # its 66473 choices fit the default budget, its table does not
     y = enumerate_sft(golden_mean_like_spec(cyclic(7)))
-    with pytest.raises(ResourceError, match="reached order 588, over the cap 100"):
+    with pytest.raises(ResourceError, match=r"automorphism group of order 57624 needs "
+                       r"3320525376 table entries \(budget 16777216\)"):
         automorphism_group(y)
-    with pytest.raises(ResourceError, match="reached order 8232, over the cap 1000"):
-        automorphism_group(y, cap=1000)
 
 
 def automorphisms_by_permutation(y):

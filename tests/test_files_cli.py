@@ -226,6 +226,14 @@ def test_cli_extend_and_extract(tmp_path, doubling_tower, capsys):
     assert "forbid 1 1" in out
 
 
+def test_cli_extend_of_an_empty_base_prints_only_the_error(tmp_path, doubling_tower, capsys):
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    dead = _write(tmp_path, "dead.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0\n"
+                  "forbid 0\nforbid 1\n")
+    assert cli.main(["extend", dead, doubling_tower, "0", "2"]) == 2
+    _assert_one_error_line(capsys, "error: entropy of the empty shift space is undefined")
+
+
 def test_cli_extract_full_shift(tmp_path, doubling_tower, capsys):
     # an empty shape forbids nothing: the full shift on Z/4 is the free
     # extension of the full shift on Z/2
@@ -282,9 +290,12 @@ def test_cli_extend_count_equals_enumerated_extension(
     for i, j in ups:
         want = len(tower_extend(space, tower, i, j).configs)
         rc = cli.main(["extend", base, tower_file, str(i), str(j)])
-        out = capsys.readouterr().out.splitlines()
-        assert out[1] == f"{want} configurations"
-        assert rc == (0 if want else 2)
+        if want:
+            assert rc == 0
+            assert capsys.readouterr().out.splitlines()[1] == f"{want} configurations"
+        else:  # an empty space has no entropy, and nothing is printed
+            assert rc == 2
+            _assert_one_error_line(capsys, "entropy of the empty shift space is undefined")
 
 
 @pytest.mark.parametrize(
@@ -331,6 +342,24 @@ def test_cli_mme_has_no_false_tie_on_a_fine_grid(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[1:] == ["uniform attains the maximum: True", "unique maximizer: True"]
     assert "maximizers" not in out
+
+
+@pytest.mark.parametrize(
+    "kind, n, first",
+    [("golden", "2", 3), ("golden", "-1", 3), ("even", "0", 1), ("even", "-1", 1),
+     ("gap", "1", 2)],
+)
+def test_cli_zline_rejects_lengths_below_the_first_row(capsys, kind, n, first):
+    assert cli.main(["zline", kind, n]) == 2
+    _assert_one_error_line(capsys, f"error: zline {kind} needs n >= {first}, not {n}")
+
+
+def test_cli_zline_even_budget_counts_words(capsys):
+    assert cli.main(["--budget", "32", "zline", "even", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--budget", "32", "zline", "even", "6"]) == 2
+    _assert_one_error_line(capsys, "error: even-shift cover check needs 64 words "
+                           "of length 6 (budget 32)")
 
 
 def test_cli_zline_even_output(capsys):
@@ -590,23 +619,23 @@ def test_cli_files_not_utf8_exit_2(tmp_path, capsys, argv, where):
 
 
 @pytest.mark.parametrize(
-    "argv, env, fragment",
+    "argv, fragment",
     [
-        (["check", "mme", "golden5.sft", "--grid", "0"], None, "grid must be >= 1, not 0"),
-        (["check", "mme", "golden5.sft", "--grid", "-3"], None, "grid must be >= 1, not -3"),
-        (["check", "si", "golden5.sft", "--witness", "a"], None, "--witness: 'a' is not an integer"),
-        (["check", "si", "golden5.sft", "--witness", "0,,1"], None, "--witness: '' is not an integer"),
-        (["check", "si", "golden5.sft", "--witness", "0,5"], None, "5 is not an element"),
-        (["sft", "entropy", "golden5.sft"], "abc", "$FINSHIFT_BUDGET: 'abc' is not an integer"),
+        (["check", "mme", "golden5.sft", "--grid", "0"], "grid must be >= 1, not 0"),
+        (["check", "mme", "golden5.sft", "--grid", "-3"], "grid must be >= 1, not -3"),
+        (["check", "si", "golden5.sft", "--witness", "a"], "--witness: 'a' is not an integer"),
+        (["check", "si", "golden5.sft", "--witness", "0,,1"], "--witness: '' is not an integer"),
+        (["check", "si", "golden5.sft", "--witness", "0,5"], "5 is not an element"),
+        (["--budget", "0", "sft", "entropy", "golden5.sft"], "--budget must be >= 1, not 0"),
+        (["--budget", "-5", "sft", "enum", "golden5.sft"], "--budget must be >= 1, not -5"),
+        (["--budget", "-5", "group", "validate", "z5.grp"], "--budget must be >= 1, not -5"),
     ],
     ids=["grid-0", "grid-negative", "witness-letter", "witness-empty-item",
-         "witness-outside", "budget-env"],
+         "witness-outside", "budget-0", "budget-negative", "budget-negative-no-search"],
 )
-def test_cli_bad_numeric_input_exit_2(tmp_path, golden5, capsys, monkeypatch,
-                                      argv, env, fragment):
-    if env is not None:
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, env)
-    assert cli.main([str(tmp_path / a) if a.endswith(".sft") else a for a in argv]) == 2
+def test_cli_bad_numeric_input_exit_2(tmp_path, golden5, capsys, argv, fragment):
+    assert cli.main([str(tmp_path / a) if a.endswith((".sft", ".grp")) else a
+                     for a in argv]) == 2
     _assert_one_error_line(capsys, fragment)
 
 

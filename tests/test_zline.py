@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finshift import zline
-from finshift.errors import InputError
+from finshift.errors import InputError, ResourceError
 from finshift.shiftspace import enumerate_sft
 from finshift.zline import (
     LOG_GOLDEN,
@@ -136,9 +136,13 @@ def test_cover_accepts_examples():
 
 
 def test_cover_factor_check_rejects_long_words():
-    # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement
-    with pytest.raises(InputError):
-        even_cover_factor_check(17)
+    # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement;
+    # the budget bounds the 2^n words compared, refused before the first
+    with pytest.raises(ResourceError, match=r"needs 131072 words of length 17 \(budget 65536\)"):
+        even_cover_factor_check(17, budget=1 << 16)
+    assert even_cover_factor_check(5, budget=32) == 20  # F(8) - 1
+    with pytest.raises(ResourceError, match=r"needs 64 words of length 6 \(budget 32\)"):
+        even_cover_factor_check(6, budget=32)
 
 
 def test_cover_factor_check_rejects_negative_lengths():
