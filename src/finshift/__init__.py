@@ -17,25 +17,21 @@ from .errors import (
     ValidationError,
 )
 from .groups import (
-    CosetDecomposition,
     FiniteGroup,
     GroupTower,
     Subgroup,
     all_subgroups,
     build_tower,
-    coset_action,
     cyclic,
     from_table,
     generated_subgroup,
-    is_subgroup,
     product,
-    right_cosets,
+    subgroups_and_closures,
     z2_power_tower,
 )
 from .patterns import (
     BINARY,
     Alphabet,
-    CosetFamily,
     Pattern,
     shift_config,
 )

@@ -156,7 +156,7 @@ def _cmd_zline(args) -> int:
     if args.zline_kind == "golden":
         rows = [("n", "estimate")]
         for m in range(first, n + 1):
-            rows.append((m, f"{zline.golden_mean_entropy_estimate(m):.6f}"))
+            rows.append((m, f"{zline.golden_mean_entropy_estimate(m, budget=args.budget):.6f}"))
         _emit_table(rows, args.format)
         print(f"reference log(phi) = {zline.LOG_GOLDEN:.6f}")
         return 0
@@ -169,7 +169,7 @@ def _cmd_zline(args) -> int:
         return 0
     rows = [("k", "witness")]
     for m in range(first, n + 1):
-        word = zline.sft_gap_witness(m)
+        word = zline.sft_gap_witness(m, budget=args.budget)
         rows.append((m, "".join(str(s) for s in word)))
     _emit_table(rows, args.format)
     return 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, InputError, ResourceError
-from .groups import GroupTower, all_subgroups
+from .groups import GroupTower, subgroups_and_closures
 from .patterns import Pattern, shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -125,13 +125,21 @@ def entropy_set(
     Each level embeds in the next by an injective homomorphism, checked
     when the tower is built, so a subgroup of a lower level maps onto a
     subgroup of the same order on every level above: only the subgroups of
-    the top level, ``tower.levels[max_level - 1]``, are closed (budgeted).
+    the top level, ``tower.levels[max_level - 1]``, are closed.  ``budget``
+    bounds those closures plus the max_n·|orders| values, and the values
+    are refused before any is built.
     """
     if max_level < 1 or max_level > len(tower.levels):
         raise InputError(f"max_level must be in [1, {len(tower.levels)}]")
     if max_n < 1:
         raise InputError("max_n must be >= 1")
-    orders = {sub.order for sub in all_subgroups(tower.levels[max_level - 1], budget=budget)}
+    subs, closures = subgroups_and_closures(tower.levels[max_level - 1], budget=budget)
+    orders = {sub.order for sub in subs}
+    if closures + max_n * len(orders) > budget:
+        raise ResourceError(
+            f"entropy set needs {max_n * len(orders)} values after {closures} "
+            f"subgroup closures (budget {budget})"
+        )
     return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
 
 

@@ -5,24 +5,18 @@ configurations and configurations on the ambient group: ``assemble`` places
 each family member on its coset (suitably translated) and ``disassemble``
 reads the members back off.  ``family_action`` is the ambient-group action
 on families that makes ``assemble`` equivariant: assembling the acted
-family equals shifting the assembled configuration.
+family equals shifting the assembled configuration.  A family is a tuple of
+base configurations, one per right coset, in coset order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import InputError, ResourceError
-from .groups import (
-    CosetDecomposition,
-    FiniteGroup,
-    GroupTower,
-    Subgroup,
-    coset_action,
-    right_cosets,
-)
-from .patterns import CosetFamily, Pattern, shift_config
+from .groups import FiniteGroup, GroupTower, check_embedding
+from .patterns import Pattern, shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -38,103 +32,111 @@ from .shiftspace import (
 class ExtensionContext:
     """Everything needed to extend shifts from a base group to an ambient one.
 
-    ``base_embed[i]`` is the ambient element index of base element ``i``;
-    the decomposition into right cosets of the embedded base
-    (``decomposition.subgroup``) fixes the representatives that index
-    families.
+    ``base_embed[i]`` is the ambient element of base element ``i``.  The
+    right cosets of the embedded base H are numbered by their least
+    element, and ``reps[i]`` is the representative of coset ``i``.  Ambient
+    element ``k`` lies in coset ``coset_of[k]`` and is base element
+    ``base_pos[k]`` carried there: ``k = base_embed[base_pos[k]] *
+    reps[coset_of[k]]``.
     """
 
     ambient: FiniteGroup
     base_group: FiniteGroup
     base_embed: tuple[int, ...]
-    decomposition: CosetDecomposition
+    reps: tuple[int, ...]
+    coset_of: tuple[int, ...] = field(repr=False)
+    base_pos: tuple[int, ...] = field(repr=False)
 
     @property
     def cosets(self) -> int:
-        return self.decomposition.index
+        return len(self.reps)
 
 
 def extension_context(
     ambient: FiniteGroup, base_group: FiniteGroup, base_embed, reps=None
 ) -> ExtensionContext:
-    """Build a context from an injective homomorphism ``base_group -> ambient``.
+    """Build a context from an injective homomorphism ``base_group -> ambient``,
+    checked by :func:`groups.check_embedding`.
 
-    ``reps`` optionally overrides the canonical coset representatives.
+    ``reps`` optionally overrides the canonical (least-element) coset
+    representatives: one element per coset, in coset order.
     """
     base_embed = tuple(base_embed)
-    sub = Subgroup(ambient, tuple(sorted(base_embed)))
-    dec = right_cosets(ambient, sub, reps=reps)
-    return ExtensionContext(ambient, base_group, base_embed, dec)
+    check_embedding((base_group, ambient), 0, base_embed)
+    mul, inv = ambient.mul, ambient.inv
+    coset_of = [-1] * ambient.order
+    canonical = []
+    for c in ambient.elements():
+        if coset_of[c] < 0:  # c is the least element of a new coset H*c
+            for h in base_embed:
+                coset_of[mul[h][c]] = len(canonical)
+            canonical.append(c)
+    if reps is None:
+        reps = tuple(canonical)
+    else:
+        reps = tuple(reps)
+        if len(reps) != len(canonical):
+            raise InputError(
+                f"expected {len(canonical)} representatives, got {len(reps)}"
+            )
+        for i, r in enumerate(reps):
+            if not (isinstance(r, int) and 0 <= r < ambient.order and coset_of[r] == i):
+                raise InputError(f"representative {r} is not in coset {i}")
+    pos = {a: i for i, a in enumerate(base_embed)}
+    base_pos = tuple(pos[mul[k][inv[reps[i]]]] for k, i in enumerate(coset_of))
+    return ExtensionContext(ambient, base_group, base_embed, reps, tuple(coset_of), base_pos)
 
 
-def _base_lookup(ctx: ExtensionContext) -> dict[int, int]:
-    return {amb: i for i, amb in enumerate(ctx.base_embed)}
+def _check_family(ctx: ExtensionContext, fam) -> tuple:
+    fam = tuple(fam)
+    if len(fam) != ctx.cosets:
+        raise InputError(f"expected one member per coset ({ctx.cosets}), got {len(fam)}")
+    if any(len(m) != ctx.base_group.order for m in fam):
+        raise InputError("family member is not a full base configuration")
+    return fam
 
 
-def family_action(ctx: ExtensionContext, g: int, fam: CosetFamily) -> CosetFamily:
+def family_action(ctx: ExtensionContext, g: int, fam) -> tuple:
     """Act on a coset family by an ambient element.
 
-    The member at coset c is replaced by the member from the coset c moves
-    to, shifted inside the base by the correction element that keeps
-    ``assemble`` equivariant.
+    Coset ``i`` receives the member of the coset that ``c*g`` lies in
+    (c = ``reps[i]``), shifted inside the base by ``base_pos[c*g]``, the
+    correction that keeps ``assemble`` equivariant.
     """
-    if fam.decomposition != ctx.decomposition:
-        raise InputError("family indexed by a different coset decomposition")
-    perm, corrections = coset_action(ctx.decomposition, g)
-    lookup = _base_lookup(ctx)
-    members = []
-    for i in range(ctx.cosets):
-        corr = lookup[corrections[i]]
-        members.append(shift_config(ctx.base_group, corr, fam.members[perm[i]]))
-    return CosetFamily(ctx.decomposition, tuple(members))
+    fam = _check_family(ctx, fam)
+    if not (0 <= g < ctx.ambient.order):
+        raise InputError(f"{g} is not an element index")
+    mul = ctx.ambient.mul
+    return tuple(
+        shift_config(ctx.base_group, ctx.base_pos[cg], fam[ctx.coset_of[cg]])
+        for cg in (mul[c][g] for c in ctx.reps)
+    )
 
 
-def _placement(ctx: ExtensionContext) -> list[tuple[int, int]]:
-    """Where each ambient element reads a coset family: element k reads
-    member ``coset_of[k]`` at the base position of ``k * rep^-1``."""
-    G = ctx.ambient
-    dec = ctx.decomposition
-    lookup = _base_lookup(ctx)
-    return [
-        (dec.coset_of[k], lookup[G.mul[k][G.inv[dec.reps[dec.coset_of[k]]]]])
-        for k in G.elements()
-    ]
-
-
-def assemble(ctx: ExtensionContext, fam: CosetFamily):
+def assemble(ctx: ExtensionContext, fam):
     """Glue a coset family into a single ambient configuration.
 
     The restriction of the result to the coset with representative c is the
-    member of that coset translated by c^-1; inverting the translation, the
-    value at ambient element k is the member read at ``k * c^-1``.
+    member of that coset translated by c^-1: the value at ambient element k
+    is member ``coset_of[k]`` read at ``base_pos[k]``.
     """
-    if fam.decomposition != ctx.decomposition:
-        raise InputError("family indexed by a different coset decomposition")
-    return tuple(fam.members[i][j] for i, j in _placement(ctx))
+    fam = _check_family(ctx, fam)
+    return tuple(fam[i][j] for i, j in zip(ctx.coset_of, ctx.base_pos))
 
 
-def disassemble(ctx: ExtensionContext, config) -> CosetFamily:
+def disassemble(ctx: ExtensionContext, config) -> tuple:
     """Inverse of :func:`assemble`: member c reads the configuration at
     ``h * c``."""
-    G = ctx.ambient
-    if len(config) != G.order:
+    mul = ctx.ambient.mul
+    if len(config) != ctx.ambient.order:
         raise InputError("configuration length must equal the ambient order")
-    members = []
-    for c in ctx.decomposition.reps:
-        members.append(
-            tuple(config[G.mul[h][c]] for h in ctx.base_embed)
-        )
-    return CosetFamily(ctx.decomposition, tuple(members))
+    return tuple(tuple(config[mul[h][c]] for h in ctx.base_embed) for c in ctx.reps)
 
 
-def all_families(ctx: ExtensionContext, base_configs) -> list[CosetFamily]:
+def all_families(ctx: ExtensionContext, base_configs) -> list[tuple]:
     """Every assignment of one base configuration per coset, in coset-rep
     order."""
-    base_configs = sorted(base_configs)
-    return [
-        CosetFamily(ctx.decomposition, combo)
-        for combo in iproduct(base_configs, repeat=ctx.cosets)
-    ]
+    return list(iproduct(sorted(base_configs), repeat=ctx.cosets))
 
 
 def free_extension(
@@ -149,7 +151,7 @@ def free_extension(
             f"extension would enumerate {len(y.configs)}^{ctx.cosets} "
             f"families, over budget {budget}"
         )
-    placement = _placement(ctx)
+    placement = tuple(zip(ctx.coset_of, ctx.base_pos))
     configs = frozenset(
         tuple(combo[i][j] for i, j in placement)
         for combo in iproduct(sorted(y.configs), repeat=ctx.cosets)
@@ -207,8 +209,8 @@ def base_extract(
     :func:`count_sft` (``budget`` bounds its states) finds ``|B|`` points.
     Only a failed check builds a witness; the extension is not enumerated.
     """
-    placement = _placement(ctx)
-    e_base = {placement[f][1] for f in spec_shape}
+    placement = tuple(zip(ctx.coset_of, ctx.base_pos))
+    e_base = {ctx.base_pos[f] for f in spec_shape}
     base = ShiftSpace(ctx.base_group, x.alphabet, frozenset(project(x, ctx.base_embed)))
     spec = spec_from_space(base, e_base)
     if len(x.configs) < len(base) ** ctx.cosets:

@@ -1,4 +1,4 @@
-"""Finite groups, subgroups, right-coset decompositions and subgroup towers.
+"""Finite groups, subgroups and subgroup towers.
 
 Groups are explicit multiplication tables over element indices ``0..n-1``.
 Countable locally finite groups are modeled at desk scale by towers of
@@ -7,7 +7,7 @@ finite groups connected by injective homomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
@@ -199,15 +199,17 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     return Subgroup(g, _close_under(g, gens))
 
 
-def is_subgroup(g: FiniteGroup, members) -> bool:
-    s = set(members)
-    if g.identity not in s or not s <= set(g.elements()):
-        return False
-    return all(g.mul[a][b] in s and g.inv[a] in s for a in s for b in s)
-
-
 def all_subgroups(g: FiniteGroup, budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[Subgroup]:
-    """Every subgroup of ``g``, sorted by order and then by members.
+    """Every subgroup of ``g``, sorted by order and then by members; see
+    :func:`subgroups_and_closures`."""
+    return subgroups_and_closures(g, budget)[0]
+
+
+def subgroups_and_closures(
+    g: FiniteGroup, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> tuple[list[Subgroup], int]:
+    """Every subgroup of ``g``, sorted by order and then by members, and
+    the number of closures it took.
 
     Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
     Computational Group Theory*, ch. 8): every subgroup is a join of cyclic
@@ -243,85 +245,7 @@ def all_subgroups(g: FiniteGroup, budget: int = DEFAULT_CANDIDATE_BUDGET) -> lis
                 if joined not in found:
                     found[joined] = gens + (a,)
                     frontier.append(joined)
-    return [Subgroup(g, m) for m in sorted(found, key=lambda m: (len(m), m))]
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Right cosets H\\g with one chosen representative per coset.
-
-    Cosets are ordered by their minimum element; ``reps[i]`` is the chosen
-    representative of ``cosets[i]`` and defaults to that minimum.
-    """
-
-    parent: FiniteGroup
-    subgroup: Subgroup
-    cosets: tuple[frozenset, ...]
-    reps: tuple[int, ...]
-    coset_of: tuple[int, ...] = field(repr=False)  # element index -> coset index
-
-    @property
-    def index(self) -> int:
-        return len(self.cosets)
-
-
-def right_cosets(g: FiniteGroup, h: Subgroup, reps=None) -> CosetDecomposition:
-    """Partition ``g`` into right cosets of ``h``.
-
-    ``reps`` optionally overrides the canonical (minimum-element) choice of
-    representatives; it may be a sequence of element indices, one per coset
-    in coset order.
-    """
-    if h.parent is not g and h.parent != g:
-        raise InputError("subgroup belongs to a different parent group")
-    if not is_subgroup(g, h.members):
-        raise InputError("member set is not closed under the group laws")
-    coset_of = [-1] * g.order
-    cosets = []
-    for c in g.elements():
-        if coset_of[c] >= 0:
-            continue
-        coset = frozenset(g.mul[m][c] for m in h.members)
-        idx = len(cosets)
-        cosets.append(coset)
-        for k in coset:
-            coset_of[k] = idx
-    if reps is None:
-        chosen = tuple(min(c) for c in cosets)
-    else:
-        chosen = tuple(reps)
-        if len(chosen) != len(cosets):
-            raise InputError(
-                f"expected {len(cosets)} representatives, got {len(chosen)}"
-            )
-        for i, r in enumerate(chosen):
-            if r not in cosets[i]:
-                raise InputError(f"representative {r} is not in coset {i}")
-    return CosetDecomposition(g, h, tuple(cosets), chosen, tuple(coset_of))
-
-
-def coset_action(dec: CosetDecomposition, g: int):
-    """The permutation of coset indices induced by right translation by ``g``.
-
-    Returns ``(perm, corrections)``: ``perm[i]`` is the index of the coset
-    containing ``reps[i] * g``, and ``corrections[i]`` is the subgroup
-    element ``c*g * rep(target)^-1`` by which the member moving into coset
-    ``i`` must be shifted.  Every correction lies in the subgroup.
-    """
-    G = dec.parent
-    if not (0 <= g < G.order):
-        raise InputError(f"{g} is not an element index")
-    perm = []
-    corrections = []
-    sub = set(dec.subgroup.members)
-    for c in dec.reps:
-        cg = G.mul[c][g]
-        j = dec.coset_of[cg]
-        perm.append(j)
-        corr = G.mul[cg][G.inv[dec.reps[j]]]
-        assert corr in sub  # guaranteed since Hcg = H*rep(j)
-        corrections.append(corr)
-    return tuple(perm), tuple(corrections)
+    return [Subgroup(g, m) for m in sorted(found, key=lambda m: (len(m), m))], closures
 
 
 @dataclass(frozen=True)

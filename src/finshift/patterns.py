@@ -1,4 +1,4 @@
-"""Alphabets, patterns and coset families over a finite ambient group.
+"""Alphabets and patterns over a finite ambient group.
 
 A pattern assigns symbol indices to a subset of the group's elements; SFT
 specs forbid patterns on one shape.  Shift spaces store full
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .groups import CosetDecomposition, FiniteGroup
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,3 @@ def shift_config(group: FiniteGroup, g: int, config):
     mul = group.mul
     return tuple(config[mul[h][g]] for h in range(group.order))
 
-
-@dataclass(frozen=True)
-class CosetFamily:
-    """One full base-group configuration per right coset.
-
-    ``members[i]`` is the configuration (a symbol tuple over the standalone
-    base group) attached to coset ``i`` of the decomposition.
-    """
-
-    decomposition: CosetDecomposition
-    members: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.members) != self.decomposition.index:
-            raise InputError(
-                f"expected one member per coset "
-                f"({self.decomposition.index}), got {len(self.members)}"
-            )
-        h = self.decomposition.subgroup.order
-        for m in self.members:
-            if len(m) != h:
-                raise InputError("family member is not a full base configuration")

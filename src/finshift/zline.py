@@ -29,25 +29,31 @@ def golden_mean_spec(n: int) -> SftSpec:
     return SftSpec(g, BINARY, shape, frozenset({forbidden}))
 
 
-def golden_mean_cyclic_count(n: int) -> int:
+def golden_mean_cyclic_count(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Binary words of length n with no two cyclically adjacent ones.
 
     This is the trace of the n-th power of [[1,1],[1,0]]: 1 and 3 for
-    n = 1, 2, then the Lucas rule t(n) = t(n-1) + t(n-2).
+    n = 1, 2, then the Lucas rule t(n) = t(n-1) + t(n-2).  ``budget``
+    bounds the n - 1 Lucas steps, and a longer length is refused before
+    any is taken.
     """
     if n < 1:
         raise InputError("word length must be >= 1")
+    if n - 1 > budget:
+        raise ResourceError(f"golden mean count needs {n - 1} Lucas steps "
+                            f"for length {n} (budget {budget})")
     a, b = 2, 1  # t(0), t(1)
     for _ in range(n - 1):
         a, b = b, a + b
     return b
 
 
-def golden_mean_entropy_estimate(n: int) -> float:
-    """log(count(n))/n, converging to the log of the golden ratio."""
+def golden_mean_entropy_estimate(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> float:
+    """log(count(n))/n, converging to the log of the golden ratio;
+    ``budget`` bounds the count's Lucas steps."""
     if n < 3:
         raise InputError("estimate needs word length >= 3")
-    return math.log(golden_mean_cyclic_count(n)) / n
+    return math.log(golden_mean_cyclic_count(n, budget=budget)) / n
 
 
 def _blocks(word):
@@ -137,15 +143,20 @@ def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> i
     return count
 
 
-def sft_gap_witness(k: int):
+def sft_gap_witness(k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     """A word that is locally admissible at window size k but globally bad.
 
     Returns ``0 1^(2k+1) 0``: every length-k subword lies in the even
     shift's length-k language, yet the whole word has an odd interior
-    block.  Both facts are verified before returning.
+    block.  Both facts are verified before returning.  ``budget`` bounds
+    the (k + 4)·k cells of the k + 4 windows checked, and a larger k is
+    refused before any is.
     """
     if k < 2:
         raise InputError("window size must be >= 2")
+    if (k + 4) * k > budget:
+        raise ResourceError(f"gap witness check needs {(k + 4) * k} window cells "
+                            f"for window size {k} (budget {budget})")
     word = (0,) + (1,) * (2 * k + 1) + (0,)
     for i in range(len(word) - k + 1):
         if not even_shift_word_check(word[i : i + k]):

@@ -40,7 +40,7 @@ from finshift.fixtures import (
     symmetric3,
     two_point_spec,
 )
-from finshift.groups import all_subgroups, cyclic, z2_power_tower
+from finshift.groups import all_subgroups, build_tower, cyclic, z2_power_tower
 from finshift.patterns import BINARY, Pattern, shift_config
 from finshift.shiftspace import SftSpec, ShiftSpace, enumerate_sft, full_shift, orbits
 
@@ -145,6 +145,16 @@ def test_entropy_set_truncation():
     assert got == want
     with pytest.raises(InputError):
         entropy_set(z2_power_tower(3), max_level=9, max_n=4)
+
+
+def test_entropy_set_budget_counts_closures_and_values():
+    # Z/5 takes 6 closures (5 cyclic, 1 join) and has 2 subgroup orders
+    tower = build_tower([cyclic(5)], [])
+    assert len(entropy_set(tower, max_level=1, max_n=10, budget=26)) == 19
+    with pytest.raises(ResourceError, match=r"needs 20 values after 6 subgroup closures \(budget 25\)"):
+        entropy_set(tower, max_level=1, max_n=10, budget=25)
+    with pytest.raises(ResourceError, match=r"after 5 closures \(budget 5\)"):
+        entropy_set(tower, max_level=1, max_n=10, budget=5)
 
 
 def entropy_set_by_levels(tower, max_level, max_n):

@@ -362,6 +362,24 @@ def test_cli_zline_even_budget_counts_words(capsys):
                            "of length 6 (budget 32)")
 
 
+@pytest.mark.parametrize(
+    "kind, budget, n, refusal",
+    [("golden", "19", "20", None),
+     ("golden", "18", "20", "golden mean count needs 19 Lucas steps for length 20 (budget 18)"),
+     ("golden", "1", "2000", "golden mean count needs 2 Lucas steps for length 3 (budget 1)"),
+     ("gap", "60", "6", None),
+     ("gap", "59", "6", "gap witness check needs 60 window cells for window size 6 (budget 59)"),
+     ("gap", "1", "300", "gap witness check needs 12 window cells for window size 2 (budget 1)")],
+)
+def test_cli_zline_golden_and_gap_budgets_bound_each_row(capsys, kind, budget, n, refusal):
+    if refusal is None:
+        assert cli.main(["--budget", budget, "zline", kind, n]) == 0
+        assert n in [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    else:
+        assert cli.main(["--budget", budget, "zline", kind, n]) == 2
+        _assert_one_error_line(capsys, f"error: {refusal}")
+
+
 def test_cli_zline_even_output(capsys):
     assert cli.main(["zline", "even", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -379,6 +397,15 @@ def test_cli_entropy_set(doubling_tower, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "2\t4\t" in out
+
+
+def test_cli_entropy_set_budget_counts_the_values(tmp_path, capsys):
+    _write(tmp_path, "z5.grp", "group cyclic 5\n")
+    tower = _write(tmp_path, "z5.twr", "tower\nlevel z5.grp\n")
+    assert cli.main(["--budget", "10", "entropy-set", tower, "--max-level", "1",
+                     "--max-n", "40000"]) == 2
+    _assert_one_error_line(
+        capsys, "error: entropy set needs 80000 values after 6 subgroup closures (budget 10)")
 
 
 def test_cli_verify_exit_codes(capsys):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finshift.errors import InputError, ResourceError
+from finshift.errors import FinshiftError, InputError, ResourceError
 from finshift.fixtures import (
     alternating4,
     cyclic_doubling_tower,
     dihedral4,
     golden_mean_like_spec,
     klein,
+    quaternion,
     random_sft_spec,
     standard_specs,
     symmetric3,
@@ -34,8 +35,8 @@ from finshift.freext import (
     tower_context,
     tower_extend,
 )
-from finshift.groups import all_subgroups, cyclic, z2_power_tower
-from finshift.patterns import BINARY, Alphabet, CosetFamily, Pattern, shift_config
+from finshift.groups import all_subgroups, cyclic, product, z2_power_tower
+from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -74,17 +75,85 @@ def _non_normal_ctx(sub, reps=None):
     return extension_context(sub.parent, *sub.as_group(), reps=reps)
 
 
+def _coset(ctx, i):
+    return [k for k, j in enumerate(ctx.coset_of) if j == i]
+
+
 def test_context_shape():
     ctx = _z2_in_z4_ctx()
     assert ctx.cosets == 2
     assert ctx.base_embed == (0, 2)
 
 
+def test_context_numbers_cosets_by_least_element():
+    ctx = _z2_in_z4_ctx()
+    assert ctx.reps == (0, 1)
+    assert ctx.coset_of == (0, 1, 0, 1)
+    assert ctx.base_pos == (0, 0, 1, 1)
+    for sub in NON_NORMAL:
+        ctx = _non_normal_ctx(sub)
+        assert ctx.reps == tuple(min(_coset(ctx, i)) for i in range(ctx.cosets))
+        assert list(ctx.reps) == sorted(ctx.reps)
+        assert ctx.cosets == sub.parent.order // sub.order
+
+
+def test_context_reps_override():
+    ctx = _z2_in_z4_ctx(reps=(2, 3))
+    assert ctx.reps == (2, 3)
+    assert ctx.coset_of == (0, 1, 0, 1)
+    assert ctx.base_pos == (1, 1, 0, 0)
+    for reps in [(1, 0), (0,), (0, 1, 3), (0, 7), (-4, 1), (0, 1.0)]:
+        with pytest.raises(InputError, match="representative"):
+            _z2_in_z4_ctx(reps=reps)
+
+
+def test_context_rejects_an_embedding_that_moves_the_identity():
+    with pytest.raises(FinshiftError, match="homomorphism"):
+        extension_context(cyclic(4), cyclic(2), (2, 0))
+
+
+def test_context_rejects_an_embedding_with_too_few_images():
+    with pytest.raises(FinshiftError, match="does not divide"):
+        extension_context(cyclic(4), cyclic(3), (0, 2))
+    with pytest.raises(FinshiftError, match="total"):
+        extension_context(cyclic(4), cyclic(2), (0,))
+
+
+def test_context_accepts_only_injective_homomorphisms():
+    z3, z6 = cyclic(3), cyclic(6)
+    for embed in [(0, 2, 4), (0, 4, 2)]:
+        assert extension_context(z6, z3, embed).cosets == 2
+    # not closed, missing the identity, outside the ambient, not injective
+    for embed in [(0, 3, 4), (1, 2, 0), (0, 2, 7), (0, 0, 0)]:
+        with pytest.raises(FinshiftError):
+            extension_context(z6, z3, embed)
+
+
+# every subgroup of S3, D4, A4 and Q8; those of Q8 are all normal
+COORDINATE_CONTEXTS = [
+    extension_context(g, *sub.as_group())
+    for g in (symmetric3(), dihedral4(), alternating4(), quaternion())
+    for sub in all_subgroups(g)
+]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.sampled_from(COORDINATE_CONTEXTS), st.randoms(use_true_random=False))
+def test_coset_coordinates_recover_every_element(canonical, rng):
+    reps = tuple(rng.choice(_coset(canonical, i)) for i in range(canonical.cosets))
+    ctx = extension_context(canonical.ambient, canonical.base_group,
+                            canonical.base_embed, reps=reps)
+    assert ctx.coset_of == canonical.coset_of
+    mul = ctx.ambient.mul
+    for k in ctx.ambient.elements():
+        assert mul[ctx.base_embed[ctx.base_pos[k]]][ctx.reps[ctx.coset_of[k]]] == k
+
+
 def test_assemble_disassemble_round_trip():
     ctx = _klein_ctx()
     for fam in all_families(ctx, [(0, 0), (0, 1), (1, 0), (1, 1)]):
         config = assemble(ctx, fam)
-        assert disassemble(ctx, config).members == fam.members
+        assert disassemble(ctx, config) == fam
 
 
 def test_assemble_is_a_bijection():
@@ -112,27 +181,59 @@ def test_family_action_is_equivariant():
                 )
 
 
-def test_family_action_composition():
+def test_family_action_moves_members_between_cosets():
+    # in Z/4 over {0, 2}, acting by 1 swaps the cosets; the member moving
+    # into coset 1 is shifted by base element 1 (ambient 2)
     ctx = _z2_in_z4_ctx()
-    mul = ctx.ambient.mul
-    fams = all_families(ctx, [(0, 1), (1, 0)])
-    for fam in fams:
-        for g in ctx.ambient.elements():
-            for h in ctx.ambient.elements():
-                assert (
-                    family_action(ctx, g, family_action(ctx, h, fam)).members
-                    == family_action(ctx, mul[g][h], fam).members
-                )
+    assert family_action(ctx, 1, ((0, 1), (1, 1))) == ((1, 1), (1, 0))
+    assert family_action(ctx, 2, ((0, 1), (1, 1))) == ((1, 0), (1, 1))
+
+
+def test_family_action_composition():
+    cases = [(_z2_in_z4_ctx(), all_families(_z2_in_z4_ctx(), [(0, 1), (1, 0)]))]
+    ambient = product(cyclic(4), cyclic(2))
+    cases.append((extension_context(ambient, cyclic(2), (0, 2)), None))
+    rng = random.Random(6)
+    for sub in NON_NORMAL:
+        reps = tuple(rng.choice(_coset(_non_normal_ctx(sub), i))
+                     for i in range(sub.parent.order // sub.order))
+        cases.append((_non_normal_ctx(sub, reps), None))
+    for ctx, fams in cases:
+        if fams is None:
+            configs = list(iproduct((0, 1), repeat=ctx.base_group.order))
+            fams = [tuple(rng.choice(configs) for _ in range(ctx.cosets))
+                    for _ in range(3)]
+        mul = ctx.ambient.mul
+        for fam in fams:
+            for g in ctx.ambient.elements():
+                for h in ctx.ambient.elements():
+                    assert (family_action(ctx, g, family_action(ctx, h, fam))
+                            == family_action(ctx, mul[g][h], fam))
+
+
+def test_family_of_the_wrong_shape_is_rejected():
+    ctx = _z2_in_z4_ctx()
+    assert assemble(ctx, ((0, 1), (1, 1))) == (0, 1, 1, 1)
+    for fam in [((0, 1),), ((0, 1), (1, 1), (0, 0)), ((0, 1, 0), (1, 1)), ((0,), (1, 1))]:
+        with pytest.raises(InputError, match="member"):
+            assemble(ctx, fam)
+        with pytest.raises(InputError, match="member"):
+            family_action(ctx, 1, fam)
+    with pytest.raises(InputError, match="element index"):
+        family_action(ctx, 4, ((0, 1), (1, 1)))
 
 
 def test_mismatched_decomposition_rejected():
+    # a family built for another decomposition has the wrong member count
+    # (Z/2 in Z/6 has three cosets) or member length (Z/4 in Z/8)
     ctx = _z2_in_z4_ctx()
-    other = _z2_in_z4_ctx(reps=(2, 3))
-    fam = CosetFamily(other.decomposition, ((0, 1), (1, 0)))
-    with pytest.raises(InputError):
-        family_action(ctx, 1, fam)
-    with pytest.raises(InputError):
-        assemble(ctx, fam)
+    for other in [extension_context(cyclic(6), cyclic(2), (0, 3)),
+                  extension_context(cyclic(8), cyclic(4), (0, 2, 4, 6))]:
+        fam = all_families(other, [(0,) * other.base_group.order])[0]
+        with pytest.raises(InputError, match="member"):
+            family_action(ctx, 1, fam)
+        with pytest.raises(InputError, match="member"):
+            assemble(ctx, fam)
 
 
 def test_free_extension_cardinality():
@@ -170,7 +271,7 @@ def test_extension_independent_of_representatives():
         ctx = _non_normal_ctx(sub)
         y = enumerate_sft(golden_mean_like_spec(ctx.base_group))
         reference = free_extension(y, ctx).configs
-        choices = [sorted(c) for c in ctx.decomposition.cosets]
+        choices = [_coset(ctx, i) for i in range(ctx.cosets)]
         for reps in iproduct(*choices):
             assert free_extension(y, _non_normal_ctx(sub, reps)).configs == reference
 
@@ -224,11 +325,10 @@ def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDG
     and check by enumerating the re-extension.  It forbids the empty
     pattern when the shape is empty, so it is compared on nonempty shapes."""
     G = ctx.ambient
-    dec = ctx.decomposition
     F = tuple(sorted(set(spec_shape)))
-    touched = sorted({dec.coset_of[f] for f in F})
-    reps0 = [dec.reps[i] for i in touched]
-    e_amb = sorted({G.mul[f][G.inv[dec.reps[dec.coset_of[f]]]] for f in F})
+    touched = sorted({ctx.coset_of[f] for f in F})
+    reps0 = [ctx.reps[i] for i in touched]
+    e_amb = sorted({G.mul[f][G.inv[ctx.reps[ctx.coset_of[f]]]] for f in F})
     hat = tuple(sorted({G.mul[h][c] for h in e_amb for c in reps0}))
     bad_hat = {w.symbols for w in spec_from_space(x, hat).forbidden}
     e_base = tuple(sorted(ctx.base_embed.index(a) for a in e_amb))

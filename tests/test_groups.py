@@ -1,4 +1,4 @@
-"""Group construction, subgroups, cosets and towers."""
+"""Group construction, subgroups and towers."""
 
 import re
 from collections import Counter
@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import alternating4, dihedral4, klein, quaternion, symmetric3
+from finshift.freext import extension_context, family_action
 from finshift.groups import (
     Subgroup,
     _close_under,
     _generators,
     all_subgroups,
     build_tower,
-    coset_action,
     cyclic,
     from_table,
     generated_subgroup,
-    is_subgroup,
     product,
-    right_cosets,
+    subgroups_and_closures,
     z2_power_tower,
 )
 
@@ -311,6 +310,12 @@ def test_all_subgroups_budget_counts_closures():
     assert len(all_subgroups(g, budget=2000)) == 67
     with pytest.raises(ResourceError, match="after 100 closures"):
         all_subgroups(g, budget=100)
+    # the count reported is the least budget that passes
+    for g in (g, cyclic(5), symmetric3(), alternating4()):
+        subs, closures = subgroups_and_closures(g)
+        assert all_subgroups(g, budget=closures) == subs
+        with pytest.raises(ResourceError, match=f"after {closures - 1} closures"):
+            all_subgroups(g, budget=closures - 1)
 
 
 def test_nonabelian_fixtures():
@@ -326,10 +331,42 @@ def test_nonabelian_fixtures():
 
 
 def test_is_subgroup():
+    # a subset is a subgroup exactly when it is closed; the closed subsets
+    # of Z/6 are the members of all_subgroups
     g = cyclic(6)
-    assert is_subgroup(g, {0, 2, 4})
-    assert not is_subgroup(g, {0, 3, 4})
-    assert not is_subgroup(g, {1, 2})
+    closed = {sub.members for sub in all_subgroups(g)}
+    assert (0, 2, 4) in closed
+    assert Subgroup(g, (0, 2, 4)).as_group()[0].order == 3
+    for members in [(0, 3, 4), (1, 2)]:
+        assert members not in closed
+        with pytest.raises(InputError, match="closed"):
+            Subgroup(g, members).as_group()
+
+
+def test_right_cosets_rejects_out_of_range_members():
+    # coset coordinates live in the extension context, which refuses a
+    # base that reaches outside the ambient group
+    with pytest.raises(ValidationError, match="outside"):
+        extension_context(cyclic(4), cyclic(2), (0, 7))
+
+
+def test_coset_action_composition_is_reversed():
+    # acting by a then by b lands where acting by b*a does; perm_a[i] is
+    # the coset of reps[i]*a, the member family_action moves into coset i
+    g = product(cyclic(4), cyclic(2))
+    ctx = extension_context(g, cyclic(2), (0, 2))
+
+    def perm(a):
+        return tuple(ctx.coset_of[g.mul[c][a]] for c in ctx.reps)
+
+    constants = tuple((i,) * ctx.base_group.order for i in range(ctx.cosets))
+    for a in g.elements():
+        pa = perm(a)
+        assert tuple(m[0] for m in family_action(ctx, a, constants)) == pa
+        for b in g.elements():
+            pb = perm(b)
+            composed = tuple(pa[pb[i]] for i in range(ctx.cosets))
+            assert composed == perm(g.mul[b][a])
 
 
 def test_subgroup_as_group_is_isomorphic_copy():
@@ -340,52 +377,6 @@ def test_subgroup_as_group_is_isomorphic_copy():
     for a in standalone.elements():
         for b in standalone.elements():
             assert embed[standalone.mul[a][b]] == g.mul[embed[a]][embed[b]]
-
-
-def test_right_cosets_of_z4():
-    g = cyclic(4)
-    dec = right_cosets(g, generated_subgroup(g, {2}))
-    assert dec.cosets == (frozenset({0, 2}), frozenset({1, 3}))
-    assert dec.reps == (0, 1)
-    assert dec.coset_of == (0, 1, 0, 1)
-
-
-def test_right_cosets_custom_reps():
-    g = cyclic(4)
-    sub = generated_subgroup(g, {2})
-    dec = right_cosets(g, sub, reps=(2, 3))
-    assert dec.reps == (2, 3)
-    with pytest.raises(InputError):
-        right_cosets(g, sub, reps=(1, 0))  # rep not in its coset
-
-
-def test_right_cosets_rejects_out_of_range_members():
-    g = cyclic(4)
-    assert not is_subgroup(g, {0, 7})
-    with pytest.raises(InputError):
-        right_cosets(g, Subgroup(g, (0, 7)))
-
-
-def test_coset_action_swaps():
-    g = cyclic(4)
-    dec = right_cosets(g, generated_subgroup(g, {2}))
-    perm, corrections = coset_action(dec, 1)
-    assert perm == (1, 0)
-    assert all(c in {0, 2} for c in corrections)
-
-
-def test_coset_action_composition_is_reversed():
-    # acting by g then by h lands where acting by h*g does
-    g = product(cyclic(4), cyclic(2))
-    sub = generated_subgroup(g, {2})
-    dec = right_cosets(g, sub)
-    for a in g.elements():
-        pa, _ = coset_action(dec, a)
-        for b in g.elements():
-            pb, _ = coset_action(dec, b)
-            pab, _ = coset_action(dec, g.mul[b][a])
-            composed = tuple(pa[pb[i]] for i in range(dec.index))
-            assert composed == pab
 
 
 def test_tower_accepts_valid_embedding():

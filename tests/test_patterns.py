@@ -1,4 +1,4 @@
-"""Alphabets, patterns, configuration shifts and coset families."""
+"""Alphabets, patterns and configuration shifts."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from finshift.errors import InputError
 from finshift.fixtures import dihedral4, symmetric3
-from finshift.groups import cyclic, generated_subgroup, right_cosets
-from finshift.patterns import BINARY, Alphabet, CosetFamily, Pattern, shift_config
+from finshift.freext import assemble, extension_context
+from finshift.groups import cyclic
+from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 
 
 def test_alphabet_validation():
@@ -73,11 +74,11 @@ def test_shift_config_matches_shift_pattern(case):
 
 
 def test_coset_family_validation():
-    g = cyclic(4)
-    dec = right_cosets(g, generated_subgroup(g, {2}))
-    fam = CosetFamily(dec, ((0, 1), (1, 1)))
-    assert fam.members == ((0, 1), (1, 1))
-    with pytest.raises(InputError):
-        CosetFamily(dec, ((0, 1),))
-    with pytest.raises(InputError):
-        CosetFamily(dec, ((0, 1, 0), (1, 1)))
+    # a coset family is a plain tuple of base configurations, one per coset;
+    # assemble checks the member count and each member's length
+    ctx = extension_context(cyclic(4), cyclic(2), (0, 2))
+    assert assemble(ctx, ((0, 1), (1, 1))) == (0, 1, 1, 1)
+    with pytest.raises(InputError, match="coset"):
+        assemble(ctx, ((0, 1),))
+    with pytest.raises(InputError, match="member"):
+        assemble(ctx, ((0, 1, 0), (1, 1)))

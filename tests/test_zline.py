@@ -74,6 +74,22 @@ def test_count_20():
     assert golden_mean_cyclic_count(20) == 15127
 
 
+def test_golden_budget_counts_lucas_steps():
+    assert golden_mean_cyclic_count(20, budget=19) == 15127
+    assert golden_mean_cyclic_count(1, budget=0) == 1
+    with pytest.raises(ResourceError, match=r"needs 19 Lucas steps for length 20 \(budget 18\)"):
+        golden_mean_cyclic_count(20, budget=18)
+    with pytest.raises(ResourceError, match="needs 19 Lucas steps"):
+        golden_mean_entropy_estimate(20, budget=18)
+
+
+def test_gap_budget_counts_window_cells():
+    # 0 1^13 0 has 10 windows of 6 cells
+    assert len(sft_gap_witness(6, budget=60)) == 15
+    with pytest.raises(ResourceError, match=r"needs 60 window cells for window size 6 \(budget 59\)"):
+        sft_gap_witness(6, budget=59)
+
+
 def test_entropy_estimate_converges():
     assert abs(golden_mean_entropy_estimate(20) - LOG_GOLDEN) < 1e-3
     errs = [
