@@ -23,9 +23,7 @@ for level in (1, 2):
           f"entropy {entropy(ext)}")
 
 ctx = tower_context(tower, 0, 1)
-lifted = free_extension_spec(base_spec, ctx)
-x = enumerate_sft(lifted)
-result = base_extract(x, lifted.forbidden_shape, ctx)
+result = base_extract(free_extension_spec(base_spec, ctx), ctx)
 print(f"base extraction round trip: ok={result.ok}, recovered "
       f"{len(result.spec.forbidden)} forbidden pattern(s) on shape "
       f"{result.spec.forbidden_shape}")

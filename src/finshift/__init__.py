@@ -40,13 +40,16 @@ from .shiftspace import (
     SftSpec,
     ShiftSpace,
     apply_block_code,
+    carry_spec,
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
+    frontier_count,
     full_shift,
     is_shift_invariant,
     orbits,
     project,
+    shape_base,
     shift_permutations,
     spec_from_space,
 )

@@ -70,7 +70,6 @@ def _cmd_extend(args) -> int:
 
 def _cmd_extract(args) -> int:
     spec, tower = files.read_sft_and_tower(args.space, args.tower)
-    space = enumerate_sft(spec, budget=args.budget)
     # a tower may repeat a group: the space lives on the first such level
     # at or above the base level
     ambient_level = next(
@@ -80,7 +79,7 @@ def _cmd_extract(args) -> int:
     if ambient_level is None:
         raise FinshiftError(f"the space's group is not a tower level from {args.level} up")
     ctx = tower_context(tower, args.level, ambient_level)
-    result = base_extract(space, spec.forbidden_shape, ctx, budget=args.budget)
+    result = base_extract(spec, ctx, budget=args.budget)
     if not result.ok:
         print(f"FAIL: not a free extension; witness {result.witness}")
         return 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from itertools import product as iproduct
 
 from .groups import FiniteGroup, GroupTower, build_tower, cyclic, from_table, product
@@ -63,6 +64,24 @@ def cyclic_doubling_tower(depth: int) -> GroupTower:
     embeddings = [
         tuple(2 * i for i in range(levels[k].order)) for k in range(depth - 1)
     ]
+    return build_tower(levels, embeddings)
+
+
+def symmetric_tower(depth: int) -> GroupTower:
+    """S1 -> S2 -> ... -> S_depth, the finitary symmetric group at desk
+    scale.  S_n embeds in S_{n+1} as the permutations that fix the last
+    point, a subgroup that is not normal for n >= 2."""
+    levels, elements = [], []
+    for n in range(1, depth + 1):
+        gens = [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []
+        levels.append(_permutation_group(n, gens))
+        # _permutation_group indexes in sorted order, which is the order
+        # permutations() lists them in
+        elements.append(list(permutations(range(n))))
+    embeddings = []
+    for n in range(1, depth):
+        index = {p: i for i, p in enumerate(elements[n])}
+        embeddings.append(tuple(index[(*p, n)] for p in elements[n - 1]))
     return build_tower(levels, embeddings)
 
 

@@ -16,14 +16,16 @@ from itertools import product as iproduct
 
 from .errors import InputError, ResourceError
 from .groups import FiniteGroup, GroupTower, check_embedding
-from .patterns import Pattern, shift_config
+from .patterns import shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
+    carry_spec,
     count_sft,
     enumerate_sft,
     project,
+    shape_base,
     spec_from_space,
 )
 
@@ -168,14 +170,7 @@ def free_extension_spec(spec: SftSpec, ctx: ExtensionContext) -> SftSpec:
     """
     if spec.group != ctx.base_group:
         raise InputError("spec is not defined on the context's base group")
-    amb_shape = [ctx.base_embed[f] for f in spec.forbidden_shape]
-    order = sorted(range(len(amb_shape)), key=lambda i: amb_shape[i])
-    new_shape = tuple(amb_shape[i] for i in order)
-    lifted = frozenset(
-        Pattern(ctx.ambient, new_shape, tuple(w.symbols[i] for i in order))
-        for w in spec.forbidden
-    )
-    return SftSpec(ctx.ambient, spec.alphabet, new_shape, lifted)
+    return carry_spec(spec, ctx.ambient, [ctx.base_embed[f] for f in spec.forbidden_shape])
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,8 @@ class BaseExtractResult:
     """Outcome of :func:`base_extract`.
 
     ``ok`` is False when re-extending the recovered spec fails to reproduce
-    the input space, in which case ``witness`` is a configuration of the
-    re-extension that is not in the input space.
+    the input SFT, in which case ``witness`` is a configuration of the
+    re-extension that is not in the input SFT.
     """
 
     ok: bool
@@ -193,38 +188,49 @@ class BaseExtractResult:
 
 
 def base_extract(
-    x: ShiftSpace,
-    spec_shape,
-    ctx: ExtensionContext,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
+    spec: SftSpec, ctx: ExtensionContext, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> BaseExtractResult:
-    """Recover a base-group SFT spec from an extension, by projection and
-    count.
+    """Recover a base-group SFT spec from an ambient one, by enumerating it
+    on the shape's subgroup and counting.
 
-    A shift-invariant ``x`` lies in the free extension of its projection B
-    to the base (each coset's member, shifted back, is in B), so it is a
-    free extension exactly when ``|x| = |B|^[G:H]``.  The spec forbids the
-    patterns missing from B on the shape folded into the base coset by
-    coset; B lies in its SFT, so it presents B exactly when
-    :func:`count_sft` (``budget`` bounds its states) finds ``|B|`` points.
-    Only a failed check builds a witness; the extension is not enumerated.
+    Let X be the spec's SFT on G, with shape F, and L = <H ∪ F·f0^-1>
+    (:func:`shiftspace.shape_base`).  X is the free extension of X_L, so
+    |X| = |X_L|^[G:L] and B = π_H(X) = π_H(X_L).  A shift-invariant X lies
+    in the free extension of B, so it is free exactly when
+    |X_L| = |B|^[L:H].  Only X_L is enumerated; ``budget`` bounds its DFS
+    nodes.
+
+    The spec returned forbids the patterns missing from B on the folded
+    shape E (each cell of F carried into the base along its coset).  It
+    presents B whenever X is free.  The cells of a window F·g that lie in
+    one coset are a right translate of part of E.  So if every E-window of
+    a base configuration b occurs in B, each window of the assembled
+    family (b, ..., b) agrees with some point of X, one point of B per
+    coset; that configuration is in X, which puts b in B.
+
+    When X is not free, ``witness`` is the first family of points of B on
+    the cosets inside L, padded with min(B) on the others, whose assembly
+    is not in X: it lies in the re-extension of the spec but not in X.
     """
-    placement = tuple(zip(ctx.coset_of, ctx.base_pos))
-    e_base = {ctx.base_pos[f] for f in spec_shape}
-    base = ShiftSpace(ctx.base_group, x.alphabet, frozenset(project(x, ctx.base_embed)))
-    spec = spec_from_space(base, e_base)
-    if len(x.configs) < len(base) ** ctx.cosets:
-        # assembled families are distinct, so at most |x| + 1 are built
-        families = iproduct(sorted(base.configs), repeat=ctx.cosets)
-        assembled = (tuple(f[i][j] for i, j in placement) for f in families)
-        witness = next(c for c in assembled if c not in x.configs)
-        return BaseExtractResult(False, spec, witness)
-    if count_sft(spec, budget=budget) != len(base):
-        # a base point the spec allows but B lacks, on one coset
-        extra = min(enumerate_sft(spec, budget=budget).configs - base.configs)
-        members = (extra,) + (min(base.configs),) * (ctx.cosets - 1)
-        return BaseExtractResult(False, spec, tuple(members[i][j] for i, j in placement))
-    return BaseExtractResult(True, spec, None)
+    if spec.group != ctx.ambient:
+        raise InputError("spec is not defined on the context's ambient group")
+    embed, on_l = shape_base(spec, within=ctx.base_embed)
+    x_l = enumerate_sft(on_l, budget=budget)
+    pos = {a: i for i, a in enumerate(embed)}
+    b = project(x_l, [pos[a] for a in ctx.base_embed])
+    base = ShiftSpace(ctx.base_group, spec.alphabet, frozenset(b))
+    found = spec_from_space(base, {ctx.base_pos[f] for f in spec.forbidden_shape})
+    inside = [i for i, r in enumerate(ctx.reps) if r in pos]
+    if len(x_l.configs) == len(base) ** len(inside):
+        return BaseExtractResult(True, found, None)
+    # assembled families are distinct, so at most |X_L| + 1 are tried
+    on_cells = [(ctx.coset_of[a], ctx.base_pos[a]) for a in embed]
+    fam = [min(base.configs)] * ctx.cosets
+    for members in iproduct(sorted(base.configs), repeat=len(inside)):
+        for i, m in zip(inside, members):
+            fam[i] = m
+        if tuple(fam[i][j] for i, j in on_cells) not in x_l.configs:
+            return BaseExtractResult(False, found, assemble(ctx, fam))
 
 
 def tower_context(tower: GroupTower, i: int, j: int) -> ExtensionContext:

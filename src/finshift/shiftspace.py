@@ -6,9 +6,10 @@ configurations.  Two independent enumeration routes exist: a pruned
 depth-first search (:func:`enumerate_sft`) and a naive filter over the full
 configuration space (:func:`enumerate_sft_naive`), kept as each other's
 oracle.  :func:`count_sft` counts the configurations without listing them,
-and both enumerators are its oracles.  :func:`project` reads the symbols
-that configurations carry on a shape, which is how presentations and the
-other modules read a space's language.
+on the subgroup its shape spans (:func:`shape_base`); both enumerators and
+the count on the whole group (:func:`frontier_count`) are its oracles.
+:func:`project` reads the symbols that configurations carry on a shape,
+which is how presentations and the other modules read a space's language.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generated_subgroup
 from .patterns import Alphabet, Pattern, shift_config
 
 
@@ -144,8 +145,8 @@ def project(y: ShiftSpace, cells) -> set[tuple]:
     return set(map(_picker(cells), y.configs))
 
 
-def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
-    """Number of configurations of the spec's SFT, without listing them.
+def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """Number of configurations of the spec's SFT, counted on the whole group.
 
     A frontier dynamic program over element indices ascending, the general
     form of the transfer-matrix trace (Lind and Marcus, *An Introduction to
@@ -196,6 +197,50 @@ def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
         visited += len(nxt)
         layer = nxt
     return layer.get((), 0)
+
+
+def carry_spec(spec: SftSpec, group: FiniteGroup, cells) -> SftSpec:
+    """The spec's forbidden words on ``group``, with shape cell k moved to
+    ``cells[k]`` (distinct cells); the symbols are re-ordered to the sorted
+    new shape."""
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    shape = tuple(cells[i] for i in order)
+    forbidden = frozenset(
+        Pattern(group, shape, tuple(w.symbols[i] for i in order)) for w in spec.forbidden
+    )
+    return SftSpec(group, spec.alphabet, shape, forbidden)
+
+
+def shape_base(spec: SftSpec, within=()) -> tuple[tuple[int, ...], SftSpec]:
+    """The subgroup L = <within ∪ F·f0^-1> that the spec's shape F spans,
+    and the spec read on L; f0 is the least shape cell.
+
+    The window F·g is the window of F·f0^-1 at f0·g, inside the right coset
+    L·f0·g.  So the spec's SFT X on G is the free extension of the same
+    forbidden words on L, and |X| = |X_L|^[G:L].  Returns ``(embed,
+    base)``: ``embed[i]`` is the element of G that L's element i is, in
+    sorted order, and ``base`` is the spec on L, its symbols re-ordered to
+    the sorted shape (:func:`carry_spec`).  When L is all of G, ``base`` is
+    the spec itself.
+    """
+    g = spec.group
+    shape = spec.forbidden_shape
+    offsets = [g.mul[f][g.inv[shape[0]]] for f in shape]
+    sub = generated_subgroup(g, [*within, *offsets])
+    if sub.order == g.order:
+        return tuple(g.elements()), spec
+    group, embed = sub.as_group()
+    pos = {a: i for i, a in enumerate(embed)}
+    return embed, carry_spec(spec, group, [pos[a] for a in offsets])
+
+
+def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """Number of configurations of the spec's SFT, without listing them:
+    :func:`frontier_count` on the subgroup L the shape spans, raised to the
+    index [G:L] (:func:`shape_base`).  ``budget`` bounds the states visited
+    on L."""
+    embed, base = shape_base(spec)
+    return frontier_count(base, budget=budget) ** (spec.group.order // len(embed))
 
 
 def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:

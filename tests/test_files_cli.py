@@ -266,6 +266,37 @@ def test_cli_extend_counts_past_enumeration(tmp_path, z2_power_tower_file, capsy
     assert out[2].startswith("log(3)/2 ≈ ")
 
 
+@pytest.fixture
+def e6_tower_file(tmp_path, z2_power_tower_file):
+    """(Z/2)^1 -> ... -> (Z/2)^6 as files, matching ``z2_power_tower(6)``."""
+    _write(tmp_path, "e6.grp", "group product e5.grp e1.grp\n")
+    lines = ["tower"] + [f"level e{k}.grp" for k in range(1, 7)]
+    for k, embed in enumerate(z2_power_tower(6).embeddings):
+        lines.append(f"embed {k} pairs " + " ".join(f"{a}->{b}" for a, b in enumerate(embed)))
+    return _write(tmp_path, "e6.twr", "\n".join(lines) + "\n")
+
+
+def test_cli_sft_entropy_counts_on_the_shapes_subgroup(tmp_path, e6_tower_file, capsys):
+    # cells 8 and 32 of (Z/2)^6 span a subgroup of order 2, which has 3
+    # points: 3^32 on the whole group, where the index-order count refuses
+    spec = _write(tmp_path, "e6.sft", "sft\ngroup e6.grp\nalphabet 0 1\nshape 8 32\nforbid 1 1\n")
+    assert cli.main(["sft", "entropy", spec]) == 0
+    assert capsys.readouterr().out == "log(3)/2 ≈ 0.549306\n"
+
+
+def test_cli_extract_on_a_level_of_order_64(tmp_path, e6_tower_file, capsys):
+    # 3^32 points on (Z/2)^6, read on the subgroup the shape spans with
+    # the base level: the lift of forbidding 11 on Z/2 comes back
+    lifted = _write(tmp_path, "lift.sft", "sft\ngroup e6.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    assert cli.main(["extract", lifted, e6_tower_file, "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "base spec on level 0 (group of order 2)", "shape 0 1", "forbid 1 1"]
+    # on cells 0 and 8 the pairs couple the base with another coset
+    coupled = _write(tmp_path, "cpl.sft", "sft\ngroup e6.grp\nalphabet 0 1\nshape 0 8\nforbid 1 1\n")
+    assert cli.main(["extract", coupled, e6_tower_file, "0"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: not a free extension; witness (")
+
+
 @pytest.mark.parametrize(
     "tower_name, level, text, ups",
     [

@@ -1,14 +1,16 @@
 """Free extensions: the family action, assembly bijection, extension and
 base extraction."""
 
+import inspect
 import random
 from collections import Counter
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from finshift import freext
 from finshift.errors import FinshiftError, InputError, ResourceError
 from finshift.fixtures import (
     alternating4,
@@ -20,6 +22,7 @@ from finshift.fixtures import (
     random_sft_spec,
     standard_specs,
     symmetric3,
+    symmetric_tower,
     two_point_spec,
 )
 from finshift.freext import (
@@ -40,8 +43,9 @@ from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
+    count_sft,
     enumerate_sft,
-    full_shift,
+    project,
     spec_from_space,
 )
 
@@ -281,9 +285,7 @@ def test_base_extract_round_trip_on_fixtures():
     for name, spec in standard_specs():
         if spec.group.order != 2:
             continue
-        lifted = free_extension_spec(spec, ctx)
-        x = enumerate_sft(lifted)
-        result = base_extract(x, lifted.forbidden_shape, ctx)
+        result = base_extract(free_extension_spec(spec, ctx), ctx)
         assert result.ok, name
         recovered = enumerate_sft(result.spec)
         assert recovered.configs == enumerate_sft(spec).configs, name
@@ -302,8 +304,7 @@ def test_base_extract_round_trip_on_an_unsorted_embedding():
     no_01 = Pattern(ctx.base_group, (0, 1), (0, 1))
     specs.append(SftSpec(ctx.base_group, ternary, (0, 1), frozenset({no_01})))
     for spec in specs:
-        lifted = free_extension_spec(spec, ctx)
-        result = base_extract(enumerate_sft(lifted), lifted.forbidden_shape, ctx)
+        result = base_extract(free_extension_spec(spec, ctx), ctx)
         assert result.ok, spec
         assert enumerate_sft(result.spec).configs == enumerate_sft(spec).configs, spec
 
@@ -312,10 +313,26 @@ def test_base_extract_detects_non_extension():
     # the golden mean space on Z/4 is not a free extension over {0,2}:
     # coordinates 0 and 2 are correlated through the forbidden pairs
     ctx = _z2_in_z4_ctx()
-    x = enumerate_sft(golden_mean_like_spec(cyclic(4)))
-    result = base_extract(x, (0, 1), ctx)
+    spec = golden_mean_like_spec(cyclic(4))
+    result = base_extract(spec, ctx)
     assert not result.ok
-    assert result.witness is not None
+    redone = enumerate_sft(free_extension_spec(result.spec, ctx)).configs
+    assert result.witness in redone
+    assert result.witness not in enumerate_sft(spec).configs
+
+
+def test_base_extract_takes_a_spec_on_the_ambient_group():
+    ctx = _z2_in_z4_ctx()
+    with pytest.raises(InputError, match="ambient"):
+        base_extract(golden_mean_like_spec(cyclic(2)), ctx)
+    # the shape comes from the spec, which range-checks it, so no cell
+    # can wrap around (-1) or run past the group (9)
+    for cell in (-1, 9):
+        with pytest.raises(InputError, match="outside the group"):
+            SftSpec(cyclic(4), BINARY, (0, cell), frozenset())
+    for name, fn in inspect.getmembers(freext, inspect.isfunction):
+        if fn.__module__ == freext.__name__ and not name.startswith("_"):
+            assert not any("shape" in p for p in inspect.signature(fn).parameters), name
 
 
 def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDGET):
@@ -385,11 +402,11 @@ def test_base_extract_matches_the_placement_oracle():
         else:
             spec = random_sft_spec(ctx.ambient, rng)
         x = enumerate_sft(spec)
-        shape = spec.forbidden_shape
-        if not own_shape:  # a shape that need not present x
-            shape = rng.sample(range(ctx.ambient.order), rng.randint(1, 3))
-        got = base_extract(x, shape, ctx)
-        want = base_extract_by_placements(x, shape, ctx)
+        if not own_shape:  # a larger shape, which presents x all the same
+            extra = rng.sample(range(ctx.ambient.order), rng.randint(1, 3))
+            spec = spec_from_space(x, {*spec.forbidden_shape, *extra})
+        got = base_extract(spec, ctx)
+        want = base_extract_by_placements(x, spec.forbidden_shape, ctx)
         assert got.ok == want.ok
         # a shift-invariant x has every placement of p forbidden exactly
         # when p is missing from its projection, so the specs agree always
@@ -402,16 +419,61 @@ def test_base_extract_matches_the_placement_oracle():
         verdicts[got.ok, free] += 1
 
     check()
-    # both verdicts, and both ways to fail: x is not the extension of its
-    # projection, or the folded shape does not present the projection
-    assert set(verdicts) == {(True, True), (False, False), (False, True)}, verdicts
+    # both verdicts; the spec presents x, so a free x is always recovered
+    assert set(verdicts) == {(True, True), (False, False)}, verdicts
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.sampled_from(EXTRACT_CONTEXTS), st.booleans(), st.randoms(use_true_random=False))
+def test_the_folded_spec_presents_the_projection_of_a_free_sft(ctx, lift, rng):
+    # base_extract decides by counting alone: when x is free, the spec
+    # forbidding what its projection B lacks on the folded shape is B's
+    if lift:
+        spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
+    else:
+        spec = random_sft_spec(ctx.ambient, rng)
+    x = enumerate_sft(spec)
+    projection = project(x, ctx.base_embed)
+    result = base_extract(spec, ctx)
+    assert result.ok == (len(x.configs) == len(projection) ** ctx.cosets)
+    if result.ok:
+        assert enumerate_sft(result.spec).configs == projection
+
+
+# S1, S2 and S3 inside S2, S3 and S4 as the permutations fixing the last
+# points; the placement oracle enumerates the ambient space
+SYMMETRIC = symmetric_tower(4)
+SYMMETRIC_CONTEXTS = [tower_context(SYMMETRIC, i, j) for j in (1, 2, 3) for i in range(j)]
+
+
+def test_base_extract_along_the_symmetric_tower():
+    verdicts = Counter()
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
+           st.randoms(use_true_random=False))
+    def check(ctx, lift, rng):
+        if lift:
+            spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
+        else:
+            spec = random_sft_spec(ctx.ambient, rng)
+        # small enough for the oracle to enumerate x and its re-extension
+        assume(count_sft(spec) <= 4096)
+        x = enumerate_sft(spec)
+        assume(len(project(x, ctx.base_embed)) ** ctx.cosets <= 4096)
+        got = base_extract(spec, ctx)
+        want = base_extract_by_placements(x, spec.forbidden_shape, ctx)
+        assert (got.ok, got.spec) == (want.ok, want.spec)
+        verdicts[ctx.ambient.order, got.ok] += 1
+
+    check()
+    assert verdicts[24, True] >= 5 and verdicts[6, False] >= 1, verdicts
 
 
 def test_base_extract_of_the_full_shift():
     # nothing is forbidden on an empty shape: the full shift is free
     for ctx in EXTRACT_CONTEXTS:
-        x = full_shift(ctx.ambient, BINARY)
-        result = base_extract(x, (), ctx)
+        result = base_extract(SftSpec(ctx.ambient, BINARY, (), frozenset()), ctx)
         assert result.ok
         assert result.spec.forbidden_shape == () and not result.spec.forbidden
 

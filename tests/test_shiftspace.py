@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -20,9 +21,11 @@ from finshift.fixtures import (
     random_sft_spec,
     symmetric3,
     standard_specs,
+    symmetric_tower,
     two_point_spec,
 )
-from finshift.groups import all_subgroups, cyclic
+from finshift.freext import extension_context, free_extension_spec, tower_context
+from finshift.groups import all_subgroups, cyclic, product, z2_power_tower
 from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 from finshift.shiftspace import (
     BlockMap,
@@ -32,10 +35,12 @@ from finshift.shiftspace import (
     count_sft,
     enumerate_sft,
     enumerate_sft_naive,
+    frontier_count,
     full_shift,
     is_shift_invariant,
     orbits,
     project,
+    shape_base,
     shift_permutations,
     spec_from_space,
 )
@@ -223,6 +228,131 @@ def test_count_budget_counts_states():
     assert count_sft(spec, budget=200) == golden_mean_cyclic_count(30)
     with pytest.raises(ResourceError, match=r"stopped after \d+ states \(budget 20\)"):
         count_sft(spec, budget=20)
+
+
+def test_shape_base_reads_the_spec_on_the_shapes_subgroup():
+    # cells 8 and 32 of (Z/2)^6 times the inverse of 8 are 0 and 40, which
+    # span {0, 40}: base cells 0 and 1, where 11 stays forbidden
+    g = z2_power_tower(6).levels[5]
+    spec = SftSpec(g, BINARY, (8, 32), frozenset({Pattern(g, (8, 32), (1, 1))}))
+    embed, base = shape_base(spec)
+    assert embed == (0, 40)
+    assert base.forbidden_shape == (0, 1)
+    assert {w.symbols for w in base.forbidden} == {(1, 1)}
+    # ``within`` joins the subgroup; a shape spanning the group is kept
+    assert shape_base(spec, within=(1,))[0] == (0, 1, 40, 41)
+    z9 = cyclic(9)
+    spans = SftSpec(z9, BINARY, (2, 3), frozenset({Pattern(z9, (2, 3), (1, 1))}))
+    assert shape_base(spans) == (tuple(range(9)), spans)
+    # the empty shape spans the trivial subgroup
+    empty = SftSpec(g, BINARY, (), frozenset())
+    assert shape_base(empty)[0] == (0,)
+
+
+def test_shape_base_reorders_symbols_to_the_sorted_shape():
+    # in S3, cells 1, 2 and 5 times the inverse of cell 1 are 0, 4 and 3:
+    # the subgroup {0, 3, 4} at positions 0, 2 and 1, so the symbols on
+    # cells 1, 2 and 5 land on base cells 0, 2 and 1
+    s3 = symmetric3()
+    shape = (1, 2, 5)
+    spec = SftSpec(s3, BINARY, shape, frozenset({Pattern(s3, shape, (1, 1, 0))}))
+    embed, base = shape_base(spec)
+    assert embed == (0, 3, 4) and base.forbidden_shape == (0, 1, 2)
+    assert {w.symbols for w in base.forbidden} == {(1, 0, 1)}
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.sampled_from(COUNT_GROUPS), st.randoms(use_true_random=False))
+def test_the_sft_is_the_free_extension_of_its_shape_base(group, rng):
+    spec = random_sft_spec(group, rng)
+    embed, base = shape_base(spec)
+    ctx = extension_context(group, base.group, embed)
+    assert enumerate_sft(free_extension_spec(base, ctx)).configs == enumerate_sft(spec).configs
+
+
+def _random_spec_on(group, shape, rng):
+    forbidden = frozenset(
+        Pattern(group, shape, sym)
+        for sym in iproduct((0, 1), repeat=len(shape))
+        if any(sym) and rng.random() < 0.4
+    )
+    return SftSpec(group, BINARY, shape, forbidden)
+
+
+S4 = symmetric_tower(4).levels[3]
+# nonabelian groups, and products in which most shapes span a proper subgroup
+ORACLE_GROUPS = [symmetric3(), dihedral4(), alternating4(), quaternion(), S4,
+                 product(symmetric3(), cyclic(2)), product(klein(), symmetric3()),
+                 product(dihedral4(), cyclic(3)), product(quaternion(), cyclic(2))]
+SUBGROUPS = {g: all_subgroups(g) for g in ORACLE_GROUPS}
+
+
+def test_count_matches_the_frontier_count_on_the_whole_group():
+    compared = Counter()
+
+    @settings(deadline=None, max_examples=120, derandomize=True)
+    @given(st.sampled_from(ORACLE_GROUPS), st.booleans(), st.randoms(use_true_random=False))
+    def check(group, in_coset, rng):
+        if in_coset:  # a shape inside a right coset of some subgroup
+            sub = rng.choice(SUBGROUPS[group])
+            cells = rng.sample(sub.members, rng.randint(1, min(3, sub.order)))
+            c = rng.randrange(group.order)
+            spec = _random_spec_on(group, tuple(sorted(group.mul[a][c] for a in cells)), rng)
+        else:
+            spec = random_sft_spec(group, rng)
+        try:
+            want = frontier_count(spec, budget=1 << 16)
+        except ResourceError:  # index order is slow on some shapes of S4
+            return
+        assert count_sft(spec) == want
+        compared[len(shape_base(spec)[0]) < group.order] += 1
+
+    check()
+    # most shapes of up to three cells span a proper subgroup, and where
+    # one spans the group the two counts are the same program
+    assert compared[True] >= 40, compared
+
+
+SYMMETRIC = symmetric_tower(5)
+# S1, S2 and S3 into S3, S4 and S5; none of S_n in S_{n+1} is normal for n >= 2
+SYMMETRIC_CONTEXTS = [tower_context(SYMMETRIC, i, j) for j in (2, 3, 4) for i in range(3)
+                      if i < j]
+
+
+def test_count_along_the_symmetric_tower():
+    compared = Counter()
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
+           st.randoms(use_true_random=False))
+    def check(ctx, lift, rng):
+        if lift or ctx.ambient.order > 24:
+            base = random_sft_spec(ctx.base_group, rng)
+            spec = free_extension_spec(base, ctx)
+            assert count_sft(spec) == count_sft(base) ** ctx.cosets
+        else:
+            spec = random_sft_spec(ctx.ambient, rng)
+        try:
+            want = frontier_count(spec, budget=1 << 13)
+        except ResourceError:  # index order on S5 is slow for most shapes
+            return
+        assert count_sft(spec) == want
+        compared[ctx.ambient.order] += 1
+
+    check()
+    assert min(compared[6], compared[24], compared[120]) >= 5, compared
+
+
+def test_count_reduces_to_the_shapes_subgroup():
+    # the whole group refuses at 2^16 states; the subgroup {0, 40} of
+    # order 2 has 3 points and takes a few states
+    g = z2_power_tower(6).levels[5]
+    spec = SftSpec(g, BINARY, (8, 32), frozenset({Pattern(g, (8, 32), (1, 1))}))
+    with pytest.raises(ResourceError):
+        frontier_count(spec, budget=1 << 16)
+    assert count_sft(spec, budget=10) == 3 ** 32
+    with pytest.raises(ResourceError, match=r"\(budget 2\)"):
+        count_sft(spec, budget=2)
 
 
 def test_language_and_forbidden_patterns():
