@@ -259,20 +259,16 @@ ZERO_NON_SINGLETON = "zero-but-not-singleton"
 
 
 def zero_entropy_classify(y: ShiftSpace) -> str:
-    """Classify a nonempty space by entropy: zero entropy forces a single
-    fixed point on a finite group, and any other zero-entropy outcome is a
-    bug signal."""
+    """Classify a nonempty space by entropy.  The canonical entropy
+    log(|Y|)/|G| is zero exactly when |Y| = 1, and a shift-invariant
+    singleton is a fixed point; a point some shift moves is a bug signal."""
     if not y.configs:
         raise DomainError("cannot classify the empty shift space")
-    h = entropy(y)
-    if not h.is_zero():
+    if not entropy(y).is_zero():
         return POSITIVE
-    if len(y.configs) != 1:
-        return ZERO_NON_SINGLETON  # unreachable on finite groups
     (x,) = y.configs
-    for g in y.group.elements():
-        if shift_config(y.group, g, x) != x:
-            return ZERO_NON_SINGLETON
+    if any(shift_config(y.group, g, x) != x for g in y.group.elements()):
+        return ZERO_NON_SINGLETON
     return ZERO_SINGLETON
 
 

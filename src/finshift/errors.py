@@ -1,7 +1,7 @@
 """Exception hierarchy and default budget shared by all finshift modules."""
 
 # the default of every ``budget`` parameter: the most units of work one
-# call may do (DFS nodes, states, closures, families, projections, ...)
+# call may do (enumeration nodes, states, closures, families, projections, ...)
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 
 

@@ -178,9 +178,6 @@ def _read_tower(path, parsed) -> GroupTower:
 
 def _read_sft(path, parsed) -> SftSpec:
     base = os.path.dirname(os.path.abspath(path))
-    group = None
-    alphabet = None
-    shape = None
     forbid_rows = []
     it = _lines(path)
     try:
@@ -189,9 +186,17 @@ def _read_sft(path, parsed) -> SftSpec:
         raise FormatError("empty sft file", path) from None
     if header != "sft":
         raise FormatError("expected an 'sft' header", path, lineno)
+    first = {}  # the line each of group, alphabet and shape is read on
     for lineno, line in it:
         parts = line.split()
-        if parts[0] == "group" and len(parts) == 2:
+        if parts[0] in ("group", "alphabet", "shape"):
+            if parts[0] in first:
+                raise FormatError(f"repeated {parts[0]} line; the first is line "
+                                  f"{first[parts[0]]}", path, lineno)
+            first[parts[0]] = lineno
+        if parts[0] == "group":
+            if len(parts) != 2:
+                raise FormatError("usage: group <groupfile>", path, lineno)
             group = _read_group(os.path.join(base, parts[1]), parsed)
         elif parts[0] == "alphabet":
             try:
@@ -199,19 +204,19 @@ def _read_sft(path, parsed) -> SftSpec:
             except InputError as exc:
                 raise FormatError(str(exc), path, lineno) from None
         elif parts[0] == "shape":
-            shape, shape_line = tuple(_ints(parts[1:], path, lineno)), lineno
+            shape = tuple(_ints(parts[1:], path, lineno))
         elif parts[0] == "forbid":
             forbid_rows.append((lineno, parts[1:]))
         else:
             raise FormatError(f"unknown sft directive {parts[0]!r}", path, lineno)
-    if group is None or alphabet is None or shape is None:
+    if len(first) < 3:
         raise FormatError("sft file needs group, alphabet and shape lines", path)
     if len(set(shape)) != len(shape):
-        raise FormatError("shape indices must be distinct", path, shape_line)
+        raise FormatError("shape indices must be distinct", path, first["shape"])
     for c in shape:
         if not 0 <= c < group.order:
             raise FormatError(f"shape index {c} is outside the group of order "
-                              f"{group.order}", path, shape_line)
+                              f"{group.order}", path, first["shape"])
     # symbols are positional against the declared shape order
     order = sorted(range(len(shape)), key=lambda i: shape[i])
     sorted_shape = tuple(shape[i] for i in order)

@@ -197,8 +197,8 @@ def base_extract(
     (:func:`shiftspace.shape_base`).  X is the free extension of X_L, so
     |X| = |X_L|^[G:L] and B = π_H(X) = π_H(X_L).  A shift-invariant X lies
     in the free extension of B, so it is free exactly when
-    |X_L| = |B|^[L:H].  Only X_L is enumerated; ``budget`` bounds its DFS
-    nodes.
+    |X_L| = |B|^[L:H].  Only X_L is enumerated; ``budget`` bounds its
+    enumeration nodes.
 
     The spec returned forbids the patterns missing from B on the folded
     shape E (each cell of F carried into the base along its coset).  It

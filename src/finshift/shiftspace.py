@@ -2,12 +2,13 @@
 
 An :class:`SftSpec` is declarative (forbidden patterns on a fixed shape);
 a :class:`ShiftSpace` is the enumerated, shift-invariant set of
-configurations.  Two independent enumeration routes exist: a pruned
-depth-first search (:func:`enumerate_sft`) and a naive filter over the full
-configuration space (:func:`enumerate_sft_naive`), kept as each other's
-oracle.  :func:`count_sft` counts the configurations without listing them,
-on the subgroup its shape spans (:func:`shape_base`); both enumerators and
-the count on the whole group (:func:`frontier_count`) are its oracles.
+configurations.  One sweep sets the cells in index order and checks each
+window at its last cell (:func:`_by_last`): :func:`enumerate_sft` keeps
+whole prefixes, :func:`frontier_count` only the symbols later windows read.
+:func:`count_sft` counts on the subgroup the shape spans
+(:func:`shape_base`); the count on the whole group, the enumeration and a
+naive filter over all configurations (:func:`enumerate_sft_naive`) are its
+oracles.
 :func:`project` reads the symbols that configurations carry on a shape,
 which is how presentations and the other modules read a space's language.
 """
@@ -37,11 +38,13 @@ class SftSpec:
         object.__setattr__(self, "forbidden_shape", shape)
         if shape and not (0 <= shape[0] and shape[-1] < self.group.order):
             raise InputError("forbidden shape contains indices outside the group")
+        k = self.alphabet.size
         for w in self.forbidden:
             if w.shape != shape:
-                raise InputError(
-                    "every forbidden pattern must live exactly on the spec shape"
-                )
+                raise InputError("every forbidden pattern must live exactly on the spec shape")
+            for s in w.symbols:
+                if not 0 <= s < k:
+                    raise InputError(f"forbidden symbol {s} is outside the alphabet of size {k}")
 
 
 @dataclass(frozen=True)
@@ -79,51 +82,49 @@ def _windows(group: FiniteGroup, shape):
     return [tuple(mul[f][g] for f in shape) for g in group.elements()]
 
 
+def _by_last(spec: SftSpec) -> list[list[tuple[int, ...]]]:
+    """For each cell p, the windows of the spec's shape whose last cell is p:
+    both sweeps check a window when they set its last cell.  The empty
+    window is checked at the first cell, so forbidding it kills all."""
+    by_last = [[] for _ in range(spec.group.order)]
+    for cells in _windows(spec.group, spec.forbidden_shape):
+        by_last[max(cells, default=0)].append(cells)
+    return by_last
+
+
 def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:
     """Enumerate the configurations avoiding every shifted forbidden pattern.
 
-    Depth-first assignment over element indices ascending, symbols
-    ascending; a partial assignment is pruned as soon as some fully
-    assigned window matches a forbidden pattern.  The search keeps its
-    own stack, so its depth is not bounded by the recursion limit.
-    ``budget`` bounds the nodes visited, one per symbol tried at a cell; a
+    The sweep of :func:`frontier_count` in which no cell leaves the state:
+    the layer after cell p holds the prefixes on cells 0..p that no window
+    ending by p forbids, and the last layer is the space.  ``budget``
+    bounds the nodes visited, one per symbol tried on a prefix; a
     :class:`ResourceError` reports how many were.
     """
-    n = spec.group.order
     k = spec.alphabet.size
     forbidden = {w.symbols for w in spec.forbidden}
-    # windows that become fully assigned exactly when position p is set; the
-    # empty window is checked at the first cell, so forbidding it kills all
-    by_last = [[] for _ in range(n)]
-    for cells in _windows(spec.group, spec.forbidden_shape):
-        by_last[max(cells, default=0)].append(cells)
-    found = []
-    config = [0] * n
-    tried = [0] * n  # next symbol to try at each position
-    p, last = 0, n - 1
+    symbols = [(s,) for s in range(k)]
+    layer = [()]
     nodes = 0
-    while p >= 0:
-        s = tried[p]
-        if s == k:
-            tried[p] = 0
-            p -= 1
-            continue
-        if nodes >= budget:
-            raise ResourceError(
-                f"SFT enumeration stopped after {nodes} nodes (budget {budget})"
-            )
-        nodes += 1
-        tried[p] = s + 1
-        config[p] = s
-        for cells in by_last[p]:
-            if tuple(config[c] for c in cells) in forbidden:
-                break
-        else:
-            if p == last:
-                found.append(tuple(config))
-            else:
-                p += 1
-    return ShiftSpace(spec.group, spec.alphabet, frozenset(found))
+    for windows in _by_last(spec):
+        checks = [_picker(cells) for cells in windows]
+        nxt = []
+        while layer:  # the old layer shrinks as the new one grows
+            prefix = layer.pop()
+            if nodes + k > budget:  # the symbols of this prefix would pass it
+                raise ResourceError(
+                    f"SFT enumeration stopped after {budget} nodes (budget {budget})"
+                )
+            nodes += k
+            for s in symbols:
+                full = prefix + s
+                for check in checks:
+                    if check(full) in forbidden:
+                        break
+                else:
+                    nxt.append(full)
+        layer = nxt
+    return ShiftSpace(spec.group, spec.alphabet, frozenset(layer))
 
 
 def _picker(indices):
@@ -152,32 +153,29 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
     form of the transfer-matrix trace (Lind and Marcus, *An Introduction to
     Symbolic Dynamics and Coding*, ch. 4).  After cell p is set, the state
     is the symbols on the cells some window ending after p still reads, and
-    each state carries the number of partial assignments that reach it.  A
-    window is checked when its last cell is set; a cell leaves the state
-    after the last window that reads it.  ``budget`` bounds the number of
-    states visited; a :class:`ResourceError` reports how many were.
+    each state carries the number of partial assignments that reach it; a
+    cell leaves the state after the last window that reads it.  ``budget``
+    bounds the number of states visited; a :class:`ResourceError` reports
+    how many were.
     """
     n = spec.group.order
     k = spec.alphabet.size
     forbidden = {w.symbols for w in spec.forbidden}
     if not forbidden:
         return k ** n
-    by_last = [[] for _ in range(n)]
-    last_read = list(range(n))  # last window end reading each cell
-    for cells in _windows(spec.group, spec.forbidden_shape):
-        end = max(cells, default=0)  # an empty window, at the first cell
-        by_last[end].append(cells)
-        for c in cells:
-            last_read[c] = max(last_read[c], end)
+    by_last = _by_last(spec)
+    # the last window end reading each cell, as windows come in end order;
+    # a cell that no window reads leaves the state at once
+    last_read = {c: end for end, windows in enumerate(by_last) for w in windows for c in w}
 
     layer = {(): 1}  # frontier symbols -> number of partial assignments
     live = []  # the cells whose symbols a state holds, in state order
     visited = 1
-    for p in range(n):
+    for p, windows in enumerate(by_last):
         cells = live + [p]
         where = {c: i for i, c in enumerate(cells)}
-        checks = [_picker([where[c] for c in w]) for w in by_last[p]]
-        live = [c for c in cells if last_read[c] > p]
+        checks = [_picker([where[c] for c in w]) for w in windows]
+        live = [c for c in cells if last_read.get(c, p) > p]
         keep = _picker([where[c] for c in live])
         nxt = {}
         for state, ways in layer.items():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from finshift import cli, files
-from finshift.errors import FormatError
+from finshift.errors import FormatError, InputError
 from finshift.freext import tower_extend
 from finshift.groups import z2_power_tower
 from finshift.shiftspace import enumerate_sft
@@ -127,6 +127,33 @@ def test_read_sft_errors(tmp_path):
                 "sft\ngroup z4.grp\nalphabet 0 1\nshape 0 1\nforbid 1\n",
             )
         )
+
+
+def test_read_sft_refuses_a_repeated_line(tmp_path, capsys):
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    _write(tmp_path, "z3.grp", "group cyclic 3\n")
+    # with the last line winning, this file would count log(4)/3 on Z/3
+    twice = _write(tmp_path, "twice.sft", "sft\ngroup z4.grp\nalphabet 0 1\nshape 0 1\n"
+                   "forbid 1 1\ngroup z3.grp\nshape 0 2\n")
+    with pytest.raises(FormatError, match=r"twice\.sft:6: repeated group line; the first is line 2$"):
+        files.read_sft(twice)
+    assert cli.main(["sft", "entropy", twice]) == 2
+    _assert_one_error_line(capsys, "twice.sft:6: repeated group line; the first is line 2")
+    for first, again in ((3, "alphabet a b"), (4, "shape 1 2")):
+        directive = again.split()[0]
+        path = _write(tmp_path, f"{directive}.sft",
+                      f"sft\ngroup z4.grp\nalphabet 0 1\nshape 0 1\n{again}\nforbid 1 1\n")
+        with pytest.raises(FormatError,
+                           match=rf":5: repeated {directive} line; the first is line {first}$"):
+            files.read_sft(path)
+
+
+def test_read_sft_group_line_takes_one_file(tmp_path):
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    for line in ("group", "group z4.grp z4.grp"):
+        path = _write(tmp_path, "g.sft", f"sft\n{line}\nalphabet 0 1\nshape 0 1\n")
+        with pytest.raises(FormatError, match=r"g\.sft:2: usage: group <groupfile>$"):
+            files.read_sft(path)
 
 
 def test_cli_group_validate(tmp_path, capsys):
@@ -628,6 +655,9 @@ def test_cli_extract_takes_the_first_matching_level_from_the_base_up(tmp_path, c
             f"base spec on level {level} (group of order 2)", "shape 0 1", "forbid 1 1"]
     assert cli.main(["extract", g2, tower, "2"]) == 2
     _assert_one_error_line(capsys, "the space's group is not a tower level from 2 up")
+    args = cli.build_parser().parse_args(["extract", g2, tower, "2"])
+    with pytest.raises(InputError, match=r"^the space's group is not a tower level from 2 up$"):
+        args.fn(args)
 
 
 @pytest.mark.parametrize(

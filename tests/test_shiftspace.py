@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -63,6 +64,14 @@ def test_spec_normalizes_shape():
             SftSpec(g, BINARY, shape, frozenset())
     with pytest.raises(InputError):
         SftSpec(g, BINARY, (0,), frozenset({Pattern(g, (0, 1), (1, 1))}))
+
+
+def test_spec_refuses_forbidden_symbols_outside_the_alphabet():
+    g = cyclic(3)
+    for symbol in (5, 2, -1):
+        with pytest.raises(InputError, match=rf"^forbidden symbol {symbol} is outside the "
+                                             r"alphabet of size 2$"):
+            SftSpec(g, BINARY, (0,), frozenset({Pattern(g, (0,), (symbol,))}))
 
 
 def test_full_shift():
@@ -141,6 +150,68 @@ def test_enumeration_budget_is_the_nodes_visited(seed, group):
     assert enumerate_sft(spec, budget=nodes).configs == enumerate_sft_naive(spec).configs
     with pytest.raises(ResourceError, match=rf"stopped after {nodes - 1} nodes"):
         enumerate_sft(spec, budget=nodes - 1)
+
+
+def enumerate_by_search(spec, budget):
+    """Oracle for :func:`enumerate_sft`: a depth-first search over element
+    indices ascending, symbols ascending, with its own stack.  A partial
+    assignment is pruned as soon as some fully assigned window matches a
+    forbidden pattern; ``budget`` bounds the nodes visited, one per symbol
+    tried at a cell."""
+    n, k = spec.group.order, spec.alphabet.size
+    forbidden = {w.symbols for w in spec.forbidden}
+    by_last = [[] for _ in range(n)]
+    for g in spec.group.elements():
+        cells = tuple(spec.group.mul[f][g] for f in spec.forbidden_shape)
+        by_last[max(cells, default=0)].append(cells)
+    found = []
+    config = [0] * n
+    tried = [0] * n  # next symbol to try at each position
+    p, nodes = 0, 0
+    while p >= 0:
+        s = tried[p]
+        if s == k:
+            tried[p] = 0
+            p -= 1
+            continue
+        if nodes >= budget:
+            raise ResourceError(f"SFT enumeration stopped after {nodes} nodes (budget {budget})")
+        nodes += 1
+        tried[p] = s + 1
+        config[p] = s
+        if all(tuple(config[c] for c in cells) not in forbidden for cells in by_last[p]):
+            if p == n - 1:
+                found.append(tuple(config))
+            else:
+                p += 1
+    return frozenset(found)
+
+
+# groups of order 16 and 24, where the naive filter is slow or out of reach
+SEARCH_GROUPS = [symmetric_tower(4).levels[3], z2_power_tower(4).levels[3],
+                 product(dihedral4(), cyclic(3)), product(quaternion(), cyclic(2))]
+
+
+def test_enumeration_matches_the_search_on_large_groups():
+    compared = Counter()
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.sampled_from(SEARCH_GROUPS), st.randoms(use_true_random=False))
+    def check(group, rng):
+        spec = random_sft_spec(group, rng)
+        budget = 1 << 14
+        try:
+            want = enumerate_by_search(spec, budget)
+        except ResourceError as exc:  # then the sweep visits as many nodes
+            with pytest.raises(ResourceError, match=rf"^{re.escape(str(exc))}$"):
+                enumerate_sft(spec, budget=budget)
+            compared["refused"] += 1
+            return
+        assert enumerate_sft(spec, budget=budget).configs == want
+        compared[group.order] += 1
+
+    check()
+    assert min(compared[16], compared[24], compared["refused"]) >= 3, compared
 
 
 def test_enumeration_matches_naive_on_fixtures():
