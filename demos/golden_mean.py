@@ -20,9 +20,9 @@ print(f"reference: log of the golden ratio = {LOG_GOLDEN:.6f}")
 
 print()
 print("even shift: two-state cover vs. the block-parity word check")
-for n in range(1, 13):
+for n in range(1, 41):
     even_cover_factor_check(n)
-print("  they accept the same words at every length up to 12")
+print("  they accept the same words at every length up to 40")
 
 print()
 print("why the even shift is not finite-type at any window size k:")

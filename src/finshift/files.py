@@ -80,15 +80,14 @@ def _parse_group(path, parsed) -> FiniteGroup:
     if kind == "cyclic":
         if len(parts) != 3:
             raise FormatError("usage: group cyclic <n>", path, lineno)
-        (n,) = _ints(parts[2:], path, lineno)
-        return _built(cyclic, path, lineno, n)
-    if kind == "product":
+        build, args = cyclic, _ints(parts[2:], path, lineno)
+    elif kind == "product":
         if len(parts) != 4:
             raise FormatError("usage: group product <file> <file>", path, lineno)
         left = _read_group(os.path.join(base, parts[2]), parsed)
         right = _read_group(os.path.join(base, parts[3]), parsed)
-        return product(left, right)
-    if kind == "table":
+        build, args = product, (left, right)
+    elif kind == "table":
         if len(parts) != 3:
             raise FormatError("usage: group table <n>", path, lineno)
         (n,) = _ints(parts[2:], path, lineno)
@@ -99,8 +98,13 @@ def _parse_group(path, parsed) -> FiniteGroup:
                 break
         if len(rows) != n:
             raise FormatError(f"expected {n} table rows, got {len(rows)}", path)
-        return _built(from_table, path, lineno, rows)
-    raise FormatError(f"unknown group kind {kind!r}", path, lineno)
+        build, args = from_table, (rows,)
+    else:
+        raise FormatError(f"unknown group kind {kind!r}", path, lineno)
+    extra = next(it, None)
+    if extra is not None:
+        raise FormatError("extra line after the end of the group", path, extra[0])
+    return _built(build, path, lineno, *args)
 
 
 def read_tower(path) -> GroupTower:
@@ -142,28 +146,20 @@ def _read_tower(path, parsed) -> GroupTower:
                 raise FormatError("usage: embed <k> pairs i->j ...", path, lineno)
             (k,) = _ints(parts[1:2], path, lineno)
             if k != len(embeddings):
-                raise FormatError(
-                    f"embed lines must appear in order; expected {len(embeddings)}",
-                    path,
-                    lineno,
-                )
+                raise FormatError(f"embed lines must appear in order; expected "
+                                  f"{len(embeddings)}", path, lineno)
             pairs = {}
             for tok in parts[3:]:
                 if "->" not in tok:
                     raise FormatError(f"bad pair {tok!r}", path, lineno)
                 a, b = tok.split("->", 1)
-                (i,) = _ints([a], path, lineno)
-                (j,) = _ints([b], path, lineno)
+                i, j = _ints([a, b], path, lineno)
                 pairs[i] = j
-            if k >= len(levels) or k + 1 >= len(levels):
-                raise FormatError(
-                    "embed line before both levels are declared", path, lineno
-                )
+            if k + 1 >= len(levels):
+                raise FormatError("embed line before both levels are declared", path, lineno)
             lo = levels[k]
             if sorted(pairs) != list(range(lo.order)):
-                raise FormatError(
-                    f"embedding must be total on 0..{lo.order - 1}", path, lineno
-                )
+                raise FormatError(f"embedding must be total on 0..{lo.order - 1}", path, lineno)
             embeddings.append(tuple(pairs[i] for i in range(lo.order)))
             _built(check_embedding, path, lineno, levels, k, embeddings[k])
         else:
@@ -223,11 +219,8 @@ def _read_sft(path, parsed) -> SftSpec:
     forbidden = set()
     for lineno, row in forbid_rows:
         if len(row) != len(shape):
-            raise FormatError(
-                f"forbid line has {len(row)} symbols for shape of size {len(shape)}",
-                path,
-                lineno,
-            )
+            raise FormatError(f"forbid line has {len(row)} symbols for shape of size "
+                              f"{len(shape)}", path, lineno)
         try:
             symbols = tuple(alphabet.index(row[i]) for i in order)
         except InputError:

@@ -4,13 +4,16 @@ and local-vs-global admissibility gap witnesses.
 Everything here works on finite binary words and cyclic truncations.
 Golden mean counts are transfer-matrix traces; :func:`golden_mean_spec`
 states the same constraint as an SFT on a cyclic group, whose enumeration
-is the oracle the counts are checked against.
+is the oracle the counts are checked against.  The even shift's cover and
+its block-parity word check are both automata, so they are compared on
+classes of words that reach the same pair of states, which share every
+future verdict; the loop over all 2^n words is the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
+from functools import reduce
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, FinshiftError, InputError, ResourceError
 from .groups import cyclic
@@ -56,22 +59,6 @@ def golden_mean_entropy_estimate(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET)
     return math.log(golden_mean_cyclic_count(n, budget=budget)) / n
 
 
-def _blocks(word):
-    """(start, length) of every maximal run of ones."""
-    runs = []
-    i = 0
-    while i < len(word):
-        if word[i] == 1:
-            j = i
-            while j < len(word) and word[j] == 1:
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
 def _parse_word(w):
     if isinstance(w, str):
         if any(ch not in "01" for ch in w):
@@ -83,34 +70,45 @@ def _parse_word(w):
     return w
 
 
+# the cover runs on its set of states; the block-parity scan's state is
+# (after a zero, run of ones odd, odd interior block seen)
+_COVER = {("A", 0): "A", ("A", 1): "B", ("B", 1): "A"}
+_START = (frozenset("AB"), (False, False, False))
+
+
+def _cover_step(states, label):
+    return frozenset(_COVER[q, label] for q in states if (q, label) in _COVER)
+
+
+def _scan_step(state, label):
+    # a zero closes a run of ones as an interior block when a zero came before it
+    after_zero, odd, bad = state
+    return (after_zero, not odd, bad) if label else (True, False, bad or (after_zero and odd))
+
+
+def _step(pair, label):
+    states, scan = pair
+    return _cover_step(states, label), _scan_step(scan, label)
+
+
 def even_shift_word_check(w) -> bool:
     """Language check for the even shift on finite windows.
 
     Interior maximal blocks of ones must have even length; blocks touching
     either end of the window are extendable and therefore unconstrained.
     """
-    word = _parse_word(w)
-    for start, length in _blocks(word):
-        touches_end = start == 0 or start + length == len(word)
-        if not touches_end and length % 2 == 1:
-            return False
-    return True
+    return not reduce(_scan_step, _parse_word(w), _START[1])[2]
 
 
 def even_cover_accepts(word) -> bool:
     """Whether ``word`` labels a path in the even shift's two-state cover,
     A -0-> A, A -1-> B, B -1-> A (Lind and Marcus, *An Introduction to
-    Symbolic Dynamics and Coding*, §3.1).
+    Symbolic Dynamics and Coding*, §3.1), from the start set {A, B}.
 
     Every state has in- and out-edges, so every path is bi-extendable and
-    the accepted words are the even shift's words.  The cover runs as a
-    ``(state, label) -> state`` map from the start set {A, B}.
+    the accepted words are the even shift's words.
     """
-    step = {("A", 0): "A", ("A", 1): "B", ("B", 1): "A"}
-    states = {"A", "B"}
-    for label in _parse_word(word):
-        states = {step[q, label] for q in states if (q, label) in step}
-    return bool(states)
+    return bool(reduce(_cover_step, _parse_word(word), _START[0]))
 
 
 class EvenCoverMismatch(FinshiftError):
@@ -120,26 +118,55 @@ class EvenCoverMismatch(FinshiftError):
         self.word = word
 
 
+def _class_transitions(n: int) -> int:
+    """The transitions :func:`even_cover_factor_check` takes for length n,
+    two per class at each shorter length.  Each length's classes are a
+    function of the length before, so they run into a cycle."""
+    sizes, first, classes = [], {}, frozenset({_START})
+    while len(sizes) < n and classes not in first:
+        first[classes] = len(sizes)
+        sizes.append(len(classes))
+        classes = frozenset(_step(pair, s) for pair in classes for s in (0, 1))
+    start = first.get(classes, n)  # lengths start.. repeat sizes[start:]
+    cycle = sizes[start:]
+    laps, rest = divmod(n - start, len(cycle) or 1)
+    return 2 * (sum(sizes[:start]) + laps * sum(cycle) + sum(cycle[:rest]))
+
+
 def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Compare the cover with :func:`even_shift_word_check` on every binary
-    word of length n, in lexicographic order; return the number of
-    admissible words.  ``budget`` bounds the 2^n words compared, and a
-    longer length is refused before any is.
+    word of length n; return the number of admissible words.
 
-    Raises :class:`EvenCoverMismatch` on the least word where the two
-    disagree.
+    Both are automata read left to right, so words that reach the same pair
+    (cover states, scan state) share every future verdict: one class per
+    pair keeps the number of its words and the least of them.  At most 5
+    classes are reachable at a length, so a length takes at most 10 class
+    transitions, not 2^n words; ``budget`` bounds the transitions, refused
+    before the first.  Raises :class:`EvenCoverMismatch` on the least word
+    where the two disagree.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
-    if 2 ** n > budget:
-        raise ResourceError(f"even-shift cover check needs {2 ** n} words "
-                            f"of length {n} (budget {budget})")
+    need = _class_transitions(n)
+    if need > budget:
+        raise ResourceError(f"even-shift cover check needs {need} class transitions "
+                            f"for length {n} (budget {budget})")
+    # pair -> [words, least word]; walking a layer in the order of its least
+    # words, label 0 before 1, reaches each next class first by its least
+    # word, so the next layer is in that order too
+    layer = {_START: [1, ()]}
+    for _ in range(n):
+        nxt = {}
+        for pair, (words, least) in layer.items():
+            for label in (0, 1):
+                nxt.setdefault(_step(pair, label), [0, least + (label,)])[0] += words
+        layer = nxt
     count = 0
-    for word in iproduct((0, 1), repeat=n):
-        in_cover = even_cover_accepts(word)
-        if in_cover != even_shift_word_check(word):
-            raise EvenCoverMismatch(word, in_cover)
-        count += in_cover
+    for (states, scan), (words, least) in layer.items():
+        in_cover, in_check = bool(states), not scan[2]
+        if in_cover != in_check:
+            raise EvenCoverMismatch(least, in_cover)
+        count += words * in_cover
     return count
 
 
@@ -160,9 +187,7 @@ def sft_gap_witness(k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     word = (0,) + (1,) * (2 * k + 1) + (0,)
     for i in range(len(word) - k + 1):
         if not even_shift_word_check(word[i : i + k]):
-            raise FinshiftError(
-                f"internal error: subword at {i} failed the local check"
-            )
+            raise FinshiftError(f"internal error: subword at {i} failed the local check")
     if even_shift_word_check(word):
         raise FinshiftError("internal error: witness passed the global check")
     return word

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -412,12 +413,28 @@ def test_cli_zline_rejects_lengths_below_the_first_row(capsys, kind, n, first):
     _assert_one_error_line(capsys, f"error: zline {kind} needs n >= {first}, not {n}")
 
 
-def test_cli_zline_even_budget_counts_words(capsys):
-    assert cli.main(["--budget", "32", "zline", "even", "5"]) == 0
+def test_cli_zline_even_budget_counts_class_transitions(capsys):
+    # a row of length m takes two transitions per class at each shorter
+    # length: 30 for m = 5 and 40 for m = 6
+    assert cli.main(["--budget", "30", "zline", "even", "5"]) == 0
     capsys.readouterr()
-    assert cli.main(["--budget", "32", "zline", "even", "6"]) == 2
-    _assert_one_error_line(capsys, "error: even-shift cover check needs 64 words "
-                           "of length 6 (budget 32)")
+    assert cli.main(["--budget", "30", "zline", "even", "6"]) == 2
+    _assert_one_error_line(capsys, "error: even-shift cover check needs 40 class transitions "
+                           "for length 6 (budget 30)")
+
+
+def test_cli_zline_even_40_is_fibonacci_and_fast(capsys):
+    fib = [0, 1]
+    while len(fib) < 44:
+        fib.append(fib[-1] + fib[-2])
+    start = time.perf_counter()
+    assert cli.main(["zline", "even", "40"]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:-1]] == [
+        [str(m), str(fib[m + 3] - 1)] for m in range(1, 41)
+    ]
+    assert lines[-1] == "cover and oracle agree at every length"
 
 
 @pytest.mark.parametrize(
@@ -637,6 +654,42 @@ def test_cli_group_and_tower_errors_name_the_file_and_line(tmp_path, capsys, arg
            levels + "embed 0 pairs 0->0 1->2\nembed 1 pairs 0->0 1->1 2->2 3->3\n")
     _write(tmp_path, "short.twr", levels + "embed 0 pairs 0->0 1->2\n")
     assert cli.main([str(tmp_path / a) if "." in a else a for a in argv]) == 2
+    _assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("group table 2\n0 1\n1 0\n1 0\n", "t.grp:4: extra line after the end of the group"),
+        ("group cyclic 3\n\n0 1 2\n", "t.grp:3: extra line after the end of the group"),
+    ],
+    ids=["table-extra-row", "cyclic-extra-line"],
+)
+def test_cli_group_validate_refuses_lines_after_the_group(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "t.grp", text)
+    assert cli.main(["group", "validate", path]) == 2
+    _assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "files_text, message",
+    [
+        ({"t.grp": "group cyclic 99999999999\n"},
+         "t.grp:1: cyclic group of order 99999999999 needs 9999999999800000000001 table "
+         "entries (budget 16777216)"),
+        ({"a.grp": "group cyclic 64\n", "b.grp": "group cyclic 65\n",
+          "t.grp": "group product a.grp b.grp\n"},
+         "t.grp:1: product group of order 4160 needs 17305600 table entries "
+         "(budget 16777216)"),
+    ],
+    ids=["cyclic", "product"],
+)
+def test_cli_group_validate_refuses_tables_over_the_budget(tmp_path, capsys, files_text,
+                                                            message):
+    # refused before any table entry is built
+    for name, text in files_text.items():
+        _write(tmp_path, name, text)
+    assert cli.main(["group", "validate", str(tmp_path / "t.grp")]) == 2
     _assert_one_error_line(capsys, message)
 
 

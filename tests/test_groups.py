@@ -222,6 +222,20 @@ def test_product_is_componentwise(n, m):
             assert g.mul[a][b] == (i + k) % n + n * ((j + l) % m)
 
 
+def test_cyclic_and_product_budget_counts_table_entries():
+    assert cyclic(4, budget=16).order == 4
+    with pytest.raises(ResourceError, match=r"cyclic group of order 5 needs 25 table entries "
+                                            r"\(budget 24\)"):
+        cyclic(5, budget=24)
+    assert product(cyclic(2), cyclic(3), budget=36).order == 6
+    with pytest.raises(ResourceError, match=r"product group of order 6 needs 36 table entries "
+                                            r"\(budget 35\)"):
+        product(cyclic(2), cyclic(3), budget=35)
+    # the default budget refuses before allocating
+    with pytest.raises(ResourceError, match="needs 9999999999800000000001 table entries"):
+        cyclic(99_999_999_999)
+
+
 def test_trusted_constructors_build_what_from_table_validates():
     # cyclic, product and as_group skip validation: their tables must pass it
     # every other fixture has identity 0, which hides a wrong closed form

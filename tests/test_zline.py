@@ -153,12 +153,20 @@ def test_cover_accepts_examples():
 
 def test_cover_factor_check_rejects_long_words():
     # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement;
-    # the budget bounds the 2^n words compared, refused before the first
-    with pytest.raises(ResourceError, match=r"needs 131072 words of length 17 \(budget 65536\)"):
-        even_cover_factor_check(17, budget=1 << 16)
-    assert even_cover_factor_check(5, budget=32) == 20  # F(8) - 1
-    with pytest.raises(ResourceError, match=r"needs 64 words of length 6 \(budget 32\)"):
-        even_cover_factor_check(6, budget=32)
+    # the budget bounds the class transitions, two per class at each shorter
+    # length: 1, 2, 3, 4 classes at lengths 0..3 and 5 from then on
+    assert [zline._class_transitions(n) for n in range(7)] == [0, 2, 6, 12, 20, 30, 40]
+    assert even_cover_factor_check(17, budget=150) == 6764  # F(20) - 1
+    with pytest.raises(ResourceError,
+                       match=r"needs 150 class transitions for length 17 \(budget 149\)"):
+        even_cover_factor_check(17, budget=149)
+    assert even_cover_factor_check(5, budget=30) == 20  # F(8) - 1
+    with pytest.raises(ResourceError,
+                       match=r"needs 40 class transitions for length 6 \(budget 30\)"):
+        even_cover_factor_check(6, budget=30)
+    # refused before any transition is taken, however long the word
+    with pytest.raises(ResourceError, match=r"needs 9999999980 class transitions"):
+        even_cover_factor_check(10 ** 9)
 
 
 def test_cover_factor_check_rejects_negative_lengths():
@@ -167,20 +175,87 @@ def test_cover_factor_check_rejects_negative_lengths():
 
 
 def test_cover_mismatch_is_reported(monkeypatch):
-    # a word check that admits everything disagrees with the cover first on
-    # 010, the least word with an odd interior block
-    monkeypatch.setattr(zline, "even_shift_word_check", lambda w: True)
+    # a scan that never sees an odd interior block admits every word, and
+    # disagrees with the cover first on 010, the least word with one
+    scan_step = zline._scan_step
+    monkeypatch.setattr(zline, "_scan_step", lambda s, a: (*scan_step(s, a)[:2], False))
     with pytest.raises(EvenCoverMismatch, match="word check only") as info:
         even_cover_factor_check(3)
     assert info.value.word == (0, 1, 0)
 
 
+def cover_factor_check_by_words(n):
+    """The 2^n-word oracle for :func:`even_cover_factor_check`: compare the
+    cover with the word check on every word of length n, in lexicographic
+    order, and raise on the first that they disagree on."""
+    count = 0
+    for word in iproduct((0, 1), repeat=n):
+        in_cover = even_cover_accepts(word)
+        if in_cover != even_shift_word_check(word):
+            raise EvenCoverMismatch(word, in_cover)
+        count += in_cover
+    return count
+
+
+def _transitions_by_layers(n):
+    classes, need = {zline._START}, 0
+    for _ in range(n):
+        need += 2 * len(classes)
+        classes = {zline._step(pair, s) for pair in classes for s in (0, 1)}
+    return need
+
+
+def _outcome(check, n):
+    try:
+        return check(n)
+    except EvenCoverMismatch as exc:
+        return exc.word, str(exc)
+
+
+def test_sweep_matches_the_word_loop():
+    for n in range(13):
+        assert even_cover_factor_check(n) == cover_factor_check_by_words(n), n
+
+
+SCAN_STATES = list(iproduct((False, True), repeat=3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.tuples(st.just("scan"), st.sampled_from(SCAN_STATES), st.integers(0, 1),
+                  st.sampled_from(SCAN_STATES)),
+        st.tuples(st.just("cover"), st.sampled_from("AB"), st.integers(0, 1),
+                  st.sampled_from(["A", "B", None])),
+    ),
+    st.integers(0, 12),
+)
+def test_corrupted_steps_give_the_word_loops_answer(corruption, n):
+    # one transition of the scan or of the cover goes wrong; classes still
+    # share their future verdicts, so the sweep gives the loop's count, or
+    # raises on the same least word with the same side, and the budget's
+    # count read off the cycle of classes is still the layer-by-layer sum
+    side, state, label, target = corruption
+    with pytest.MonkeyPatch.context() as mp:
+        if side == "scan":
+            scan_step = zline._scan_step
+            mp.setattr(zline, "_scan_step", lambda s, a: target if (s, a) == (state, label)
+                       else scan_step(s, a))
+        else:
+            cover = {k: v for k, v in zline._COVER.items() if k != (state, label)}
+            if target is not None:
+                cover[state, label] = target
+            mp.setattr(zline, "_COVER", cover)
+        assert _outcome(even_cover_factor_check, n) == _outcome(cover_factor_check_by_words, n)
+        assert zline._class_transitions(4 * n) == _transitions_by_layers(4 * n)
+
+
 def test_admissible_word_counts_are_fibonacci():
     # the words of length n are counted by F(n+3) - 1 (F(1) = F(2) = 1)
     fib = [0, 1]
-    while len(fib) < 20:
+    while len(fib) < 204:
         fib.append(fib[-1] + fib[-2])
-    for n in range(17):
+    for n in range(201):
         assert even_cover_factor_check(n) == fib[n + 3] - 1, n
 
 
