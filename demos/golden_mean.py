@@ -5,7 +5,7 @@ Run:  python3 demos/golden_mean.py
 
 from finshift.zline import (
     LOG_GOLDEN,
-    even_cover_factor_check,
+    even_cover_factor_counts,
     golden_mean_cyclic_count,
     golden_mean_entropy_estimate,
     sft_gap_witness,
@@ -20,8 +20,7 @@ print(f"reference: log of the golden ratio = {LOG_GOLDEN:.6f}")
 
 print()
 print("even shift: two-state cover vs. the block-parity word check")
-for n in range(1, 41):
-    even_cover_factor_check(n)
+even_cover_factor_counts(40)
 print("  they accept the same words at every length up to 40")
 
 print()

@@ -94,6 +94,7 @@ from .zline import (
     EvenCoverMismatch,
     even_cover_accepts,
     even_cover_factor_check,
+    even_cover_factor_counts,
     even_shift_word_check,
     golden_mean_cyclic_count,
     golden_mean_entropy_estimate,

@@ -147,24 +147,31 @@ def _cmd_entropy_set(args) -> int:
 
 
 def _cmd_zline(args) -> int:
-    # kind -> first row, default n, header, row value, closing line; each
-    # table runs from its first row to n, and has at least that row
-    first, default, header, value, closing = {
-        "golden": (3, 20, ("n", "estimate"),
-                   lambda m, b: f"{zline.golden_mean_entropy_estimate(m, b):.6f}",
-                   f"reference log(phi) = {zline.LOG_GOLDEN:.6f}"),
-        "even": (1, 12, ("n", "admissible-words"), zline.even_cover_factor_check,
-                 "cover and oracle agree at every length"),
-        "gap": (2, 10, ("k", "witness"),
-                lambda m, b: "".join(map(str, zline.sft_gap_witness(m, b))), None),
-    }[args.zline_kind]
+    # each table runs from its first row to n, and has at least that row
+    first, default = {"golden": (3, 20), "even": (1, 12), "gap": (2, 10)}[args.zline_kind]
     n = args.n if args.n is not None else default
     if n < first:
         raise InputError(f"zline {args.zline_kind} needs n >= {first}, not {n}")
-    _emit_table([header] + [(m, value(m, args.budget)) for m in range(first, n + 1)],
-                args.format)
-    if closing:
-        print(closing)
+    if args.zline_kind == "golden":
+        rows = [("n", "estimate")]
+        for m in range(first, n + 1):
+            rows.append((m, f"{zline.golden_mean_entropy_estimate(m, budget=args.budget):.6f}"))
+        _emit_table(rows, args.format)
+        print(f"reference log(phi) = {zline.LOG_GOLDEN:.6f}")
+        return 0
+    if args.zline_kind == "even":
+        counts = zline.even_cover_factor_counts(n, budget=args.budget)
+        rows = [("n", "admissible-words")]
+        for m in range(first, n + 1):
+            rows.append((m, counts[m]))
+        _emit_table(rows, args.format)
+        print("cover and oracle agree at every length")
+        return 0
+    rows = [("k", "witness")]
+    for m in range(first, n + 1):
+        word = zline.sft_gap_witness(m, budget=args.budget)
+        rows.append((m, "".join(str(s) for s in word)))
+    _emit_table(rows, args.format)
     return 0
 
 

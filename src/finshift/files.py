@@ -80,7 +80,8 @@ def _parse_group(path, parsed) -> FiniteGroup:
     if kind == "cyclic":
         if len(parts) != 3:
             raise FormatError("usage: group cyclic <n>", path, lineno)
-        build, args = cyclic, _ints(parts[2:], path, lineno)
+        (n,) = _ints(parts[2:], path, lineno)
+        build, args = cyclic, (n,)
     elif kind == "product":
         if len(parts) != 4:
             raise FormatError("usage: group product <file> <file>", path, lineno)
@@ -146,20 +147,28 @@ def _read_tower(path, parsed) -> GroupTower:
                 raise FormatError("usage: embed <k> pairs i->j ...", path, lineno)
             (k,) = _ints(parts[1:2], path, lineno)
             if k != len(embeddings):
-                raise FormatError(f"embed lines must appear in order; expected "
-                                  f"{len(embeddings)}", path, lineno)
+                raise FormatError(
+                    f"embed lines must appear in order; expected {len(embeddings)}",
+                    path,
+                    lineno,
+                )
             pairs = {}
             for tok in parts[3:]:
                 if "->" not in tok:
                     raise FormatError(f"bad pair {tok!r}", path, lineno)
                 a, b = tok.split("->", 1)
-                i, j = _ints([a, b], path, lineno)
+                (i,) = _ints([a], path, lineno)
+                (j,) = _ints([b], path, lineno)
                 pairs[i] = j
-            if k + 1 >= len(levels):
-                raise FormatError("embed line before both levels are declared", path, lineno)
+            if k >= len(levels) or k + 1 >= len(levels):
+                raise FormatError(
+                    "embed line before both levels are declared", path, lineno
+                )
             lo = levels[k]
             if sorted(pairs) != list(range(lo.order)):
-                raise FormatError(f"embedding must be total on 0..{lo.order - 1}", path, lineno)
+                raise FormatError(
+                    f"embedding must be total on 0..{lo.order - 1}", path, lineno
+                )
             embeddings.append(tuple(pairs[i] for i in range(lo.order)))
             _built(check_embedding, path, lineno, levels, k, embeddings[k])
         else:
@@ -219,8 +228,11 @@ def _read_sft(path, parsed) -> SftSpec:
     forbidden = set()
     for lineno, row in forbid_rows:
         if len(row) != len(shape):
-            raise FormatError(f"forbid line has {len(row)} symbols for shape of size "
-                              f"{len(shape)}", path, lineno)
+            raise FormatError(
+                f"forbid line has {len(row)} symbols for shape of size {len(shape)}",
+                path,
+                lineno,
+            )
         try:
             symbols = tuple(alphabet.index(row[i]) for i in order)
         except InputError:

@@ -105,33 +105,33 @@ def from_table(table) -> FiniteGroup:
     return group
 
 
-def _table_fits(kind, n, budget):
-    if n * n > budget:
+def _table_fits(kind, n):
+    if n * n > DEFAULT_CANDIDATE_BUDGET:
         raise ResourceError(f"{kind} group of order {n} needs {n * n} table entries "
-                            f"(budget {budget})")
+                            f"(limit {DEFAULT_CANDIDATE_BUDGET})")
 
 
-def cyclic(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` (addition mod n), a group by
     construction: not validated, with identity 0 and inverses ``-a mod n``.
-    ``budget`` bounds the n^2 table entries, refused before any is built."""
+    A table over ``DEFAULT_CANDIDATE_BUDGET`` entries is refused before any
+    is built."""
     if n < 1:
         raise InputError(f"cyclic group order must be >= 1, got {n}")
-    _table_fits("cyclic", n, budget)
+    _table_fits("cyclic", n)
     twice = tuple(range(n)) * 2
     mul = tuple(twice[a : a + n] for a in range(n))  # row a is 0..n-1 rotated by a
     inv = tuple(-a % n for a in range(n))
     return FiniteGroup(mul, 0, inv)
 
 
-def product(g1: FiniteGroup, g2: FiniteGroup,
-            budget: int = DEFAULT_CANDIDATE_BUDGET) -> FiniteGroup:
+def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with mixed-radix index encoding: index = i + |g1|*j.
     Not validated; identity and inverses are the factors', componentwise.
-    ``budget`` bounds the (|g1|·|g2|)^2 table entries, refused before any
+    A table over ``DEFAULT_CANDIDATE_BUDGET`` entries is refused before any
     is built."""
     n1 = g1.order
-    _table_fits("product", n1 * g2.order, budget)
+    _table_fits("product", n1 * g2.order)
     mul = tuple(
         tuple(k + n1 * l for l in row2 for k in row1)
         for row2 in g2.mul
@@ -235,8 +235,10 @@ def subgroups_and_closures(
     def close(gens):
         nonlocal closures
         if closures >= budget:
-            raise ResourceError(f"subgroup enumeration stopped after {closures} closures "
-                                f"(budget {budget})")
+            raise ResourceError(
+                f"subgroup enumeration stopped after {closures} closures "
+                f"(budget {budget})"
+            )
         closures += 1
         return _close_under(g, gens)
 
@@ -290,11 +292,14 @@ def check_embedding(levels, i: int, emb) -> None:
     """
     lo, hi = levels[i], levels[i + 1]
     if hi.order % lo.order != 0:
-        raise ValidationError(f"level {i} order {lo.order} does not divide level {i+1} "
-                              f"order {hi.order}")
+        raise ValidationError(
+            f"level {i} order {lo.order} does not divide level {i+1} "
+            f"order {hi.order}"
+        )
     if len(emb) != lo.order:
-        raise ValidationError(f"embedding must be total: got {len(emb)} entries "
-                              f"for order {lo.order}")
+        raise ValidationError(
+            f"embedding must be total: got {len(emb)} entries for order {lo.order}"
+        )
     if len(set(emb)) != len(emb):
         dup = next(a for a in emb if list(emb).count(a) > 1)
         raise ValidationError(f"embedding is not injective: image {dup} repeated")
@@ -308,7 +313,9 @@ def check_embedding(levels, i: int, emb) -> None:
         es = emb[s]
         for a in range(lo.order):
             if emb[lo.mul[a][s]] != hi.mul[emb[a]][es]:
-                raise ValidationError(f"not a homomorphism: witness pair ({a},{s})")
+                raise ValidationError(
+                    f"not a homomorphism: witness pair ({a},{s})"
+                )
 
 
 def build_tower(levels, embeddings) -> GroupTower:
@@ -316,8 +323,10 @@ def build_tower(levels, embeddings) -> GroupTower:
     levels = tuple(levels)
     embeddings = tuple(tuple(e) for e in embeddings)
     if len(embeddings) != max(len(levels) - 1, 0):
-        raise InputError(f"{len(levels)} levels need {len(levels) - 1} embeddings, "
-                         f"got {len(embeddings)}")
+        raise InputError(
+            f"{len(levels)} levels need {len(levels) - 1} embeddings, "
+            f"got {len(embeddings)}"
+        )
     for i, emb in enumerate(embeddings):
         check_embedding(levels, i, emb)
     return GroupTower(levels, embeddings)

@@ -118,56 +118,57 @@ class EvenCoverMismatch(FinshiftError):
         self.word = word
 
 
-def _class_transitions(n: int) -> int:
-    """The transitions :func:`even_cover_factor_check` takes for length n,
-    two per class at each shorter length.  Each length's classes are a
-    function of the length before, so they run into a cycle."""
-    sizes, first, classes = [], {}, frozenset({_START})
-    while len(sizes) < n and classes not in first:
-        first[classes] = len(sizes)
-        sizes.append(len(classes))
-        classes = frozenset(_step(pair, s) for pair in classes for s in (0, 1))
-    start = first.get(classes, n)  # lengths start.. repeat sizes[start:]
-    cycle = sizes[start:]
-    laps, rest = divmod(n - start, len(cycle) or 1)
-    return 2 * (sum(sizes[:start]) + laps * sum(cycle) + sum(cycle[:rest]))
-
-
-def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+def even_cover_factor_counts(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> list:
     """Compare the cover with :func:`even_shift_word_check` on every binary
-    word of length n; return the number of admissible words.
+    word of length at most n; return the number of admissible words of each
+    length 0..n.
 
     Both are automata read left to right, so words that reach the same pair
     (cover states, scan state) share every future verdict: one class per
     pair keeps the number of its words and the least of them.  At most 5
     classes are reachable at a length, so a length takes at most 10 class
-    transitions, not 2^n words; ``budget`` bounds the transitions, refused
-    before the first.  Raises :class:`EvenCoverMismatch` on the least word
-    where the two disagree.
+    transitions, not 2^n words.  A transition from length k adds a count of
+    at most k + 1 bits, so ``budget`` bounds the 5·n·(n + 1) bit additions
+    of the whole sweep, refused before the first.  Raises
+    :class:`EvenCoverMismatch` on the least word where the two disagree, at
+    the first length that has one.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
-    need = _class_transitions(n)
+    need = 5 * n * (n + 1)
     if need > budget:
-        raise ResourceError(f"even-shift cover check needs {need} class transitions "
+        raise ResourceError(f"even-shift cover check needs up to {need} bit additions "
                             f"for length {n} (budget {budget})")
-    # pair -> [words, least word]; walking a layer in the order of its least
-    # words, label 0 before 1, reaches each next class first by its least
-    # word, so the next layer is in that order too
-    layer = {_START: [1, ()]}
-    for _ in range(n):
+    # pair -> [words, least word], the least word kept last letter first as
+    # nested pairs (label, rest), so a transition copies no word; walking a
+    # layer in the order of its least words, label 0 before 1, reaches each
+    # next class first by its least word, so the next layer is in that order
+    layer, counts = {_START: [1, ()]}, []
+    while True:
+        count = 0
+        for (states, scan), (words, least) in layer.items():
+            in_cover, in_check = bool(states), not scan[2]
+            if in_cover != in_check:
+                word = []
+                while least:
+                    label, least = least
+                    word.append(label)
+                raise EvenCoverMismatch(tuple(reversed(word)), in_cover)
+            count += words * in_cover
+        counts.append(count)
+        if len(counts) > n:
+            return counts
         nxt = {}
         for pair, (words, least) in layer.items():
             for label in (0, 1):
-                nxt.setdefault(_step(pair, label), [0, least + (label,)])[0] += words
+                nxt.setdefault(_step(pair, label), [0, (label, least)])[0] += words
         layer = nxt
-    count = 0
-    for (states, scan), (words, least) in layer.items():
-        in_cover, in_check = bool(states), not scan[2]
-        if in_cover != in_check:
-            raise EvenCoverMismatch(least, in_cover)
-        count += words * in_cover
-    return count
+
+
+def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """The number of admissible words of length n, from
+    :func:`even_cover_factor_counts` under the same ``budget``."""
+    return even_cover_factor_counts(n, budget)[n]
 
 
 def sft_gap_witness(k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
@@ -187,7 +188,9 @@ def sft_gap_witness(k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
     word = (0,) + (1,) * (2 * k + 1) + (0,)
     for i in range(len(word) - k + 1):
         if not even_shift_word_check(word[i : i + k]):
-            raise FinshiftError(f"internal error: subword at {i} failed the local check")
+            raise FinshiftError(
+                f"internal error: subword at {i} failed the local check"
+            )
     if even_shift_word_check(word):
         raise FinshiftError("internal error: witness passed the global check")
     return word

@@ -81,9 +81,9 @@ def budget_defaults():
 def test_every_budget_defaults_to_the_one_default_budget():
     found = budget_defaults()
     for name in ("shiftspace.enumerate_sft", "shiftspace.count_sft", "groups.all_subgroups",
-                 "groups.cyclic", "groups.product",
                  "groups.subgroups_and_closures", "dynprops.entropy_set",
                  "dynprops.automorphism_group", "zline.even_cover_factor_check",
+                 "zline.even_cover_factor_counts",
                  "zline.golden_mean_cyclic_count", "zline.golden_mean_entropy_estimate",
                  "zline.sft_gap_witness"):
         assert f"finshift.{name}" in found

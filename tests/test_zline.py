@@ -15,6 +15,7 @@ from finshift.zline import (
     EvenCoverMismatch,
     even_cover_accepts,
     even_cover_factor_check,
+    even_cover_factor_counts,
     even_shift_word_check,
     golden_mean_cyclic_count,
     golden_mean_entropy_estimate,
@@ -153,20 +154,31 @@ def test_cover_accepts_examples():
 
 def test_cover_factor_check_rejects_long_words():
     # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement;
-    # the budget bounds the class transitions, two per class at each shorter
-    # length: 1, 2, 3, 4 classes at lengths 0..3 and 5 from then on
-    assert [zline._class_transitions(n) for n in range(7)] == [0, 2, 6, 12, 20, 30, 40]
-    assert even_cover_factor_check(17, budget=150) == 6764  # F(20) - 1
+    # the budget bounds the bit additions, up to 10 counts of at most k + 1
+    # bits at each length k < n, 5·n·(n + 1) in all
+    assert even_cover_factor_check(17, budget=1530) == 6764  # F(20) - 1
     with pytest.raises(ResourceError,
-                       match=r"needs 150 class transitions for length 17 \(budget 149\)"):
-        even_cover_factor_check(17, budget=149)
-    assert even_cover_factor_check(5, budget=30) == 20  # F(8) - 1
+                       match=r"needs up to 1530 bit additions for length 17 \(budget 1529\)"):
+        even_cover_factor_check(17, budget=1529)
+    assert even_cover_factor_check(5, budget=150) == 20  # F(8) - 1
     with pytest.raises(ResourceError,
-                       match=r"needs 40 class transitions for length 6 \(budget 30\)"):
-        even_cover_factor_check(6, budget=30)
+                       match=r"needs up to 210 bit additions for length 6 \(budget 150\)"):
+        even_cover_factor_check(6, budget=150)
     # refused before any transition is taken, however long the word
-    with pytest.raises(ResourceError, match=r"needs 9999999980 class transitions"):
+    with pytest.raises(ResourceError, match=r"needs up to 5000000005000000000 bit additions"):
         even_cover_factor_check(10 ** 9)
+
+
+def test_the_longest_length_the_default_budget_allows():
+    # 5·1831·1832 bit additions fit in 2^24 and 5·1832·1833 do not; the
+    # sweep to 1831 takes about 18000 class transitions
+    a, b = 0, 1  # F(0), F(1)
+    for _ in range(1834):
+        a, b = b, a + b
+    assert even_cover_factor_check(1831) == a - 1  # F(1834) - 1
+    with pytest.raises(ResourceError, match=r"needs up to 16790280 bit additions "
+                                            r"for length 1832 \(budget 16777216\)"):
+        even_cover_factor_check(1832)
 
 
 def test_cover_factor_check_rejects_negative_lengths():
@@ -185,9 +197,8 @@ def test_cover_mismatch_is_reported(monkeypatch):
 
 
 def cover_factor_check_by_words(n):
-    """The 2^n-word oracle for :func:`even_cover_factor_check`: compare the
-    cover with the word check on every word of length n, in lexicographic
-    order, and raise on the first that they disagree on."""
+    """Compare the cover with the word check on every word of length n, in
+    lexicographic order, and raise on the first that they disagree on."""
     count = 0
     for word in iproduct((0, 1), repeat=n):
         in_cover = even_cover_accepts(word)
@@ -197,12 +208,10 @@ def cover_factor_check_by_words(n):
     return count
 
 
-def _transitions_by_layers(n):
-    classes, need = {zline._START}, 0
-    for _ in range(n):
-        need += 2 * len(classes)
-        classes = {zline._step(pair, s) for pair in classes for s in (0, 1)}
-    return need
+def cover_factor_counts_by_words(n):
+    """The 2^m-word oracle for :func:`even_cover_factor_counts`: the loop
+    above at each length m = 0..n in turn."""
+    return [cover_factor_check_by_words(m) for m in range(n + 1)]
 
 
 def _outcome(check, n):
@@ -213,6 +222,7 @@ def _outcome(check, n):
 
 
 def test_sweep_matches_the_word_loop():
+    assert even_cover_factor_counts(12) == cover_factor_counts_by_words(12)
     for n in range(13):
         assert even_cover_factor_check(n) == cover_factor_check_by_words(n), n
 
@@ -232,9 +242,8 @@ SCAN_STATES = list(iproduct((False, True), repeat=3))
 )
 def test_corrupted_steps_give_the_word_loops_answer(corruption, n):
     # one transition of the scan or of the cover goes wrong; classes still
-    # share their future verdicts, so the sweep gives the loop's count, or
-    # raises on the same least word with the same side, and the budget's
-    # count read off the cycle of classes is still the layer-by-layer sum
+    # share their future verdicts, so the sweep gives the loop's counts, or
+    # raises on the same least word with the same side at the same length
     side, state, label, target = corruption
     with pytest.MonkeyPatch.context() as mp:
         if side == "scan":
@@ -246,8 +255,7 @@ def test_corrupted_steps_give_the_word_loops_answer(corruption, n):
             if target is not None:
                 cover[state, label] = target
             mp.setattr(zline, "_COVER", cover)
-        assert _outcome(even_cover_factor_check, n) == _outcome(cover_factor_check_by_words, n)
-        assert zline._class_transitions(4 * n) == _transitions_by_layers(4 * n)
+        assert _outcome(even_cover_factor_counts, n) == _outcome(cover_factor_counts_by_words, n)
 
 
 def test_admissible_word_counts_are_fibonacci():
