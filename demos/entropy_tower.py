@@ -3,7 +3,15 @@
 Run:  python3 demos/entropy_tower.py
 """
 
-from finshift.dynprops import entropy, entropy_set, mme, measure_entropy, mme_unique_check
+from fractions import Fraction
+
+from finshift.dynprops import (
+    entropy_set,
+    measure_entropy,
+    measure_from_orbit_masses,
+    mme,
+    spec_entropy,
+)
 from finshift.fixtures import golden_mean_like_spec
 from finshift.groups import cyclic, z2_power_tower
 from finshift.shiftspace import enumerate_sft
@@ -15,10 +23,12 @@ for v in sorted(values, key=float):
     print(f"  {str(v):10s} = {float(v):.6f}")
 
 print()
-y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-mu = mme(y)
-print(f"golden mean on a cycle of 5: entropy {entropy(y)}")
-print(f"uniform measure entropy: {measure_entropy(y, mu):.6f}")
-verdict = mme_unique_check(y, grid=60)
-print(f"exact verdict by Gibbs' inequality: unique maximizer at "
-      f"uniform = {verdict.unique and verdict.uniform_is_max}")
+spec = golden_mean_like_spec(cyclic(5))
+y = enumerate_sft(spec)
+print(f"golden mean on a cycle of 5: entropy {spec_entropy(spec)}")
+print(f"uniform measure entropy: {measure_entropy(y, mme(y)):.6f}")
+third, one, zero = Fraction(1, 3), Fraction(1), Fraction(0)
+for masses in ((third, third, third), (one, zero, zero)):
+    mu = measure_from_orbit_masses(y, masses)
+    print(f"orbit masses {' '.join(map(str, masses))}: entropy {measure_entropy(y, mu):.6f}")
+print("by Gibbs' inequality the uniform measure is the only one of maximal entropy")

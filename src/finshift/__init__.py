@@ -70,25 +70,20 @@ from .freext import (
 )
 from .dynprops import (
     AutomorphismGroup,
-    EntropyMinimalVerdict,
     EntropyValue,
     InvariantMeasure,
-    MmeUniqueVerdict,
     SiVerdict,
     automorphism_group,
     count_entropy,
     entropy,
     entropy_set,
-    is_entropy_minimal,
     measure_entropy,
     measure_from_orbit_masses,
     minimal_si_witnesses,
     mme,
-    mme_unique_check,
     partition_entropy,
     spec_entropy,
     strongly_irreducible_witness,
-    zero_entropy_classify,
 )
 from .zline import (
     EvenCoverMismatch,
@@ -97,6 +92,7 @@ from .zline import (
     even_cover_factor_counts,
     even_shift_word_check,
     golden_mean_cyclic_count,
+    golden_mean_cyclic_counts,
     golden_mean_entropy_estimate,
     golden_mean_spec,
     sft_gap_witness,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import dynprops, files, suites, zline
-from .errors import FinshiftError, InputError
+from .errors import FinshiftError, InputError, ResourceError
 from .freext import base_extract, tower_context, tower_extension_count
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
 
@@ -22,8 +23,16 @@ def _entropy_line(value: dynprops.EntropyValue) -> str:
     return f"{value} ≈ {float(value):.6f}"
 
 
+def _cell(row, c) -> str:
+    try:
+        return str(c)
+    except ValueError:  # an int with more digits than str may print
+        raise ResourceError(f"row {row[0]} has more than {sys.get_int_max_str_digits()} "
+                            "digits, the interpreter's limit for printing an integer") from None
+
+
 def _emit_table(rows, fmt: str) -> None:
-    rows = [tuple(str(c) for c in row) for row in rows]
+    rows = [tuple(_cell(row, c) for c in row) for row in rows]
     if fmt == "tsv":
         for row in rows:
             print("\t".join(row))
@@ -92,8 +101,25 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec, space = _load_space(args.sft, args.budget)
     kind = args.check_kind
+    if kind in ("zero", "entmin", "mme"):
+        # on a finite group these follow from the count: log|X|/|G| is zero
+        # exactly when X is one point, which, being shift-invariant, is a
+        # fixed point; it drops when an orbit is removed; and the uniform
+        # measure is the only one that attains it (see dynprops.mme)
+        h = dynprops.spec_entropy(files.read_sft(args.sft), budget=args.budget)
+        if kind == "zero":
+            print("zero-and-singleton-fixed-point" if h.is_zero() else "positive-entropy")
+        elif kind == "entmin":
+            print("entropy minimal")
+        else:
+            if args.grid < 1:
+                raise InputError(f"grid must be >= 1, not {args.grid}")
+            print(f"max measure entropy {float(h):.6f}")
+            print("uniform attains the maximum: True")
+            print("unique maximizer: True")
+        return 0
+    _, space = _load_space(args.sft, args.budget)
     if kind == "si":
         if args.witness is not None:
             items = args.witness.split(",") if args.witness else []
@@ -111,26 +137,9 @@ def _cmd_check(args) -> int:
         ]
         _emit_table(rows, args.format)
         return 0 if minimal else 1
-    if kind == "entmin":
-        verdict = dynprops.is_entropy_minimal(space)
-        if verdict.ok:
-            print("entropy minimal")
-            return 0
-        print(f"FAIL: proper subshift with {len(verdict.counterexample.configs)} "
-              "configurations has equal entropy")
-        return 1
-    if kind == "zero":
-        print(dynprops.zero_entropy_classify(space))
-        return 0
-    if kind == "aut":
-        aut = dynprops.automorphism_group(space, budget=args.budget)
-        print(f"automorphism group order {aut.order}")
-        _emit_table([row for row in aut.composition], args.format)
-        return 0
-    verdict = dynprops.mme_unique_check(space, grid=args.grid)
-    print(f"max measure entropy {verdict.max_entropy:.6f}")
-    print(f"uniform attains the maximum: {verdict.uniform_is_max}")
-    print(f"unique maximizer: {verdict.unique}")
+    aut = dynprops.automorphism_group(space, budget=args.budget)
+    print(f"automorphism group order {aut.order}")
+    _emit_table([row for row in aut.composition], args.format)
     return 0
 
 
@@ -154,8 +163,9 @@ def _cmd_zline(args) -> int:
         raise InputError(f"zline {args.zline_kind} needs n >= {first}, not {n}")
     if args.zline_kind == "golden":
         rows = [("n", "estimate")]
-        for m in range(first, n + 1):
-            rows.append((m, f"{zline.golden_mean_entropy_estimate(m, budget=args.budget):.6f}"))
+        for m, count in enumerate(zline.golden_mean_cyclic_counts(n, budget=args.budget), 1):
+            if m >= first:
+                rows.append((m, f"{math.log(count) / m:.6f}"))
         _emit_table(rows, args.format)
         print(f"reference log(phi) = {zline.LOG_GOLDEN:.6f}")
         return 0

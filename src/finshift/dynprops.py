@@ -1,8 +1,11 @@
-"""Dynamical properties of enumerated shift spaces.
+"""Dynamical properties of shift spaces on a finite group.
 
 Entropy on a finite group is log(#configs)/|group| and is kept exact as an
 integer pair; all entropy comparisons go through big-integer cross powers,
-never floats.  Measures are exact rationals until a final logarithm.
+never floats.  It is counted from the spec, and it alone settles zero
+entropy, entropy minimality and the measure of maximal entropy; strong
+irreducibility, automorphisms and measures work on enumerated spaces.
+Measures are exact rationals until a final logarithm.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import combinations
 
 from .errors import DomainError, InputError, ResourceError
 from .groups import GroupTower, subgroups_and_closures
-from .patterns import Pattern, shift_config
+from .patterns import Pattern
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -226,53 +229,6 @@ def minimal_si_witnesses(
 
 
 @dataclass(frozen=True)
-class EntropyMinimalVerdict:
-    ok: bool
-    counterexample: ShiftSpace | None = None
-
-
-def is_entropy_minimal(y: ShiftSpace, subshifts=None) -> EntropyMinimalVerdict:
-    """True iff every nonempty proper subshift has strictly smaller entropy.
-
-    Entropy on a finite group grows with cardinality, and every proper
-    subshift lies in Y minus one orbit, so only those are checked, one per
-    orbit; that the size drops is asserted as a cross-check.  ``subshifts``
-    may be injected (e.g. by tests) in their place.
-    """
-    if not y.configs:
-        raise DomainError("entropy minimality of the empty space is undefined")
-    h = entropy(y)
-    if subshifts is None:
-        subshifts = (ShiftSpace(y.group, y.alphabet, y.configs - o) for o in orbits(y))
-    for z in subshifts:
-        if not z.configs or z.configs == y.configs:
-            continue
-        if not entropy(z) < h:
-            return EntropyMinimalVerdict(False, z)
-        assert len(z.configs) < len(y.configs)
-    return EntropyMinimalVerdict(True)
-
-
-ZERO_SINGLETON = "zero-and-singleton-fixed-point"
-POSITIVE = "positive-entropy"
-ZERO_NON_SINGLETON = "zero-but-not-singleton"
-
-
-def zero_entropy_classify(y: ShiftSpace) -> str:
-    """Classify a nonempty space by entropy.  The canonical entropy
-    log(|Y|)/|G| is zero exactly when |Y| = 1, and a shift-invariant
-    singleton is a fixed point; a point some shift moves is a bug signal."""
-    if not y.configs:
-        raise DomainError("cannot classify the empty shift space")
-    if not entropy(y).is_zero():
-        return POSITIVE
-    (x,) = y.configs
-    if any(shift_config(y.group, g, x) != x for g in y.group.elements()):
-        return ZERO_NON_SINGLETON
-    return ZERO_SINGLETON
-
-
-@dataclass(frozen=True)
 class AutomorphismGroup:
     """All self-conjugacies of a space, as permutations of its sorted
     configurations."""
@@ -366,7 +322,16 @@ class InvariantMeasure:
 
 
 def mme(y: ShiftSpace) -> InvariantMeasure:
-    """The uniform measure, which attains the topological entropy."""
+    """The uniform measure, the unique measure of maximal entropy.
+
+    An invariant measure is constant on each orbit ``o``, so it is fixed by
+    its orbit masses ``m_o``, and its entropy is
+    ``Σ m_o·log(|o|/m_o) / |G|`` over the orbits with ``m_o > 0``.  Since
+    log is strictly concave, Gibbs' inequality gives
+    ``Σ m_o·log(|o|/m_o) <= log Σ_{m_o > 0} |o| <= log |Y|``, with equality
+    exactly when ``m_o = |o|/|Y|`` for every orbit.  The tests compare this
+    with exact sweeps of the orbit-mass simplex.
+    """
     if not y.configs:
         raise DomainError("the empty shift space carries no measure")
     w = Fraction(1, len(y.configs))
@@ -413,39 +378,3 @@ def measure_entropy(y: ShiftSpace, mu: InvariantMeasure) -> float:
     order."""
     whole = tuple(y.group.elements())
     return partition_entropy(y, mu, whole) / y.group.order
-
-
-@dataclass(frozen=True)
-class MmeUniqueVerdict:
-    """The measures of maximal entropy among the invariant measures."""
-
-    unique: bool
-    uniform_is_max: bool
-    max_entropy: float
-    maximizers: tuple  # orbit-mass vectors attaining the maximum
-
-
-def mme_unique_check(y: ShiftSpace, grid: int) -> MmeUniqueVerdict:
-    """Decide the measures of maximal entropy exactly: the uniform measure
-    is the only one, with entropy ``entropy(y)``.
-
-    An invariant measure is constant on each orbit ``o``, so it is fixed by
-    its orbit masses ``m_o``, and its entropy is
-    ``Σ m_o·log(|o|/m_o) / |G|`` over the orbits with ``m_o > 0``.  Since
-    log is strictly concave, Gibbs' inequality gives
-    ``Σ m_o·log(|o|/m_o) <= log Σ_{m_o > 0} |o| <= log |Y|``, with equality
-    exactly when ``m_o = |o|/|Y|`` for every orbit.  No measure is scored;
-    the tests compare the verdict with an exact sweep of the simplex.
-    ``grid`` must be at least 1 and has no effect.
-    """
-    if not y.configs:
-        raise DomainError("the empty shift space carries no measure")
-    if grid < 1:
-        raise InputError(f"grid must be >= 1, not {grid}")
-    uniform = tuple(Fraction(len(orb), len(y.configs)) for orb in orbits(y))
-    return MmeUniqueVerdict(
-        unique=True,
-        uniform_is_max=True,
-        max_entropy=float(entropy(y)),
-        maximizers=(uniform,),
-    )

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import dynprops, zline
 from .errors import ConfigurationError
@@ -23,6 +24,7 @@ from .fixtures import (
     golden_mean_like_spec,
     random_sft_spec,
     standard_specs,
+    symmetric3,
     two_point_spec,
 )
 from .freext import (
@@ -38,9 +40,10 @@ from .freext import (
     tower_extend,
 )
 from .groups import cyclic, z2_power_tower
-from .patterns import BINARY, shift_config
+from .patterns import BINARY, Pattern, shift_config
 from .shiftspace import (
     BlockMap,
+    SftSpec,
     ShiftSpace,
     apply_block_code,
     enumerate_sft,
@@ -362,19 +365,25 @@ def _entropy_set_truncation(seed):
 
 @_check("theorem-2/zero-entropy-classification")
 def _zero_entropy(seed):
-    for name, spec in standard_specs():
+    s3 = symmetric3()
+    point = SftSpec(s3, BINARY, (0,), frozenset({Pattern(s3, (0,), (1,))}))
+    for name, spec in [*standard_specs(), ("point_s3", point)]:
         y = enumerate_sft(spec)
-        singleton = len(y.configs) == 1
-        verdict = dynprops.zero_entropy_classify(y)
-        want = dynprops.ZERO_SINGLETON if singleton else dynprops.POSITIVE
-        assert verdict == want, name
-        assert dynprops.entropy(y).is_zero() == singleton, name
+        zero = dynprops.spec_entropy(spec).is_zero()
+        assert zero == (len(y.configs) == 1), name
+        if zero:
+            (x,) = y.configs
+            assert all(shift_config(y.group, g, x) == x for g in y.group.elements()), name
 
 
 @_check("theorem-2/entropy-minimality")
 def _entropy_minimal(seed):
     for name, spec in standard_specs():
-        assert dynprops.is_entropy_minimal(enumerate_sft(spec)).ok, name
+        y = enumerate_sft(spec)
+        h = dynprops.entropy(y)
+        for orb in orbits(y):
+            if rest := y.configs - orb:
+                assert dynprops.entropy(ShiftSpace(y.group, y.alphabet, rest)) < h, name
 
 
 @_check("theorem-2/mme-attains-topological-entropy")
@@ -388,21 +397,32 @@ def _mme_attains(seed):
         assert abs(dynprops.measure_entropy(y, mu) - h) < 1e-12, name
 
 
-def _assert_exact_mme(y, verdict):
-    """The verdict names the uniform measure, its orbit masses summed from
-    :func:`dynprops.mme`, as the one maximizer, at the topological entropy."""
-    mu = dynprops.mme(y)
-    uniform = tuple(sum(mu.weights[c] for c in orb) for orb in orbits(y))
-    assert verdict == dynprops.MmeUniqueVerdict(
-        unique=True, uniform_is_max=True,
-        max_entropy=float(dynprops.entropy(y)), maximizers=(uniform,),
-    ), verdict
+def _compositions(total, bins):
+    """Every tuple of ``bins`` non-negative integers summing to ``total``."""
+    for bars in combinations(range(total + bins - 1), bins - 1):
+        edges = (-1, *bars, total + bins - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @_check("theorem-2/mme-unique-on-golden-mean")
 def _mme_unique(seed):
-    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    _assert_exact_mme(y, dynprops.mme_unique_check(y, grid=200))
+    # at orbit masses c_o/N a measure has entropy
+    # log(Π(|o|·N)^{c_o} / Π c_o^{c_o}) / (N·|G|), with 0^0 = 1, so against
+    # h = log(b)/d it scores less exactly when
+    # Π(|o|·N)^{c_o} < b^{N·|G|/d} · Π c_o^{c_o}: cross powers in integers
+    spec = golden_mean_like_spec(cyclic(5))
+    y, h = enumerate_sft(spec), dynprops.spec_entropy(spec)
+    mu, parts, n = dynprops.mme(y), orbits(y), len(y.configs)
+    assert abs(dynprops.measure_entropy(y, mu) - float(h)) < 1e-12
+    sizes = tuple(len(orb) for orb in parts)  # the uniform masses, times n
+    assert all(sum(mu.weights[c] for c in orb) * n == len(orb) for orb in parts)
+    bound, points = h.count ** (n * y.group.order // h.denom), 0
+    for masses in _compositions(n, len(parts)):
+        left = math.prod((size * n) ** c for size, c in zip(sizes, masses))
+        right = bound * math.prod(c ** c for c in masses)
+        assert left == right if masses == sizes else left < right, masses
+        points += 1
+    assert points == 78, points
 
 
 @_check("theorem-2/two-fixed-point-mme")
@@ -411,8 +431,9 @@ def _two_fixed_points(seed):
     # at h = log(2)/4: both Dirac measures are invariant but carry zero
     # measure entropy
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    _assert_exact_mme(y, dynprops.mme_unique_check(y, grid=100))
-    assert abs(float(dynprops.entropy(y)) - math.log(2) / 4) < 1e-12
+    h = float(dynprops.entropy(y))
+    assert abs(h - math.log(2) / 4) < 1e-12
+    assert abs(dynprops.measure_entropy(y, dynprops.mme(y)) - h) < 1e-12
     for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
         dirac = dynprops.measure_from_orbit_masses(y, masses)
         assert dynprops.measure_entropy(y, dirac) == 0.0

@@ -13,6 +13,7 @@ future verdict; the loop over all 2^n words is the tests' oracle.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import reduce
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, FinshiftError, InputError, ResourceError
@@ -32,23 +33,36 @@ def golden_mean_spec(n: int) -> SftSpec:
     return SftSpec(g, BINARY, shape, frozenset({forbidden}))
 
 
-def golden_mean_cyclic_count(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
-    """Binary words of length n with no two cyclically adjacent ones.
+def golden_mean_cyclic_counts(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET):
+    """An iterator over the counts of binary words of length 1, ..., n with
+    no two cyclically adjacent ones, from one run of the Lucas rule, so that
+    only the last two counts are held.
 
-    This is the trace of the n-th power of [[1,1],[1,0]]: 1 and 3 for
-    n = 1, 2, then the Lucas rule t(n) = t(n-1) + t(n-2).  ``budget``
-    bounds the n - 1 Lucas steps, and a longer length is refused before
-    any is taken.
+    The counts are the traces of the powers of [[1,1],[1,0]]: 1 and 3 for
+    lengths 1, 2, then t(m) = t(m-1) + t(m-2).  ``budget`` bounds the
+    run's n - 1 Lucas steps.  A longer run is refused before any step is
+    taken, and the refusal names the first length out of reach, budget + 2.
     """
     if n < 1:
         raise InputError("word length must be >= 1")
     if n - 1 > budget:
-        raise ResourceError(f"golden mean count needs {n - 1} Lucas steps "
-                            f"for length {n} (budget {budget})")
-    a, b = 2, 1  # t(0), t(1)
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return b
+        raise ResourceError(f"golden mean count needs {budget + 1} Lucas steps "
+                            f"for length {budget + 2} (budget {budget})")
+
+    def run():
+        a, b = 2, 1  # t(0), t(1)
+        yield b
+        for _ in range(n - 1):
+            a, b = b, a + b
+            yield b
+
+    return run()
+
+
+def golden_mean_cyclic_count(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """Binary words of length n with no two cyclically adjacent ones: the
+    last of :func:`golden_mean_cyclic_counts` under the same ``budget``."""
+    return deque(golden_mean_cyclic_counts(n, budget), maxlen=1)[0]
 
 
 def golden_mean_entropy_estimate(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> float:

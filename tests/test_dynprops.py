@@ -1,37 +1,39 @@
 """Exact entropy, strong irreducibility, automorphisms and measures."""
 
+import contextlib
+import io
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finshift import cli, files
 from finshift.dynprops import (
-    POSITIVE,
-    ZERO_SINGLETON,
     EntropyValue,
     SiVerdict,
     automorphism_group,
     entropy,
     entropy_set,
-    is_entropy_minimal,
     measure_entropy,
     measure_from_orbit_masses,
     minimal_si_witnesses,
     mme,
-    mme_unique_check,
     partition_entropy,
     spec_entropy,
     strongly_irreducible_witness,
-    zero_entropy_classify,
 )
 from finshift.errors import DomainError, InputError, ResourceError
 from finshift.fixtures import (
+    alternating4,
     cyclic_doubling_tower,
     dihedral4,
+    empty_spec,
     golden_mean_like_spec,
     klein,
     quaternion,
@@ -350,44 +352,65 @@ def test_si_budget_names_the_work_done():
         strongly_irreducible_witness(y, (0, 1), budget=10)
 
 
+def equal_entropy_subshift(y, subshifts):
+    """Oracle: the first nonempty proper subshift among ``subshifts`` whose
+    entropy is not below that of ``y``, or None."""
+    h = entropy(y)
+    return next((z for z in subshifts
+                 if z.configs and z.configs != y.configs and not entropy(z) < h), None)
+
+
+def minus_one_orbit(y):
+    """``y`` minus one orbit, for each orbit: every proper subshift lies in
+    one of these."""
+    return [ShiftSpace(y.group, y.alphabet, y.configs - orb) for orb in orbits(y)]
+
+
 def test_entropy_minimality_on_fixtures():
     for name, spec in standard_specs():
         y = enumerate_sft(spec)
-        assert is_entropy_minimal(y).ok, name
+        assert equal_entropy_subshift(y, minus_one_orbit(y)) is None, name
 
 
 def test_entropy_minimality_counterexample_branch():
     # same cardinality means equal entropy on the same group, so an
-    # injected equal-size collection must trip the verdict
+    # injected equal-size collection must trip the oracle
     y = ShiftSpace(cyclic(2), BINARY, frozenset({(0, 0), (1, 1)}))
     fake = [ShiftSpace(y.group, y.alphabet, frozenset({(0, 1), (1, 0)}))]
-    verdict = is_entropy_minimal(y, subshifts=fake)
-    assert not verdict.ok
-    assert verdict.counterexample is fake[0]
+    assert equal_entropy_subshift(y, fake) is fake[0]
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000))
 def test_entropy_minimality_matches_subshift_oracle(group, seed):
     y = random_subshift(group, seed, max_configs=16, max_orbits=8)
-    oracle = is_entropy_minimal(y, subshifts=enumerate_subshifts(y))
-    assert is_entropy_minimal(y) == oracle
+    assert equal_entropy_subshift(y, enumerate_subshifts(y)) is None
+    assert equal_entropy_subshift(y, minus_one_orbit(y)) is None
 
 
 def test_full_shift_on_z8_is_entropy_minimal():
     # 36 orbits: over the cap of 20 on which all 2^36 orbit unions were built
     y = full_shift(cyclic(8), BINARY)
     assert len(orbits(y)) == 36
-    assert is_entropy_minimal(y).ok
+    assert equal_entropy_subshift(y, minus_one_orbit(y)) is None
+
+
+def zero_verdict_by_enumeration(y):
+    """Oracle: the ``check zero`` line, from the configurations: a single
+    one that every shift fixes, or positive entropy."""
+    fixed = len(y.configs) == 1 and all(
+        shift_config(y.group, g, x) == x for x in y.configs for g in y.group.elements()
+    )
+    return "zero-and-singleton-fixed-point" if fixed else "positive-entropy"
 
 
 def test_zero_entropy_classification():
-    singleton = ShiftSpace(cyclic(2), BINARY, frozenset({(0, 0)}))
-    assert zero_entropy_classify(singleton) == ZERO_SINGLETON
-    assert zero_entropy_classify(
-        enumerate_sft(two_point_spec(cyclic(4)))
-    ) == POSITIVE
-    assert zero_entropy_classify(full_shift(cyclic(2), BINARY)) == POSITIVE
+    z2 = cyclic(2)
+    point = SftSpec(z2, BINARY, (0,), frozenset({Pattern(z2, (0,), (1,))}))
+    for spec, zero in ((point, True), (two_point_spec(cyclic(4)), False), (empty_spec(z2), False)):
+        assert zero_verdict_by_enumeration(enumerate_sft(spec)) == (
+            "zero-and-singleton-fixed-point" if zero else "positive-entropy")
+        assert spec_entropy(spec).is_zero() == zero
 
 
 def test_automorphism_group_orders():
@@ -589,38 +612,44 @@ def test_invariant_measure_validation():
         InvariantMeasure(y, weights)
 
 
+def orbit_masses(y, mu):
+    return tuple(sum((mu.weights[c] for c in orb), Fraction(0)) for orb in orbits(y))
+
+
 def test_mme_unique_on_golden_mean():
-    y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    verdict = mme_unique_check(y, grid=60)
-    assert verdict.unique and verdict.uniform_is_max
-    assert verdict.max_entropy == float(entropy(y))
+    spec = golden_mean_like_spec(cyclic(5))
+    y = enumerate_sft(spec)
+    mu = mme(y)
+    assert abs(measure_entropy(y, mu) - float(spec_entropy(spec))) < 1e-12
+    # the 78 orbit-mass vectors with denominator 11 all lie below it
+    assert mme_sweep_exact(y, len(y.configs)) == [(orbit_masses(y, mu), True)]
 
 
 def test_mme_unique_on_two_point_space():
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    verdict = mme_unique_check(y, grid=100)
-    assert verdict.unique and verdict.uniform_is_max
-    assert verdict.maximizers == ((Fraction(1, 2), Fraction(1, 2)),)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert orbit_masses(y, mme(y)) == half
+    assert mme_sweep_exact(y, 100) == [(half, True)]
     for masses in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
         dirac = measure_from_orbit_masses(y, masses)
         assert measure_entropy(y, dirac) == 0.0
-        assert measure_entropy(y, dirac) < verdict.max_entropy
+        assert measure_entropy(y, dirac) < float(entropy(y))
 
 
 def compositions(total, bins):
-    """Every tuple of ``bins`` non-negative integers summing to ``total``."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, bins - 1):
-            yield (first,) + rest
+    """Every tuple of ``bins`` non-negative integers summing to ``total``,
+    as the gaps between ``bins - 1`` bars among ``total + bins - 1`` slots."""
+    for bars in combinations(range(total + bins - 1), bins - 1):
+        edges = (-1, *bars, total + bins - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def mme_sweep_by_measures(y, grid, tol=1e-9):
-    """Oracle: build each grid point's InvariantMeasure and take its
-    entropy from the cylinder language over the whole group, checking it
-    against the closed form ``Σ m_o·log(|o|/m_o)/|G|`` on the way."""
+    """Oracle: build the uniform measure and each grid point's
+    InvariantMeasure and take its entropy from the cylinder language over
+    the whole group, checking it against the closed form
+    ``Σ m_o·log(|o|/m_o)/|G|`` on the way.  Returns the best entropy and
+    the orbit masses within ``tol`` of it."""
     parts = orbits(y)
     uniform = tuple(Fraction(len(orb), len(y.configs)) for orb in parts)
     candidates = [uniform] + [
@@ -635,16 +664,13 @@ def mme_sweep_by_measures(y, grid, tol=1e-9):
         assert abs(h - closed / y.group.order) < 1e-12
         scored.append((m, h))
     best = max(h for _, h in scored)
-    maximizers = tuple(m for m, h in scored if h >= best - tol)
-    return len(maximizers) == 1, uniform in maximizers, best, maximizers
+    return best, tuple(m for m, h in scored if h >= best - tol)
 
 
-def _assert_same_verdict(y, grid):
-    verdict = mme_unique_check(y, grid=grid)
-    unique, uniform_is_max, best, maximizers = mme_sweep_by_measures(y, grid)
-    assert (verdict.unique, verdict.uniform_is_max) == (unique, uniform_is_max)
-    assert verdict.maximizers == maximizers
-    assert abs(verdict.max_entropy - best) < 1e-12
+def _assert_uniform_is_the_only_maximizer(y, grid):
+    best, maximizers = mme_sweep_by_measures(y, grid)
+    assert maximizers == (orbit_masses(y, mme(y)),)
+    assert abs(best - float(entropy(y))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -659,13 +685,13 @@ def _assert_same_verdict(y, grid):
     ids=["golden-z5", "two-q8", "s3-non-normal"],
 )
 def test_mme_sweep_matches_measure_oracle(y):
-    _assert_same_verdict(y, grid=12)
+    _assert_uniform_is_the_only_maximizer(y, grid=12)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000), st.integers(1, 8))
 def test_mme_sweep_matches_measure_oracle_on_random_specs(group, seed, grid):
-    _assert_same_verdict(random_subshift(group, seed, 2 * group.order, 4), grid)
+    _assert_uniform_is_the_only_maximizer(random_subshift(group, seed, 2 * group.order, 4), grid)
 
 
 def mme_sweep_exact(y, grid):
@@ -681,8 +707,8 @@ def mme_sweep_exact(y, grid):
     bound = len(y.configs) ** grid
     not_below = []
     for comp in compositions(grid, len(sizes)):
-        left = math.prod((size * grid) ** c for size, c in zip(sizes, comp))
-        right = bound * math.prod(c ** c for c in comp)
+        left = math.prod((size * grid) ** c for size, c in zip(sizes, comp) if c)
+        right = bound * math.prod(c ** c for c in comp if c)
         if left >= right:
             not_below.append((tuple(Fraction(c, grid) for c in comp), left == right))
     return not_below
@@ -692,13 +718,10 @@ def mme_sweep_exact(y, grid):
 @given(st.sampled_from(PROPERTY_GROUPS), st.integers(0, 10_000), st.integers(1, 40))
 def test_mme_verdict_matches_the_exact_sweep(group, seed, grid):
     y = random_subshift(group, seed, 2 * group.order, 4)
-    verdict = mme_unique_check(y, grid=grid)
-    assert (verdict.unique, verdict.uniform_is_max) == (True, True)
-    assert verdict.max_entropy == float(entropy(y))
-    (uniform,) = verdict.maximizers
-    # on the grid of its own denominator the maximizer ties with the
-    # uniform measure and every other point lies strictly below; on the
-    # drawn grid, so does every point but the maximizer, if it is there
+    uniform = orbit_masses(y, mme(y))
+    # on the grid of its own denominator the uniform measure ties with
+    # itself and every other point lies strictly below; on the drawn grid,
+    # so does every point but the uniform one, if it is there
     own = math.lcm(*(m.denominator for m in uniform))
     assert mme_sweep_exact(y, own) == [(uniform, True)]
     on_grid = grid % own == 0
@@ -709,14 +732,64 @@ def test_mme_exact_sweep_has_no_false_tie_on_a_fine_grid():
     # the float sweep's tolerance made a tie of the points next to the
     # uniform one on the two-point space at N = 100000; the integers do not
     y = enumerate_sft(two_point_spec(cyclic(2)))
+    assert orbit_masses(y, mme(y)) == (Fraction(1, 2), Fraction(1, 2))
     n = 100_000
     for c in (n // 2 - 1, n // 2 + 1):
         assert 2 ** n * c ** c * (n - c) ** (n - c) > n ** n
-    assert mme_unique_check(y, grid=n).maximizers == ((Fraction(1, 2), Fraction(1, 2)),)
 
 
 def test_variational_inequality_on_grid():
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
-    h = float(entropy(y))
-    verdict = mme_unique_check(y, grid=20)
-    assert verdict.max_entropy <= h + 1e-12
+    best, _ = mme_sweep_by_measures(y, grid=20)
+    assert best <= float(entropy(y)) + 1e-12
+
+
+def mme_lines_by_enumeration(y):
+    """Oracle: the ``check mme`` lines, with the uniform measure's entropy
+    from its cylinders and the verdict from :func:`mme_sweep_exact` on the
+    finest grid N <= |Y| of at most 2000 points: every orbit-mass vector
+    with denominator |Y| when there are that few."""
+    mu = mme(y)
+    uniform = orbit_masses(y, mu)
+    k = len(uniform)
+    fits = takewhile(lambda n: math.comb(n + k - 1, k - 1) <= 2000, range(1, len(y.configs) + 1))
+    grid = max(fits, default=1)
+    not_below = mme_sweep_exact(y, grid)
+    return [f"max measure entropy {measure_entropy(y, mu):.6f}",
+            f"uniform attains the maximum: {all(tie for _, tie in not_below)}",
+            f"unique maximizer: {all(m == uniform for m, _ in not_below)}"]
+
+
+def write_spec(directory, spec):
+    """Write ``spec`` and its group, as a table, to files in ``directory``;
+    return the spec file's path."""
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in spec.group.mul)
+    with open(os.path.join(directory, "g.grp"), "w", encoding="utf-8") as f:
+        f.write(f"group table {spec.group.order}\n{rows}")
+    lines = ["sft", "group g.grp", "alphabet 0 1", "shape " + " ".join(map(str, spec.forbidden_shape))]
+    lines += ["forbid " + " ".join(map(str, w.symbols)) for w in spec.forbidden]
+    path = os.path.join(directory, "x.sft")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    return path
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.sampled_from(PROPERTY_GROUPS + [alternating4()]), st.integers(0, 10_000))
+def test_cli_check_answers_from_the_count_as_the_enumerated_space_does(group, seed):
+    spec = random_sft_spec(group, random.Random(seed))
+    y = enumerate_sft(spec)
+    oracle = {
+        "zero": [zero_verdict_by_enumeration(y)],
+        "entmin": ["entropy minimal" if equal_entropy_subshift(y, minus_one_orbit(y)) is None
+                   else "not entropy minimal"],
+        "mme": mme_lines_by_enumeration(y),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_spec(tmp, spec)
+        assert files.read_sft(path) == spec
+        for kind, want in oracle.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["check", kind, path]) == 0
+            assert out.getvalue().splitlines() == want, kind

@@ -204,10 +204,34 @@ def test_cli_sft_entropy_of_the_empty_space(tmp_path, capsys):
         "dead.sft",
         "sft\ngroup z4.grp\nalphabet 0 1\nshape 0\nforbid 0\nforbid 1\n",
     )
-    assert cli.main(["sft", "entropy", dead]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: entropy of the empty shift space is undefined\n"
+    for argv in (["sft", "entropy"], ["check", "zero"], ["check", "entmin"], ["check", "mme"]):
+        assert cli.main([*argv, dead]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: entropy of the empty shift space is undefined\n"
+
+
+def test_cli_check_answers_from_the_count_on_z2_power_6(tmp_path, capsys, monkeypatch):
+    # |X| = 3^32 among 2^64 candidates, far past what 2^24 enumeration nodes
+    # reach; the count on the shape's subgroup gives it at once
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "e2.grp", "group product z2.grp z2.grp\n")
+    _write(tmp_path, "e3.grp", "group product e2.grp z2.grp\n")
+    _write(tmp_path, "e6.grp", "group product e3.grp e3.grp\n")
+    sft = _write(tmp_path, "e6.sft", "sft\ngroup e6.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_sft", refuse)
+    for kind, want in (
+        ("zero", ["positive-entropy"]),
+        ("entmin", ["entropy minimal"]),
+        ("mme", ["max measure entropy 0.549306", "uniform attains the maximum: True",
+                 "unique maximizer: True"]),
+    ):
+        assert cli.main(["check", kind, sft]) == 0
+        assert capsys.readouterr().out.splitlines() == want
 
 
 def test_cli_sft_enum(golden5, capsys):
@@ -453,6 +477,26 @@ def test_cli_zline_golden_and_gap_budgets_bound_each_row(capsys, kind, budget, n
         _assert_one_error_line(capsys, f"error: {refusal}")
 
 
+def test_cli_zline_even_refuses_a_row_past_the_digit_limit(capsys):
+    # str() refuses ints over sys.get_int_max_str_digits() digits (4300 by
+    # default, reached near n = 20575); a row past it ends in one error
+    # line and empty stdout, not in a ValueError
+    fib = [0, 1]
+    while len(fib) < 3104:
+        fib.append(fib[-1] + fib[-2])
+    first = next(m for m in range(1, 3101) if len(str(fib[m + 3] - 1)) > 640)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc = cli.main(["--budget", str(5 * 3100 * 3101), "zline", "even", "3100"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 2
+    _assert_one_error_line(
+        capsys, f"error: row {first} has more than 640 digits, the interpreter's limit for "
+        "printing an integer")
+
+
 def test_cli_zline_even_output(capsys):
     assert cli.main(["zline", "even", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -499,9 +543,12 @@ def test_cli_main_shares_one_parser_without_leaking_values(tmp_path, capsys):
                      "check", "mme", two, "--grid", "2"]) == 0
     capsys.readouterr()
     # the refusal shows the budget this call ran with, not the one before
-    assert cli.main(["--budget", "3", "check", "mme", two]) == 2
+    assert cli.main(["--budget", "3", "check", "aut", two]) == 2
     out, err = capsys.readouterr()
     assert err == "error: SFT enumeration stopped after 3 nodes (budget 3)\n"
+    assert cli.main(["--budget", "3", "check", "mme", two]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: SFT count stopped after 4 states (budget 3)\n"
     assert cli.main(["check", "mme", two]) == 0
     assert "unique maximizer: True" in capsys.readouterr().out
     assert cli.main(["--format", "tsv", "check", "aut", two]) == 0

@@ -18,6 +18,7 @@ from finshift.zline import (
     even_cover_factor_counts,
     even_shift_word_check,
     golden_mean_cyclic_count,
+    golden_mean_cyclic_counts,
     golden_mean_entropy_estimate,
     golden_mean_spec,
     sft_gap_witness,
@@ -71,6 +72,11 @@ def test_enumeration_agrees_with_transfer():
         assert golden_mean_cyclic_count(n) == enumerated
 
 
+def test_one_lucas_run_gives_every_count():
+    assert list(golden_mean_cyclic_counts(30)) == [golden_mean_cyclic_count(n) for n in range(1, 31)]
+    assert list(golden_mean_cyclic_counts(1, budget=0)) == [1]
+
+
 def test_count_20():
     assert golden_mean_cyclic_count(20) == 15127
 
@@ -80,6 +86,10 @@ def test_golden_budget_counts_lucas_steps():
     assert golden_mean_cyclic_count(1, budget=0) == 1
     with pytest.raises(ResourceError, match=r"needs 19 Lucas steps for length 20 \(budget 18\)"):
         golden_mean_cyclic_count(20, budget=18)
+    # the run passes through every length, and is refused at the first
+    # one out of reach, before any step
+    with pytest.raises(ResourceError, match=r"needs 6 Lucas steps for length 7 \(budget 5\)"):
+        golden_mean_cyclic_counts(3000, budget=5)
     with pytest.raises(ResourceError, match="needs 19 Lucas steps"):
         golden_mean_entropy_estimate(20, budget=18)
 
