@@ -4,6 +4,11 @@ Subcommands parse the text file formats, run one operation or a named
 verification suite, and print text or TSV tables.  Identical inputs and
 seed produce identical reports; the exit code is 0 exactly when every
 check passes.
+
+Only the layers every command uses are imported here; ``extend`` and
+``extract`` import ``freext``, ``zline`` imports ``zline`` and ``verify``
+imports ``suites`` when they run, so a process loads only what its
+command needs.
 """
 
 from __future__ import annotations
@@ -13,26 +18,28 @@ import functools
 import math
 import sys
 
-from . import dynprops, files, suites, zline
+from . import dynprops, files
 from .errors import FinshiftError, InputError, ResourceError
-from .freext import base_extract, tower_context, tower_extension_count
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
 
 
-def _entropy_line(value: dynprops.EntropyValue) -> str:
-    return f"{value} ≈ {float(value):.6f}"
-
-
-def _cell(row, c) -> str:
+def _text(value, *what) -> str:
+    """``str(value)``, refused if value has more digits than the interpreter
+    prints; the words of ``what`` name it in the refusal."""
     try:
-        return str(c)
-    except ValueError:  # an int with more digits than str may print
-        raise ResourceError(f"row {row[0]} has more than {sys.get_int_max_str_digits()} "
-                            "digits, the interpreter's limit for printing an integer") from None
+        return str(value)
+    except ValueError:
+        name = " ".join(map(str, what))
+        raise ResourceError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                            "the interpreter's limit for printing an integer") from None
+
+
+def _entropy_line(value: dynprops.EntropyValue) -> str:
+    return f"{_text(value, 'the configuration count')} ≈ {float(value):.6f}"
 
 
 def _emit_table(rows, fmt: str) -> None:
-    rows = [tuple(_cell(row, c) for c in row) for row in rows]
+    rows = [tuple(_text(c, "row", row[0]) for c in row) for row in rows]
     if fmt == "tsv":
         for row in rows:
             print("\t".join(row))
@@ -68,16 +75,22 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from .freext import tower_extension_count
+
     spec, tower = files.read_sft_and_tower(args.sft, args.tower)
     count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
     h = dynprops.count_entropy(count, tower.levels[args.to].order)
+    # h's count is a root of count, so once count prints, so does h
+    configs = _text(count, "the configuration count")
     print(f"extended from level {args.frm} to level {args.to}")
-    print(f"{count} configurations")
+    print(f"{configs} configurations")
     print(_entropy_line(h))
     return 0
 
 
 def _cmd_extract(args) -> int:
+    from .freext import base_extract, tower_context
+
     spec, tower = files.read_sft_and_tower(args.space, args.tower)
     # a tower may repeat a group: the space lives on the first such level
     # at or above the base level
@@ -156,6 +169,8 @@ def _cmd_entropy_set(args) -> int:
 
 
 def _cmd_zline(args) -> int:
+    from . import zline
+
     # each table runs from its first row to n, and has at least that row
     first, default = {"golden": (3, 20), "even": (1, 12), "gap": (2, 10)}[args.zline_kind]
     n = args.n if args.n is not None else default
@@ -186,6 +201,9 @@ def _cmd_zline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+
+    # an unknown suite is refused by run_suite, which names the known ones
     report = suites.run_suite(args.suite, seed=args.seed)
     print(report.render())
     return 0 if report.passed else 1
@@ -255,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_zline)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=suites.suite_names())
+    p.add_argument("suite", help="suite name; an unknown one is refused with the list")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -62,11 +62,12 @@ def _read_group(path, parsed) -> FiniteGroup:
             raise FormatError("product factors lead back to this file", path)
         return parsed[key]
     parsed[key] = None
-    parsed[key] = _parse_group(path, parsed)
+    parsed[key] = _parse_group(path, key, parsed)
     return parsed[key]
 
 
-def _parse_group(path, parsed) -> FiniteGroup:
+def _parse_group(path, key, parsed) -> FiniteGroup:
+    """Parse the group file at ``path``, whose absolute path is ``key``."""
     it = _lines(path)
     try:
         lineno, header = next(it)
@@ -76,7 +77,7 @@ def _parse_group(path, parsed) -> FiniteGroup:
     if parts[0] != "group" or len(parts) < 2:
         raise FormatError("expected a 'group <kind> ...' header", path, lineno)
     kind = parts[1]
-    base = os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(key)
     if kind == "cyclic":
         if len(parts) != 3:
             raise FormatError("usage: group cyclic <n>", path, lineno)

@@ -1,6 +1,8 @@
 """Text file formats and the command-line surface."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -9,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from finshift import cli, files
+from finshift.dynprops import EntropyValue
 from finshift.errors import FormatError, InputError
 from finshift.freext import tower_extend
 from finshift.groups import z2_power_tower
 from finshift.shiftspace import enumerate_sft
+from finshift.suites import check_names, suite_names
 from finshift.zline import golden_mean_cyclic_count
 
 
@@ -497,6 +501,37 @@ def test_cli_zline_even_refuses_a_row_past_the_digit_limit(capsys):
         "printing an integer")
 
 
+def test_cli_extend_refuses_a_count_past_the_digit_limit(tmp_path, capsys):
+    # the full shift on 1000 symbols over Z/256 has 1000^256 points, 769
+    # digits; its entropy reduces to log(1000)/1
+    _write(tmp_path, "z.grp", "group cyclic 256\n")
+    big = _write(tmp_path, "big.sft", "sft\ngroup z.grp\nalphabet "
+                 + " ".join(map(str, range(1000))) + "\nshape 0\n")
+    tower = _write(tmp_path, "t.twr", "tower\nlevel z.grp\n")
+    assert cli.main(["extend", big, tower, "0", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{1000 ** 256} configurations", f"log(1000)/1 ≈ {math.log(1000):.6f}"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc = cli.main(["extend", big, tower, "0", "0"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 2
+    _assert_one_error_line(
+        capsys, "error: the configuration count has more than 640 digits, the interpreter's "
+        "limit for printing an integer")
+
+
+def test_cli_entropy_line_refuses_a_count_past_the_digit_limit(golden5, capsys, monkeypatch):
+    # a count that is no perfect power keeps all its digits in the entropy
+    count = 10 ** sys.get_int_max_str_digits() + 1
+    monkeypatch.setattr(cli.dynprops, "spec_entropy",
+                        lambda spec, budget: EntropyValue(count, 5))
+    assert cli.main(["sft", "entropy", golden5]) == 2
+    _assert_one_error_line(capsys, "error: the configuration count has more than")
+
+
 def test_cli_zline_even_output(capsys):
     assert cli.main(["zline", "even", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -529,6 +564,18 @@ def test_cli_verify_exit_codes(capsys):
     assert cli.main(["verify", "free-extension"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 13
+    # one line per check, sorted, each with its time
+    assert re.sub(r" \(\d+\.\d{3}s\)$", "", out, flags=re.M).splitlines() == [
+        "suite free-extension",
+        *(f"CHECK {c} PASS" for c in sorted(check_names("free-extension"))),
+        "suite free-extension PASS",
+    ]
+
+
+def test_cli_verify_refuses_an_unknown_suite_naming_the_known_ones(capsys):
+    assert cli.main(["verify", "no-such-suite"]) == 2
+    _assert_one_error_line(capsys, "error: unknown suite 'no-such-suite'; available: "
+                           + ", ".join(suite_names()))
 
 
 def test_cli_main_shares_one_parser_without_leaking_values(tmp_path, capsys):

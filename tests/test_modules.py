@@ -1,10 +1,17 @@
 """Module boundaries: no finshift module uses another module's private
-names, and every budget has the one default."""
+names, every budget has the one default, the package root provides each
+public name from its module, and the CLI loads only the layers its
+command uses."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import finshift
 from finshift import shiftspace
@@ -92,3 +99,84 @@ def test_every_budget_defaults_to_the_one_default_budget():
         name: default for name, default in found.items()
         if default is not shiftspace.DEFAULT_CANDIDATE_BUDGET
     } == {}
+
+
+def top_level_names(source):
+    """The names a module's source binds at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_package_root_gives_each_public_name_from_its_module():
+    defined = {
+        path.stem: top_level_names(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+    }
+    assert finshift.__all__ and len(set(finshift.__all__)) == len(finshift.__all__)
+    listed = dir(finshift)
+    for name in finshift.__all__:
+        (home,) = [m for m, names in defined.items() if name in names]
+        module = importlib.import_module(f"finshift.{home}")
+        # the first read loads the module, later ones find the name bound
+        assert getattr(finshift, name) is getattr(module, name) is getattr(finshift, name)
+        assert name in listed
+    assert "__version__" in listed
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(finshift, "no_such_name")
+    with pytest.raises(ImportError):
+        from finshift import no_such_name
+
+
+def _fresh_python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                       env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finshift'))"
+SHARED = ["finshift", "finshift.cli", "finshift.dynprops", "finshift.errors", "finshift.files",
+          "finshift.groups", "finshift.patterns", "finshift.shiftspace"]
+
+
+def test_importing_the_cli_loads_only_the_shared_layers():
+    assert _fresh_python("-c", f"import sys, finshift.cli; {LOADED}").split() == SHARED
+    # the package root alone loads nothing; the library tour's names load
+    # their modules and what those import
+    assert _fresh_python("-c", f"import sys, finshift; {LOADED}").split() == ["finshift"]
+    tour = ("from finshift import (cyclic, z2_power_tower, SftSpec, BINARY, Pattern, "
+            "enumerate_sft, entropy, free_extension, tower_context)")
+    assert _fresh_python("-c", f"import sys; {tour}; {LOADED}").split() == [
+        "finshift", "finshift.dynprops", "finshift.errors", "finshift.freext",
+        "finshift.groups", "finshift.patterns", "finshift.shiftspace"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["extend", "golden.sft", "t.twr", "0", "1"], ["finshift.freext"]),
+    (["extract", "full.sft", "t.twr", "0"], ["finshift.freext"]),
+    (["zline", "golden", "5"], ["finshift.zline"]),
+    (["verify", "theorem-1"],
+     ["finshift.fixtures", "finshift.freext", "finshift.suites", "finshift.zline"]),
+], ids=["extend", "extract", "zline", "verify"])
+def test_each_command_imports_its_own_layers(tmp_path, argv, loads):
+    (tmp_path / "z2.grp").write_text("group cyclic 2\n", encoding="utf-8")
+    (tmp_path / "z4.grp").write_text("group cyclic 4\n", encoding="utf-8")
+    (tmp_path / "t.twr").write_text(
+        "tower\nlevel z2.grp\nlevel z4.grp\nembed 0 pairs 0->0 1->2\n", encoding="utf-8")
+    (tmp_path / "golden.sft").write_text(
+        "sft\ngroup z2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n", encoding="utf-8")
+    (tmp_path / "full.sft").write_text(
+        "sft\ngroup z4.grp\nalphabet 0 1\nshape 0\n", encoding="utf-8")
+    run = ("import sys; from finshift import cli; rc = cli.main(sys.argv[1:]); "
+           f"assert rc == 0, rc; {LOADED}")
+    out = _fresh_python("-c", run, *argv, cwd=tmp_path)
+    assert out.splitlines()[-1].split() == sorted(SHARED + loads)
