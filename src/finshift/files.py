@@ -16,17 +16,18 @@ from .shiftspace import SftSpec
 
 def _lines(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            # CR LF and CR end lines too; in UTF-8 these bytes are always CR and LF
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     except OSError as exc:
         raise FormatError(f"cannot open file: {exc.strerror}", path) from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError("not UTF-8 text", path, lineno) from None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+    return iter([(n, line) for n, line in enumerate(map(str.strip, text.split("\n")), 1)
+                 if line])
 
 
 def _ints(tokens, path, lineno):
@@ -77,7 +78,6 @@ def _parse_group(path, key, parsed) -> FiniteGroup:
     if parts[0] != "group" or len(parts) < 2:
         raise FormatError("expected a 'group <kind> ...' header", path, lineno)
     kind = parts[1]
-    base = os.path.dirname(key)
     if kind == "cyclic":
         if len(parts) != 3:
             raise FormatError("usage: group cyclic <n>", path, lineno)
@@ -86,6 +86,7 @@ def _parse_group(path, key, parsed) -> FiniteGroup:
     elif kind == "product":
         if len(parts) != 4:
             raise FormatError("usage: group product <file> <file>", path, lineno)
+        base = os.path.dirname(key)
         left = _read_group(os.path.join(base, parts[2]), parsed)
         right = _read_group(os.path.join(base, parts[3]), parsed)
         build, args = product, (left, right)
@@ -155,22 +156,23 @@ def _read_tower(path, parsed) -> GroupTower:
                 )
             pairs = {}
             for tok in parts[3:]:
-                if "->" not in tok:
+                a, arrow, b = tok.partition("->")
+                if not arrow:
                     raise FormatError(f"bad pair {tok!r}", path, lineno)
-                a, b = tok.split("->", 1)
-                (i,) = _ints([a], path, lineno)
-                (j,) = _ints([b], path, lineno)
+                try:
+                    i, j = int(a), int(b)
+                except ValueError:
+                    _ints([a], path, lineno)
+                    _ints([b], path, lineno)
+                if i in pairs:
+                    raise FormatError(f"element {i} is mapped twice", path, lineno)
                 pairs[i] = j
-            if k >= len(levels) or k + 1 >= len(levels):
-                raise FormatError(
-                    "embed line before both levels are declared", path, lineno
-                )
-            lo = levels[k]
-            if sorted(pairs) != list(range(lo.order)):
-                raise FormatError(
-                    f"embedding must be total on 0..{lo.order - 1}", path, lineno
-                )
-            embeddings.append(tuple(pairs[i] for i in range(lo.order)))
+            if k + 1 >= len(levels):
+                raise FormatError("embed line before both levels are declared", path, lineno)
+            n = levels[k].order
+            if sorted(pairs) != list(range(n)):
+                raise FormatError(f"embedding must be total on 0..{n - 1}", path, lineno)
+            embeddings.append(tuple(map(pairs.__getitem__, range(n))))
             _built(check_embedding, path, lineno, levels, k, embeddings[k])
         else:
             raise FormatError(f"unknown tower directive {parts[0]!r}", path, lineno)
@@ -226,6 +228,7 @@ def _read_sft(path, parsed) -> SftSpec:
     # symbols are positional against the declared shape order
     order = sorted(range(len(shape)), key=lambda i: shape[i])
     sorted_shape = tuple(shape[i] for i in order)
+    index = {symbol: i for i, symbol in enumerate(alphabet.symbols)}
     forbidden = set()
     for lineno, row in forbid_rows:
         if len(row) != len(shape):
@@ -235,8 +238,8 @@ def _read_sft(path, parsed) -> SftSpec:
                 lineno,
             )
         try:
-            symbols = tuple(alphabet.index(row[i]) for i in order)
-        except InputError:
+            symbols = tuple(index[row[i]] for i in order)
+        except KeyError:
             raise FormatError(f"unknown symbol in {row!r}", path, lineno) from None
         forbidden.add(Pattern(group, sorted_shape, symbols))
     return SftSpec(group, alphabet, sorted_shape, frozenset(forbidden))

@@ -13,9 +13,10 @@ import pytest
 from finshift import cli, files
 from finshift.dynprops import EntropyValue
 from finshift.errors import FormatError, InputError
-from finshift.freext import tower_extend
-from finshift.groups import z2_power_tower
-from finshift.shiftspace import enumerate_sft
+from finshift.fixtures import golden_mean_like_spec, symmetric_tower, two_point_spec
+from finshift.freext import base_extract, free_extension_spec, tower_context, tower_extend
+from finshift.groups import build_tower, z2_power_tower
+from finshift.shiftspace import count_sft, enumerate_sft
 from finshift.suites import check_names, suite_names
 from finshift.zline import golden_mean_cyclic_count
 
@@ -896,3 +897,147 @@ def test_python_m_finshift_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: finshift ")
+
+
+def test_cli_extend_refuses_an_element_mapped_twice(tmp_path, capsys):
+    # 1 sent to both 1 and 2: the last pair used to win, and Z/2 -> Z/4
+    # extended as if the line were `0->0 1->2`
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    sft = _write(tmp_path, "z2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    tower = _write(tmp_path, "twice.twr",
+                   "tower\nlevel z2.grp\nlevel z4.grp\nembed 0 pairs 0->0 1->1 1->2\n")
+    assert cli.main(["extend", sft, tower, "0", "1"]) == 2
+    _assert_one_error_line(capsys, "twice.twr:4: element 1 is mapped twice")
+
+
+# the same files under each line ending; blank and space-only lines keep
+# the numbering honest
+LINE_ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+EOL_FILES = {
+    "z2.grp": "group table 2\n\n0 1\n 1 0 \n",
+    "z4.grp": "\ngroup cyclic 4\n",
+    "p.grp": "group product z2.grp z4.grp\n\n",
+    "t.twr": "tower\nlevel z2.grp\n\nlevel z4.grp\nlevel p.grp\n"
+             "embed 0 pairs 0->0 1->2\n  \nembed 1 pairs 0->0 1->2 2->4 3->6\n",
+    "s.sft": "sft\n\ngroup z4.grp\nalphabet a b\nshape 1 0\nforbid b a\n \nforbid b b\n",
+}
+
+
+def _write_eol(directory, files_text, eol):
+    directory.mkdir()
+    for name, text in files_text.items():
+        (directory / name).write_bytes(text.replace("\n", eol).encode())
+    return directory
+
+
+def _read_all(directory):
+    return (files.read_group(str(directory / "p.grp")),
+            files.read_sft_and_tower(str(directory / "s.sft"), str(directory / "t.twr")))
+
+
+def test_line_endings_parse_to_equal_objects(tmp_path):
+    read = {name: _read_all(_write_eol(tmp_path / name, EOL_FILES, eol))
+            for name, eol in LINE_ENDINGS.items()}
+    group, (spec, tower) = read["lf"]
+    assert group.order == 8 and [g.order for g in tower.levels] == [2, 4, 8]
+    assert {w.as_dict()[1] for w in spec.forbidden} == {1}
+    assert read["crlf"] == read["lf"] and read["cr"] == read["lf"]
+
+
+@pytest.mark.parametrize(
+    "name, text, line, message",
+    [
+        ("s.sft", "sft\n\ngroup z4.grp\nalphabet a b\n\nshape 0\nforbid c\n", 7,
+         "unknown symbol in ['c']"),
+        # \udcff writes the byte 0xff; it sits on line 7 however the lines
+        # end, and counting only \n put it on line 1 of a CR-only file
+        ("s.sft", "sft\n\ngroup z4.grp\nalphabet a b\n\nshape 0\nforbid \udcff\n", 7,
+         "not UTF-8 text"),
+        ("g.grp", "group table 2\n\n0 1\n\n1 0\n0 1\n", 6, "extra line after the end of the group"),
+        ("t.twr", "tower\nlevel z2.grp\n\nlevel z4.grp\n\nembed 0 pairs 0->0 1->1\n", 6,
+         "not a homomorphism: witness pair (1,1)"),
+    ],
+    ids=["symbol", "not-utf8", "extra-row", "embed"],
+)
+@pytest.mark.parametrize("eol", LINE_ENDINGS)
+def test_line_endings_give_the_same_error_lines(tmp_path, eol, name, text, line, message):
+    directory = _write_eol(tmp_path / eol, EOL_FILES, LINE_ENDINGS[eol])
+    path = directory / name
+    path.write_bytes(text.replace("\n", LINE_ENDINGS[eol]).encode("utf-8", "surrogateescape"))
+    read = {".sft": files.read_sft, ".grp": files.read_group, ".twr": files.read_tower}
+    with pytest.raises(FormatError) as caught:
+        read[path.suffix](str(path))
+    assert (caught.value.path, caught.value.line) == (str(path), line)
+    assert str(caught.value) == f"{path}:{line}: {message}"
+
+
+def _table_text(group):
+    return f"group table {group.order}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in group.mul)
+
+
+def _sft_text(spec, group_file):
+    symbols = spec.alphabet.symbols
+    rows = sorted(w.symbols for w in spec.forbidden)
+    return "".join([f"sft\ngroup {group_file}\nalphabet {' '.join(symbols)}\n",
+                    f"shape {' '.join(map(str, spec.forbidden_shape))}\n",
+                    *(f"forbid {' '.join(symbols[s] for s in row)}\n" for row in rows)])
+
+
+def test_cli_extend_and_extract_on_the_non_normal_tower_s3_in_s4(tmp_path, capsys):
+    # S3 inside S4 as the permutations fixing the last point: not normal,
+    # and both levels written out as tables
+    s4_tower = symmetric_tower(4)
+    s3, s4 = s4_tower.levels[2:]
+    tower = build_tower([s3, s4], [s4_tower.embeddings[2]])
+    ctx = tower_context(tower, 0, 1)
+    _write(tmp_path, "s3.grp", _table_text(s3))
+    _write(tmp_path, "s4.grp", _table_text(s4))
+    twr = _write(tmp_path, "s.twr", "tower\nlevel s3.grp\nlevel s4.grp\nembed 0 pairs "
+                 + " ".join(f"{a}->{b}" for a, b in enumerate(tower.embeddings[0])) + "\n")
+    assert files.read_tower(twr) == tower
+    for make in (golden_mean_like_spec, two_point_spec):
+        base = make(s3)
+        lifted = free_extension_spec(base, ctx)
+        base_file = _write(tmp_path, "base.sft", _sft_text(base, "s3.grp"))
+        lifted_file = _write(tmp_path, "lifted.sft", _sft_text(lifted, "s4.grp"))
+        assert cli.main(["extend", base_file, twr, "0", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"{count_sft(lifted)} configurations"
+        assert count_sft(lifted) == count_sft(base) ** 4  # four cosets of S3
+        assert cli.main(["extract", lifted_file, twr, "0"]) == 0
+        got = base_extract(lifted, ctx)
+        assert got.ok
+        assert capsys.readouterr().out == (
+            "base spec on level 0 (group of order 6)\n"
+            + _sft_text(got.spec, "s3.grp").split("\n", 3)[3])
+    # a spec on S4 coupling a cell to one outside S3 is not a free extension
+    outside = next(a for a in range(s4.order) if a not in tower.embeddings[0])
+    coupled = _write(tmp_path, "coupled.sft", f"sft\ngroup s4.grp\nalphabet 0 1\n"
+                     f"shape 0 {outside}\nforbid 0 1\nforbid 1 0\n")
+    assert cli.main(["extract", coupled, twr, "0"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: not a free extension")
+
+
+def test_reading_opens_each_file_once(tmp_path, z2_power_tower_file, monkeypatch):
+    opened = Counter()
+
+    def counted(path, *args, **kwargs):
+        opened[os.path.basename(path)] += 1
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(files, "open", counted, raising=False)
+    # e2.sft names e2.grp, a tower level; every eK.grp names e1.grp
+    sft = _write(tmp_path, "e2.sft", "sft\ngroup e2.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n")
+    files.read_sft_and_tower(sft, z2_power_tower_file)
+    assert opened == Counter(["e2.sft", "e.twr", "e1.grp", "e2.grp", "e3.grp", "e4.grp",
+                              "e5.grp"])
+    # e3.grp named by two levels, and as a factor of e4.grp
+    opened.clear()
+    twice = _write(tmp_path, "twice.twr",
+                   "tower\nlevel e3.grp\nlevel e3.grp\nlevel e4.grp\n"
+                   "embed 0 pairs " + " ".join(f"{a}->{a}" for a in range(8)) + "\n"
+                   "embed 1 pairs " + " ".join(f"{a}->{a}" for a in range(8)) + "\n")
+    files.read_tower(twice)
+    assert opened == Counter(["twice.twr", "e3.grp", "e4.grp", "e2.grp", "e1.grp"])
