@@ -39,14 +39,13 @@ def _entropy_line(value: dynprops.EntropyValue) -> str:
 
 
 def _emit_table(rows, fmt: str) -> None:
-    rows = [tuple(_text(c, "row", row[0]) for c in row) for row in rows]
+    rows = [[_text(c, "row", row[0]) for c in row] for row in rows]  # every cell, then lines
     if fmt == "tsv":
-        for row in rows:
-            print("\t".join(row))
-        return
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        lines = map("\t".join, rows)
+    else:
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _load_space(path, budget):
@@ -66,10 +65,9 @@ def _cmd_sft(args) -> int:
         print(_entropy_line(dynprops.spec_entropy(spec, budget=args.budget)))
         return 0
     spec, space = _load_space(args.file, args.budget)
-    rows = [("index", "configuration")]
-    for i, config in enumerate(sorted(space.configs)):
-        rows.append((i, " ".join(spec.alphabet.symbols[s] for s in config)))
-    _emit_table(rows, args.format)
+    symbol = spec.alphabet.symbols.__getitem__
+    configs = (" ".join(map(symbol, c)) for c in sorted(space.configs))
+    _emit_table([("index", "configuration"), *enumerate(configs)], args.format)
     print(f"{len(space.configs)} configurations")
     return 0
 

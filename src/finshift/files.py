@@ -22,7 +22,7 @@ def _lines(path):
     except OSError as exc:
         raise FormatError(f"cannot open file: {exc.strerror}", path) from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark is no text
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError("not UTF-8 text", path, lineno) from None

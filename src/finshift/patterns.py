@@ -27,12 +27,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise InputError(f"unknown symbol {name!r}") from None
-
 
 BINARY = Alphabet(("0", "1"))
 

@@ -75,11 +75,11 @@ def is_shift_invariant(y: ShiftSpace) -> bool:
 def _windows(group: FiniteGroup, shape):
     """For each group element g, the cells read by the shape shifted by g.
 
-    Cell k of window g is ``f_k * g`` so that matching a pattern on the
-    shape against the window realizes the condition on ``(shifted x)|_F``.
+    Cell k of window g is ``f_k * g``, column g of row f_k of the table, so
+    that matching a pattern on the shape against the window realizes the
+    condition on ``(shifted x)|_F``.
     """
-    mul = group.mul
-    return [tuple(mul[f][g] for f in shape) for g in group.elements()]
+    return list(zip(*(group.mul[f] for f in shape))) if shape else [()] * group.order
 
 
 def _by_last(spec: SftSpec) -> list[list[tuple[int, ...]]]:
@@ -108,7 +108,9 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     nodes = 0
     for windows in _by_last(spec):
         checks = [_picker(cells) for cells in windows]
+        one = checks[0] if len(checks) == 1 else None  # most cells close one window
         nxt = []
+        append = nxt.append
         while layer:  # the old layer shrinks as the new one grows
             prefix = layer.pop()
             if nodes + k > budget:  # the symbols of this prefix would pass it
@@ -116,13 +118,19 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
                     f"SFT enumeration stopped after {budget} nodes (budget {budget})"
                 )
             nodes += k
-            for s in symbols:
-                full = prefix + s
-                for check in checks:
-                    if check(full) in forbidden:
-                        break
-                else:
-                    nxt.append(full)
+            if one:
+                for s in symbols:
+                    full = prefix + s
+                    if one(full) not in forbidden:
+                        append(full)
+            else:
+                for s in symbols:
+                    full = prefix + s
+                    for check in checks:
+                        if check(full) in forbidden:
+                            break
+                    else:
+                        append(full)
         layer = nxt
     return ShiftSpace(spec.group, spec.alphabet, frozenset(layer))
 
@@ -168,6 +176,7 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
     # a cell that no window reads leaves the state at once
     last_read = {c: end for end, windows in enumerate(by_last) for w in windows for c in w}
 
+    symbols = [(s,) for s in range(k)]
     layer = {(): 1}  # frontier symbols -> number of partial assignments
     live = []  # the cells whose symbols a state holds, in state order
     visited = 1
@@ -175,18 +184,27 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
         cells = live + [p]
         where = {c: i for i, c in enumerate(cells)}
         checks = [_picker([where[c] for c in w]) for w in windows]
+        one = checks[0] if len(checks) == 1 else None
         live = [c for c in cells if last_read.get(c, p) > p]
         keep = _picker([where[c] for c in live])
         nxt = {}
+        get = nxt.get
         for state, ways in layer.items():
-            for s in range(k):
-                full = state + (s,)
-                for check in checks:
-                    if check(full) in forbidden:
-                        break
-                else:
-                    key = keep(full)
-                    nxt[key] = nxt.get(key, 0) + ways
+            if one:
+                for s in symbols:
+                    full = state + s
+                    if one(full) not in forbidden:
+                        key = keep(full)
+                        nxt[key] = get(key, 0) + ways
+            else:
+                for s in symbols:
+                    full = state + s
+                    for check in checks:
+                        if check(full) in forbidden:
+                            break
+                    else:
+                        key = keep(full)
+                        nxt[key] = get(key, 0) + ways
             if visited + len(nxt) > budget:
                 raise ResourceError(
                     f"SFT count stopped after {visited + len(nxt)} states "

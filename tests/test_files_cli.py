@@ -12,7 +12,7 @@ import pytest
 
 from finshift import cli, files
 from finshift.dynprops import EntropyValue
-from finshift.errors import FormatError, InputError
+from finshift.errors import FormatError, InputError, ResourceError
 from finshift.fixtures import golden_mean_like_spec, symmetric_tower, two_point_spec
 from finshift.freext import base_extract, free_extension_spec, tower_context, tower_extend
 from finshift.groups import build_tower, z2_power_tower
@@ -242,6 +242,48 @@ def test_cli_check_answers_from_the_count_on_z2_power_6(tmp_path, capsys, monkey
 def test_cli_sft_enum(golden5, capsys):
     assert cli.main(["sft", "enum", golden5]) == 0
     assert "11 configurations" in capsys.readouterr().out
+
+
+def test_cli_sft_enum_table_byte_for_byte(tmp_path, capsys):
+    # symbols of widths 1 to 3, so the configuration column is wider than
+    # its header on some rows and narrower on others; text pads every
+    # column but the last, tsv pads none
+    _write(tmp_path, "z4.grp", "group cyclic 4\n")
+    sft = _write(tmp_path, "w.sft", "sft\ngroup z4.grp\nalphabet a bb ccc\nshape 0 1\n"
+                 "forbid a a\nforbid a bb\nforbid bb a\nforbid bb bb\n")
+    configs = [
+        "a ccc a ccc", "a ccc bb ccc", "a ccc ccc ccc", "bb ccc a ccc", "bb ccc bb ccc",
+        "bb ccc ccc ccc", "ccc a ccc a", "ccc a ccc bb", "ccc a ccc ccc", "ccc bb ccc a",
+        "ccc bb ccc bb", "ccc bb ccc ccc", "ccc ccc a ccc", "ccc ccc bb ccc", "ccc ccc ccc a",
+        "ccc ccc ccc bb", "ccc ccc ccc ccc",
+    ]
+    assert cli.main(["sft", "enum", sft]) == 0
+    assert capsys.readouterr().out == "".join(
+        ["index  configuration\n", *(f"{i:<5}  {c}\n" for i, c in enumerate(configs)),
+         "17 configurations\n"])
+    assert cli.main(["--format", "tsv", "sft", "enum", sft]) == 0
+    assert capsys.readouterr().out == "".join(
+        ["index\tconfiguration\n", *(f"{i}\t{c}\n" for i, c in enumerate(configs)),
+         "17 configurations\n"])
+
+
+def test_emit_table_pads_a_first_column_wider_than_its_header(capsys):
+    cli._emit_table([("n", "word", "x"), (12345, "ab", 7), (6, "abcdef", "")], "text")
+    assert capsys.readouterr().out == "n      word    x\n12345  ab      7\n6      abcdef\n"
+    cli._emit_table([("n", "word"), (12345, "")], "tsv")
+    assert capsys.readouterr().out == "n\tword\n12345\t\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv"])
+def test_emit_table_refuses_a_row_before_writing_any_line(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ResourceError, match=r"^row 3 has more than 640 digits, the "):
+            cli._emit_table([("n", "value"), (1, 2), (3, 10 ** 700), (4, 5)], fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_enumerates_few_points_among_many_candidates(tmp_path, capsys):
@@ -970,6 +1012,32 @@ def test_line_endings_give_the_same_error_lines(tmp_path, eol, name, text, line,
         read[path.suffix](str(path))
     assert (caught.value.path, caught.value.line) == (str(path), line)
     assert str(caught.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("eol", LINE_ENDINGS)
+def test_a_byte_order_mark_is_read_as_no_text(tmp_path, eol):
+    # editors that write CRLF often start a UTF-8 file with U+FEFF
+    plain = _read_all(_write_eol(tmp_path / "plain", EOL_FILES, "\n"))
+    marked = {name: "\ufeff" + text for name, text in EOL_FILES.items()}
+    assert _read_all(_write_eol(tmp_path / eol, marked, LINE_ENDINGS[eol])) == plain
+
+
+@pytest.mark.parametrize("eol", LINE_ENDINGS)
+def test_a_byte_order_mark_keeps_the_line_numbers(tmp_path, eol, capsys):
+    directory = _write_eol(tmp_path / eol, {
+        "z2.grp": "\ufeffgroup cyclic 2\n",
+        "bad.grp": "\ufeff\ngroup table 2\n\n0 1\n\n1 0\n0 1\n",
+        "twice.grp": "\ufeff\ufeffgroup cyclic 2\n",
+        "inner.grp": "group cyclic 2\n\ufeffgroup cyclic 2\n",
+    }, LINE_ENDINGS[eol])
+    assert cli.main(["group", "validate", str(directory / "z2.grp")]) == 0
+    assert capsys.readouterr().out == "valid group of order 2\n"
+    # only one leading mark is dropped; a mark anywhere else is text
+    for name, line, message in [("bad.grp", 7, "extra line after the end of the group"),
+                                ("twice.grp", 1, "expected a 'group <kind> ...' header"),
+                                ("inner.grp", 2, "extra line after the end of the group")]:
+        assert cli.main(["group", "validate", str(directory / name)]) == 2
+        _assert_one_error_line(capsys, f"{directory / name}:{line}: {message}")
 
 
 def _table_text(group):

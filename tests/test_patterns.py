@@ -8,18 +8,15 @@ from finshift.errors import InputError
 from finshift.fixtures import dihedral4, symmetric3
 from finshift.freext import assemble, extension_context
 from finshift.groups import cyclic
-from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
+from finshift.patterns import Alphabet, Pattern, shift_config
 
 
 def test_alphabet_validation():
     assert Alphabet(("a", "b", "c")).size == 3
-    assert BINARY.index("1") == 1
     with pytest.raises(InputError):
         Alphabet(())
     with pytest.raises(InputError):
         Alphabet(("a", "a"))
-    with pytest.raises(InputError):
-        BINARY.index("2")
 
 
 def test_pattern_validation():

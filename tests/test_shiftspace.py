@@ -301,6 +301,51 @@ def test_count_budget_counts_states():
         count_sft(spec, budget=20)
 
 
+def frontier_states(spec):
+    """Oracle for the states :func:`frontier_count` visits: one for the
+    empty prefix, then at each cell p the distinct projections, onto the
+    cells up to p that a window ending after p reads, of the prefixes on
+    cells 0..p that no window ending by p forbids."""
+    n, k = spec.group.order, spec.alphabet.size
+    forbidden = {w.symbols for w in spec.forbidden}
+    windows = [
+        tuple(spec.group.mul[f][g] for f in spec.forbidden_shape) for g in spec.group.elements()
+    ]
+    states = 1
+    for p in range(n):
+        closed = [w for w in windows if max(w, default=0) <= p]
+        read = sorted({c for w in windows if max(w, default=0) > p for c in w if c <= p})
+        states += len({
+            tuple(prefix[c] for c in read)
+            for prefix in iproduct(range(k), repeat=p + 1)
+            if all(tuple(prefix[c] for c in w) not in forbidden for w in closed)
+        })
+    return states
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from(COUNT_GROUPS), st.booleans())
+def test_count_budget_is_the_states_visited(seed, group, ternary):
+    rng = random.Random(seed)
+    small = ternary and group.order <= 6  # 3^|G| prefixes at the last cell
+    spec = _random_ternary_spec(group, rng) if small else random_sft_spec(group, rng)
+    want = len(enumerate_sft_naive(spec).configs)
+    if not spec.forbidden:  # |A|^|G|, with no sweep
+        assert count_sft(spec, budget=1) == want
+        return
+    base = shape_base(spec)[1]
+    states = frontier_states(base)
+    assert count_sft(spec, budget=states) == want
+    # the test follows each state, which adds at most one state per symbol,
+    # so any smaller budget is passed by fewer than |A| states
+    for budget in {states - 1, *rng.sample(range(1, states), min(20, states - 1))}:
+        with pytest.raises(ResourceError) as caught:
+            count_sft(spec, budget=budget)
+        refused = re.fullmatch(rf"SFT count stopped after (\d+) states \(budget {budget}\)",
+                               str(caught.value))
+        assert budget < int(refused[1]) <= budget + spec.alphabet.size
+
+
 def test_shape_base_reads_the_spec_on_the_shapes_subgroup():
     # cells 8 and 32 of (Z/2)^6 times the inverse of 8 are 0 and 40, which
     # span {0, 40}: base cells 0 and 1, where 11 stays forbidden
