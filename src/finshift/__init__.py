@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "errors": "ConfigurationError DomainError FinshiftError FormatError InputError "
               "ResourceError ValidationError",
-    "groups": "FiniteGroup GroupTower Subgroup all_subgroups build_tower cyclic from_table "
+    "groups": "FiniteGroup GroupTower Subgroup build_tower cyclic from_table "
               "generated_subgroup product subgroups_and_closures z2_power_tower",
     "patterns": "BINARY Alphabet Pattern shift_config",
     "shiftspace": "BlockMap SftSpec ShiftSpace apply_block_code carry_spec count_sft "
@@ -32,8 +32,8 @@ _PUBLIC = {
                 "count_entropy entropy entropy_set measure_entropy measure_from_orbit_masses "
                 "minimal_si_witnesses mme partition_entropy spec_entropy "
                 "strongly_irreducible_witness",
-    "zline": "EvenCoverMismatch even_cover_accepts even_cover_factor_check "
-             "even_cover_factor_counts even_shift_word_check golden_mean_cyclic_count "
+    "zline": "EvenCoverMismatch even_cover_accepts even_cover_factor_counts "
+             "even_shift_word_check golden_mean_cyclic_count "
              "golden_mean_cyclic_counts golden_mean_entropy_estimate golden_mean_spec "
              "sft_gap_witness",
     "suites": "SuiteReport run_suite suite_names",

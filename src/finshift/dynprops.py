@@ -1,10 +1,11 @@
 """Dynamical properties of shift spaces on a finite group.
 
 Entropy on a finite group is log(#configs)/|group| and is kept exact as an
-integer pair; all entropy comparisons go through big-integer cross powers,
-never floats.  It is counted from the spec, and it alone settles zero
-entropy, entropy minimality and the measure of maximal entropy; strong
-irreducibility, automorphisms and measures work on enumerated spaces.
+integer pair, ordered by big-integer cross powers and compared for equality
+by its canonical form, never by floats.  It is counted from the spec, and it
+alone settles zero entropy, entropy minimality and the measure of maximal
+entropy; strong irreducibility, automorphisms and measures work on
+enumerated spaces.
 Measures are exact rationals until a final logarithm.
 """
 
@@ -50,8 +51,9 @@ class EntropyValue:
     """Exact entropy log(count)/denom, stored in canonical reduced form.
 
     Canonicalization strips perfect powers whose exponent divides the
-    denominator, so e.g. log(4)/2 and log(2)/1 coincide as values and as
-    representations.  log(1)/m normalizes to log(1)/1 (zero).
+    denominator, so equal values have equal forms and ``==`` is exact:
+    n1^m2 == n2^m1 makes n1 = r^a and n2 = r^b with a/b = m1/m2 in lowest
+    terms, and a canonical form has a = b = 1.  log(1)/m becomes log(1)/1.
     """
 
     count: int
@@ -86,9 +88,6 @@ class EntropyValue:
 
     def __gt__(self, other):
         return other < self
-
-    def cross_equal(self, other) -> bool:
-        return self.count ** other.denom == other.count ** self.denom
 
     def __float__(self):
         return math.log(self.count) / self.denom

@@ -33,13 +33,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != self.identity:
-            x = self.mul[x][a]
-            n += 1
-        return n
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
@@ -209,12 +202,6 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
         if not (isinstance(a, int) and 0 <= a < g.order):
             raise InputError(f"generator {a!r} is not an element index of the group")
     return Subgroup(g, _close_under(g, gens))
-
-
-def all_subgroups(g: FiniteGroup, budget: int = DEFAULT_CANDIDATE_BUDGET) -> list[Subgroup]:
-    """Every subgroup of ``g``, sorted by order and then by members; see
-    :func:`subgroups_and_closures`."""
-    return subgroups_and_closures(g, budget)[0]
 
 
 def subgroups_and_closures(

@@ -98,8 +98,9 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     The sweep of :func:`frontier_count` in which no cell leaves the state:
     the layer after cell p holds the prefixes on cells 0..p that no window
     ending by p forbids, and the last layer is the space.  ``budget``
-    bounds the nodes visited, one per symbol tried on a prefix; a
-    :class:`ResourceError` reports how many were.
+    bounds the nodes visited, one per symbol tried on a prefix; a layer
+    that would pass it is refused before it starts, by a
+    :class:`ResourceError`.
     """
     k = spec.alphabet.size
     forbidden = {w.symbols for w in spec.forbidden}
@@ -109,15 +110,13 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     for windows in _by_last(spec):
         checks = [_picker(cells) for cells in windows]
         one = checks[0] if len(checks) == 1 else None  # most cells close one window
+        nodes += k * len(layer)
+        if nodes > budget:  # the symbols of some prefix of this layer would pass it
+            raise ResourceError(f"SFT enumeration stopped after {budget} nodes (budget {budget})")
         nxt = []
         append = nxt.append
         while layer:  # the old layer shrinks as the new one grows
             prefix = layer.pop()
-            if nodes + k > budget:  # the symbols of this prefix would pass it
-                raise ResourceError(
-                    f"SFT enumeration stopped after {budget} nodes (budget {budget})"
-                )
-            nodes += k
             if one:
                 for s in symbols:
                     full = prefix + s

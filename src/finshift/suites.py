@@ -454,7 +454,7 @@ def _entropy_along_tower(seed):
             h = dynprops.entropy(y)
             for up in ups:
                 ext_h = dynprops.entropy(tower_extend(y, tower, level, level + up))
-                assert ext_h == h and ext_h.cross_equal(h), (trial, level, up)
+                assert ext_h == h, (trial, level, up)
 
 
 @_check("zline/golden-mean-small-counts")
@@ -511,13 +511,13 @@ def _exclusion_shadow(seed):
     for n in (10, 20):
         approx = dynprops.EntropyValue(zline.golden_mean_cyclic_count(n), n)
         for member in members:
-            assert not approx.cross_equal(member), (n, str(member))
+            assert approx != member, (n, str(member))
 
 
 def _suite(name: str) -> dict:
     if name not in _SUITES:
         raise ConfigurationError(
-            f"unknown suite {name!r}; available: {', '.join(sorted(_SUITES))}"
+            f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         )
     return _SUITES[name]
 

@@ -5,9 +5,9 @@ Everything here works on finite binary words and cyclic truncations.
 Golden mean counts are transfer-matrix traces; :func:`golden_mean_spec`
 states the same constraint as an SFT on a cyclic group, whose enumeration
 is the oracle the counts are checked against.  The even shift's cover and
-its block-parity word check are both automata, so they are compared on
-classes of words that reach the same pair of states, which share every
-future verdict; the loop over all 2^n words is the tests' oracle.
+its block-parity word check are both automata, so they are compared once,
+for every length, on the pairs of states their words reach; the loop over
+all 2^n words is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ def _scan_step(state, label):
     return (after_zero, not odd, bad) if label else (True, False, bad or (after_zero and odd))
 
 
-def _step(pair, label):
-    states, scan = pair
-    return _cover_step(states, label), _scan_step(scan, label)
-
-
 def even_shift_word_check(w) -> bool:
     """Language check for the even shift on finite windows.
 
@@ -134,55 +129,45 @@ class EvenCoverMismatch(FinshiftError):
 
 def even_cover_factor_counts(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> list:
     """Compare the cover with :func:`even_shift_word_check` on every binary
-    word of length at most n; return the number of admissible words of each
-    length 0..n.
+    word; return the number of admissible words of each length 0..n.
 
-    Both are automata read left to right, so words that reach the same pair
-    (cover states, scan state) share every future verdict: one class per
-    pair keeps the number of its words and the least of them.  At most 5
-    classes are reachable at a length, so a length takes at most 10 class
-    transitions, not 2^n words.  A transition from length k adds a count of
-    at most k + 1 bits, so ``budget`` bounds the 5·n·(n + 1) bit additions
-    of the whole sweep, refused before the first.  Raises
-    :class:`EvenCoverMismatch` on the least word where the two disagree, at
-    the first length that has one.
+    Both are automata read left to right, so they agree on every word
+    exactly when they agree at every pair (cover states, scan state)
+    reachable from the start, and only 6 pairs are.  A breadth-first
+    search over the pairs, label 0 before label 1, reaches each pair first
+    by its least word (shorter first, then lexicographic), so a
+    disagreement raises :class:`EvenCoverMismatch` on the least word that
+    has one.  The counts then follow the cover's state sets alone, at most
+    3 nonempty at a length: from length k that takes at most 6 additions
+    of a count of at most k + 1 bits, so ``budget`` bounds the 3·n·(n + 1)
+    bit additions to length n, refused before the first.
     """
     if n < 0:
         raise InputError("word length must be >= 0")
-    need = 5 * n * (n + 1)
+    need = 3 * n * (n + 1)
     if need > budget:
         raise ResourceError(f"even-shift cover check needs up to {need} bit additions "
                             f"for length {n} (budget {budget})")
-    # pair -> [words, least word], the least word kept last letter first as
-    # nested pairs (label, rest), so a transition copies no word; walking a
-    # layer in the order of its least words, label 0 before 1, reaches each
-    # next class first by its least word, so the next layer is in that order
-    layer, counts = {_START: [1, ()]}, []
-    while True:
-        count = 0
-        for (states, scan), (words, least) in layer.items():
-            in_cover, in_check = bool(states), not scan[2]
-            if in_cover != in_check:
-                word = []
-                while least:
-                    label, least = least
-                    word.append(label)
-                raise EvenCoverMismatch(tuple(reversed(word)), in_cover)
-            count += words * in_cover
-        counts.append(count)
-        if len(counts) > n:
-            return counts
+    seen, queue = {_START}, [(_START, ())]  # each pair with its least word
+    for (states, scan), word in queue:  # the queue grows as it is read
+        in_cover = bool(states)
+        if in_cover == scan[2]:  # the scan refuses a word once it has seen an odd block
+            raise EvenCoverMismatch(word, in_cover)
+        for label in (0, 1):
+            pair = _cover_step(states, label), _scan_step(scan, label)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((pair, word + (label,)))
+    layer, counts = {_START[0]: 1}, [1]
+    for _ in range(n):
         nxt = {}
-        for pair, (words, least) in layer.items():
+        for states, words in layer.items():
             for label in (0, 1):
-                nxt.setdefault(_step(pair, label), [0, (label, least)])[0] += words
+                if after := _cover_step(states, label):
+                    nxt[after] = nxt.get(after, 0) + words
         layer = nxt
-
-
-def even_cover_factor_check(n: int, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
-    """The number of admissible words of length n, from
-    :func:`even_cover_factor_counts` under the same ``budget``."""
-    return even_cover_factor_counts(n, budget)[n]
+        counts.append(sum(layer.values()))
+    return counts
 
 
 def sft_gap_witness(k: int, budget: int = DEFAULT_CANDIDATE_BUDGET):

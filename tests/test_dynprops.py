@@ -42,7 +42,7 @@ from finshift.fixtures import (
     symmetric3,
     two_point_spec,
 )
-from finshift.groups import all_subgroups, build_tower, cyclic, z2_power_tower
+from finshift.groups import build_tower, cyclic, subgroups_and_closures, z2_power_tower
 from finshift.patterns import BINARY, Pattern, shift_config
 from finshift.shiftspace import SftSpec, ShiftSpace, enumerate_sft, full_shift, orbits
 
@@ -91,8 +91,8 @@ def test_entropy_value_canonical_form_matches_the_least_denominator(n, m):
 def test_entropy_value_ordering():
     assert EntropyValue(2, 4) < EntropyValue(11, 5)
     assert EntropyValue(3, 2) > EntropyValue(2, 2)
-    assert EntropyValue(4, 2).cross_equal(EntropyValue(2, 1))
-    assert not EntropyValue(3, 2).cross_equal(EntropyValue(2, 1))
+    assert EntropyValue(4, 2) == EntropyValue(2, 1)
+    assert EntropyValue(3, 2) != EntropyValue(2, 1)
 
 
 @settings(deadline=None)
@@ -108,8 +108,36 @@ def test_entropy_value_order_matches_floats(n1, m1, n2, m2):
     if abs(fa - fb) > 1e-12:
         assert (a < b) == (fa < fb)
     # canonical forms of equal values coincide exactly
-    if a.cross_equal(b):
+    if n1 ** m2 == n2 ** m1:
         assert (a.count, a.denom) == (b.count, b.denom)
+
+
+def test_entropy_value_equality_is_the_cross_power_test():
+    # every pair with n <= 129 and m <= 12.  Equal values are equal floats
+    # up to rounding, so each run of values within 1e-9 of the one before
+    # is compared pair by pair with the cross powers n1^m2 == n2^m1
+    pairs = sorted(((n, m) for n in range(1, 130) for m in range(1, 13)),
+                   key=lambda p: math.log(p[0]) / p[1])
+    runs = [[pairs[0]]]
+    for (n, m), (n0, m0) in zip(pairs[1:], pairs):
+        if math.log(n) / m - math.log(n0) / m0 < 1e-9:
+            runs[-1].append((n, m))
+        else:
+            runs.append([(n, m)])
+    equal = 0
+    for run in runs:
+        for (n1, m1), (n2, m2) in combinations(run, 2):
+            same = n1 ** m2 == n2 ** m1
+            assert (EntropyValue(n1, m1) == EntropyValue(n2, m2)) is same, (n1, m1, n2, m2)
+            assert (EntropyValue(n1, m1) != EntropyValue(n2, m2)) is not same
+            equal += same
+    assert equal > 66  # more than the 66 pairs of zeros log(1)/m
+    # values in different runs differ, and so do their canonical forms
+    run_of = {}
+    for i, run in enumerate(runs):
+        for n, m in run:
+            value = EntropyValue(n, m)
+            assert run_of.setdefault((value.count, value.denom), i) == i, (n, m)
 
 
 def test_entropy_set_reaches_order_32():
@@ -161,7 +189,8 @@ def test_entropy_set_budget_counts_closures_and_values():
 
 def entropy_set_by_levels(tower, max_level, max_n):
     """Oracle: the subgroup orders of every level up to ``max_level``."""
-    orders = {sub.order for level in tower.levels[:max_level] for sub in all_subgroups(level)}
+    orders = {sub.order for level in tower.levels[:max_level]
+              for sub in subgroups_and_closures(level)[0]}
     return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
 
 
@@ -526,7 +555,7 @@ def test_automorphisms_with_non_normal_stabilizers(group, with_complement, order
     # such orbit form N(H)/H: trivial in S3, of order 2 in D4
     mul, inv = group.mul, group.inv
     h = next(
-        s.members for s in all_subgroups(group)
+        s.members for s in subgroups_and_closures(group)[0]
         if any(mul[mul[x][a]][inv[x]] not in s.members
                for x in group.elements() for a in s.members)
     )

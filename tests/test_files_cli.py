@@ -484,21 +484,21 @@ def test_cli_zline_rejects_lengths_below_the_first_row(capsys, kind, n, first):
 
 
 def test_cli_zline_even_budget_counts_bit_additions(capsys):
-    # one sweep serves every row; to length n it adds up to 10 counts of at
-    # most k + 1 bits at each length k < n: 150 for n = 5 and 210 for n = 6
-    assert cli.main(["--budget", "150", "zline", "even", "5"]) == 0
+    # one sweep serves every row; to length n it adds up to 6 counts of at
+    # most k + 1 bits at each length k < n: 90 for n = 5 and 126 for n = 6
+    assert cli.main(["--budget", "90", "zline", "even", "5"]) == 0
     capsys.readouterr()
-    assert cli.main(["--budget", "150", "zline", "even", "6"]) == 2
-    _assert_one_error_line(capsys, "error: even-shift cover check needs up to 210 bit "
-                           "additions for length 6 (budget 150)")
+    assert cli.main(["--budget", "90", "zline", "even", "6"]) == 2
+    _assert_one_error_line(capsys, "error: even-shift cover check needs up to 126 bit "
+                           "additions for length 6 (budget 90)")
 
 
 def test_cli_zline_even_40_is_fibonacci(capsys):
-    # the whole table of 40 rows is one sweep of 8200 bit additions
+    # the whole table of 40 rows is one sweep of 4920 bit additions
     fib = [0, 1]
     while len(fib) < 44:
         fib.append(fib[-1] + fib[-2])
-    assert cli.main(["--budget", "8200", "zline", "even", "40"]) == 0
+    assert cli.main(["--budget", "4920", "zline", "even", "40"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines[1:-1]] == [
         [str(m), str(fib[m + 3] - 1)] for m in range(1, 41)
@@ -535,7 +535,7 @@ def test_cli_zline_even_refuses_a_row_past_the_digit_limit(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        rc = cli.main(["--budget", str(5 * 3100 * 3101), "zline", "even", "3100"])
+        rc = cli.main(["--budget", str(3 * 3100 * 3101), "zline", "even", "3100"])
     finally:
         sys.set_int_max_str_digits(limit)
     assert rc == 2

@@ -38,7 +38,7 @@ from finshift.freext import (
     tower_context,
     tower_extend,
 )
-from finshift.groups import all_subgroups, cyclic, product, z2_power_tower
+from finshift.groups import cyclic, product, subgroups_and_closures, z2_power_tower
 from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -62,7 +62,7 @@ def _z2_in_z4_ctx(reps=None):
 def _non_normal(g, order):
     """The first subgroup of ``g`` of the given order that is not normal."""
     return next(
-        sub for sub in all_subgroups(g)
+        sub for sub in subgroups_and_closures(g)[0]
         if sub.order == order
         and any(g.mul[g.mul[g.inv[a]][h]][a] not in sub.members
                 for a in g.elements() for h in sub.members)
@@ -137,7 +137,7 @@ def test_context_accepts_only_injective_homomorphisms():
 COORDINATE_CONTEXTS = [
     extension_context(g, *sub.as_group())
     for g in (symmetric3(), dihedral4(), alternating4(), quaternion())
-    for sub in all_subgroups(g)
+    for sub in subgroups_and_closures(g)[0]
 ]
 
 
@@ -385,7 +385,7 @@ def base_extract_by_placements(x, spec_shape, ctx, budget=DEFAULT_CANDIDATE_BUDG
 EXTRACT_CONTEXTS = [
     extension_context(g, *sub.as_group())
     for g in (cyclic(4), cyclic(6), klein(), symmetric3(), dihedral4(), alternating4())
-    for sub in all_subgroups(g)
+    for sub in subgroups_and_closures(g)[0]
     if 1 < sub.order < g.order
 ]
 

@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finshift.errors import InputError, ResourceError, ValidationError
-from finshift.fixtures import alternating4, dihedral4, klein, quaternion, symmetric3
+from finshift.fixtures import (
+    alternating4,
+    dihedral4,
+    klein,
+    quaternion,
+    symmetric3,
+    symmetric_tower,
+)
 from finshift.freext import extension_context, family_action
 from finshift.groups import (
     Subgroup,
     _close_under,
     _generators,
-    all_subgroups,
     build_tower,
     cyclic,
     from_table,
@@ -24,6 +30,14 @@ from finshift.groups import (
     subgroups_and_closures,
     z2_power_tower,
 )
+
+
+def element_order(g, a):
+    n, x = 1, a
+    while x != g.identity:
+        x = g.mul[x][a]
+        n += 1
+    return n
 
 
 def test_cyclic_trivial():
@@ -36,7 +50,7 @@ def test_cyclic_trivial():
 def test_cyclic_four():
     g = cyclic(4)
     assert g.order == 4
-    assert g.element_order(1) == 4
+    assert element_order(g, 1) == 4
     assert g.inv[1] == 3
     assert g.mul[2][3] == 1
 
@@ -44,7 +58,7 @@ def test_cyclic_four():
 def test_klein_four():
     g = product(cyclic(2), cyclic(2))
     assert g.order == 4
-    assert all(g.element_order(a) <= 2 for a in g.elements())
+    assert all(element_order(g, a) <= 2 for a in g.elements())
 
 
 def test_from_table_rejects_broken_tables():
@@ -57,6 +71,10 @@ def test_from_table_rejects_broken_tables():
         from_table([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 1, 1], [3, 0, 1, 2]])
     with pytest.raises(ValidationError, match="associative"):
         from_table(LOOP5)
+    # 1 alone reaches {0, 1}, more than half of the table; 2 must still be
+    # tested, since row 2 is not a permutation: (1*2)*2 = 0, 1*(2*2) = 1
+    with pytest.raises(ValidationError, match=r"non-associative: \(1\*2\)\*2"):
+        from_table([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
 
 
 # a latin square with identity that fails associativity (order 5)
@@ -240,7 +258,7 @@ def test_trusted_constructors_build_what_from_table_validates():
     groups += [
         sub.as_group()[0]
         for g in (symmetric3(), dihedral4(), alternating4(), product(z3_e2, cyclic(2)))
-        for sub in all_subgroups(g)
+        for sub in subgroups_and_closures(g)[0]
     ]
     for g in groups:
         assert g == from_table(g.mul)
@@ -260,13 +278,21 @@ def test_generated_subgroup():
 
 
 def test_all_subgroups_of_z4():
-    subs = [s.members for s in all_subgroups(cyclic(4))]
+    subs = [s.members for s in subgroups_and_closures(cyclic(4))[0]]
     assert subs == [(0,), (0, 2), (0, 1, 2, 3)]
 
 
 def test_all_subgroups_of_klein():
-    subs = [s.members for s in all_subgroups(product(cyclic(2), cyclic(2)))]
+    subs = [s.members for s in subgroups_and_closures(product(cyclic(2), cyclic(2)))[0]]
     assert len(subs) == 5  # trivial, three order-2, whole group
+
+
+def closure_by_products(g, gens):
+    """Oracle: the generators and the identity, closed under all products."""
+    members = {g.identity, *gens}
+    while (closed := members | {g.mul[a][b] for a in members for b in members}) != members:
+        members = closed
+    return tuple(sorted(members))
 
 
 def subgroups_by_subset_closure(g):
@@ -274,13 +300,7 @@ def subgroups_by_subset_closure(g):
     found = set()
     for r in range(g.order + 1):
         for gens in combinations(g.elements(), r):
-            members = {g.identity, *gens}
-            while True:
-                closed = members | {g.mul[a][b] for a in members for b in members}
-                if closed == members:
-                    break
-                members = closed
-            found.add(tuple(sorted(members)))
+            found.add(closure_by_products(g, gens))
     return sorted(found, key=lambda m: (len(m), m))
 
 
@@ -307,7 +327,7 @@ def _is_normal(g, members):
     ],
 )
 def test_all_subgroups_match_subset_closure(name, g, count, normal):
-    subs = [s.members for s in all_subgroups(g)]
+    subs = [s.members for s in subgroups_and_closures(g)[0]]
     assert subs == subgroups_by_subset_closure(g)
     assert len(subs) == count
     assert sum(_is_normal(g, m) for m in subs) == normal
@@ -315,15 +335,29 @@ def test_all_subgroups_match_subset_closure(name, g, count, normal):
 
 def test_all_subgroups_budget_counts_closures():
     g = z2_power_tower(4).levels[3]
-    assert len(all_subgroups(g, budget=2000)) == 67
+    assert len(subgroups_and_closures(g, budget=2000)[0]) == 67
     with pytest.raises(ResourceError, match="after 100 closures"):
-        all_subgroups(g, budget=100)
+        subgroups_and_closures(g, budget=100)
     # the count reported is the least budget that passes
     for g in (g, cyclic(5), symmetric3(), alternating4()):
         subs, closures = subgroups_and_closures(g)
-        assert all_subgroups(g, budget=closures) == subs
+        assert subgroups_and_closures(g, budget=closures) == (subs, closures)
         with pytest.raises(ResourceError, match=f"after {closures - 1} closures"):
-            all_subgroups(g, budget=closures - 1)
+            subgroups_and_closures(g, budget=closures - 1)
+
+
+CLOSURE_GROUPS = [cyclic(1), cyclic(2), cyclic(12), klein(), symmetric3(), dihedral4(),
+                  quaternion(), alternating4(), z2_power_tower(4).levels[3],
+                  symmetric_tower(4).levels[3]]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.data())
+def test_closure_matches_closing_under_all_products(data):
+    g = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    assert _close_under(g, gens) == closure_by_products(g, gens)
+    assert generated_subgroup(g, gens).members == closure_by_products(g, gens)
 
 
 def test_nonabelian_fixtures():
@@ -334,15 +368,15 @@ def test_nonabelian_fixtures():
         (alternating4(), [1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]),
     ):
         assert g.identity == 0
-        assert sorted(g.element_order(a) for a in g.elements()) == orders
+        assert sorted(element_order(g, a) for a in g.elements()) == orders
         assert any(g.mul[a][b] != g.mul[b][a] for a in g.elements() for b in g.elements())
 
 
 def test_is_subgroup():
     # a subset is a subgroup exactly when it is closed; the closed subsets
-    # of Z/6 are the members of all_subgroups
+    # of Z/6 are the members of its subgroups
     g = cyclic(6)
-    closed = {sub.members for sub in all_subgroups(g)}
+    closed = {sub.members for sub in subgroups_and_closures(g)[0]}
     assert (0, 2, 4) in closed
     assert Subgroup(g, (0, 2, 4)).as_group()[0].order == 3
     for members in [(0, 3, 4), (1, 2)]:
@@ -436,7 +470,7 @@ def test_embedding_check_matches_all_pairs_oracle():
     @given(st.data())
     def check(data):
         hi = data.draw(st.sampled_from(EMBEDDING_TARGETS))
-        sub = data.draw(st.sampled_from(all_subgroups(hi)))
+        sub = data.draw(st.sampled_from(subgroups_and_closures(hi)[0]))
         lo, members = sub.as_group()
         emb = list(members)
         cell = st.integers(0, lo.order - 1)

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -87,10 +88,9 @@ def budget_defaults():
 
 def test_every_budget_defaults_to_the_one_default_budget():
     found = budget_defaults()
-    for name in ("shiftspace.enumerate_sft", "shiftspace.count_sft", "groups.all_subgroups",
+    for name in ("shiftspace.enumerate_sft", "shiftspace.count_sft",
                  "groups.subgroups_and_closures", "dynprops.entropy_set",
-                 "dynprops.automorphism_group", "zline.even_cover_factor_check",
-                 "zline.even_cover_factor_counts",
+                 "dynprops.automorphism_group", "zline.even_cover_factor_counts",
                  "zline.golden_mean_cyclic_count", "zline.golden_mean_entropy_estimate",
                  "zline.sft_gap_witness"):
         assert f"finshift.{name}" in found
@@ -131,6 +131,67 @@ def test_the_package_root_gives_each_public_name_from_its_module():
         getattr(finshift, "no_such_name")
     with pytest.raises(ImportError):
         from finshift import no_such_name
+
+
+def _from_finshift(node):
+    return node.level > 0 or (node.module or "").split(".")[0] == "finshift"
+
+
+def referenced_names(source):
+    """The finshift names ``source`` uses: names it imports from finshift,
+    attributes of a finshift module it imports, and reads of a function or
+    class it defines that resolve to that definition.  A local that shadows
+    such a name is not a use, nor is a name imported from elsewhere."""
+    tree = ast.parse(source)
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_finshift(node):
+            names.update(alias.name for alias in node.names)
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name in modules)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "finshift")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                names.add(node.attr)
+    top = symtable.symtable(source, "<source>", "exec")
+    defined = {sym.get_name() for sym in top.get_symbols() if sym.is_namespace()}
+
+    def global_reads(table):
+        reads = {sym.get_name() for sym in table.get_symbols()
+                 if sym.is_referenced() and sym.is_global()}
+        return reads.union(*map(global_reads, table.get_children()))
+
+    return names | (global_reads(top) & defined)
+
+
+def test_the_usage_guard_reads_names_attributes_and_imports():
+    source = ("from .groups import cyclic as c\nfrom itertools import product\n"
+              "import finshift.zline as z\nfrom . import dynprops\n"
+              "def suite_names(): return []\n"
+              "def entropy(): return suite_names()\n"
+              "def unused(orbits, mme):\n"
+              "    entropy = product(orbits)\n"
+              "    return z.sft_gap_witness(entropy), dynprops.mme_check, mme.mme_unique\n")
+    assert referenced_names(source) == {"cyclic", "dynprops", "sft_gap_witness",
+                                        "mme_check", "suite_names"}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name that only the tests read belongs in the tests; the
+    # benchmark imports enumerate_sft_naive as its enumeration oracle
+    demos = PACKAGE.parent.parent / "demos"
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *demos.glob("*.py")]:
+        if path != PACKAGE / "__init__.py":
+            used |= referenced_names(path.read_text(encoding="utf-8"))
+    assert sorted(set(finshift.__all__) - used) == ["enumerate_sft_naive"]
 
 
 def _fresh_python(*args, cwd=None):

@@ -14,7 +14,6 @@ from finshift.zline import (
     LOG_GOLDEN,
     EvenCoverMismatch,
     even_cover_accepts,
-    even_cover_factor_check,
     even_cover_factor_counts,
     even_shift_word_check,
     golden_mean_cyclic_count,
@@ -164,36 +163,36 @@ def test_cover_accepts_examples():
 
 def test_cover_factor_check_rejects_long_words():
     # agreement for n = 1..12 is the zline suite's even-shift-cover-agreement;
-    # the budget bounds the bit additions, up to 10 counts of at most k + 1
-    # bits at each length k < n, 5·n·(n + 1) in all
-    assert even_cover_factor_check(17, budget=1530) == 6764  # F(20) - 1
+    # the budget bounds the bit additions, up to 6 counts of at most k + 1
+    # bits at each length k < n, 3·n·(n + 1) in all
+    assert even_cover_factor_counts(17, budget=918)[17] == 6764  # F(20) - 1
     with pytest.raises(ResourceError,
-                       match=r"needs up to 1530 bit additions for length 17 \(budget 1529\)"):
-        even_cover_factor_check(17, budget=1529)
-    assert even_cover_factor_check(5, budget=150) == 20  # F(8) - 1
+                       match=r"needs up to 918 bit additions for length 17 \(budget 917\)"):
+        even_cover_factor_counts(17, budget=917)
+    assert even_cover_factor_counts(5, budget=90)[5] == 20  # F(8) - 1
     with pytest.raises(ResourceError,
-                       match=r"needs up to 210 bit additions for length 6 \(budget 150\)"):
-        even_cover_factor_check(6, budget=150)
+                       match=r"needs up to 126 bit additions for length 6 \(budget 90\)"):
+        even_cover_factor_counts(6, budget=90)
     # refused before any transition is taken, however long the word
-    with pytest.raises(ResourceError, match=r"needs up to 5000000005000000000 bit additions"):
-        even_cover_factor_check(10 ** 9)
+    with pytest.raises(ResourceError, match=r"needs up to 3000000003000000000 bit additions"):
+        even_cover_factor_counts(10 ** 9)
 
 
 def test_the_longest_length_the_default_budget_allows():
-    # 5·1831·1832 bit additions fit in 2^24 and 5·1832·1833 do not; the
-    # sweep to 1831 takes about 18000 class transitions
+    # 3·2364·2365 bit additions fit in 2^24 and 3·2365·2366 do not; the
+    # counts to 2364 take about 14000 additions
     a, b = 0, 1  # F(0), F(1)
-    for _ in range(1834):
+    for _ in range(2367):
         a, b = b, a + b
-    assert even_cover_factor_check(1831) == a - 1  # F(1834) - 1
-    with pytest.raises(ResourceError, match=r"needs up to 16790280 bit additions "
-                                            r"for length 1832 \(budget 16777216\)"):
-        even_cover_factor_check(1832)
+    assert even_cover_factor_counts(2364)[2364] == a - 1  # F(2367) - 1
+    with pytest.raises(ResourceError, match=r"needs up to 16786770 bit additions "
+                                            r"for length 2365 \(budget 16777216\)"):
+        even_cover_factor_counts(2365)
 
 
 def test_cover_factor_check_rejects_negative_lengths():
     with pytest.raises(InputError):
-        even_cover_factor_check(-1)
+        even_cover_factor_counts(-1)
 
 
 def test_cover_mismatch_is_reported(monkeypatch):
@@ -202,8 +201,12 @@ def test_cover_mismatch_is_reported(monkeypatch):
     scan_step = zline._scan_step
     monkeypatch.setattr(zline, "_scan_step", lambda s, a: (*scan_step(s, a)[:2], False))
     with pytest.raises(EvenCoverMismatch, match="word check only") as info:
-        even_cover_factor_check(3)
+        even_cover_factor_counts(3)
     assert info.value.word == (0, 1, 0)
+    # the check holds for every length, so a length too short to hold the
+    # word is refused as well
+    with pytest.raises(EvenCoverMismatch, match="word check only"):
+        even_cover_factor_counts(0)
 
 
 def cover_factor_check_by_words(n):
@@ -232,9 +235,8 @@ def _outcome(check, n):
 
 
 def test_sweep_matches_the_word_loop():
-    assert even_cover_factor_counts(12) == cover_factor_counts_by_words(12)
     for n in range(13):
-        assert even_cover_factor_check(n) == cover_factor_check_by_words(n), n
+        assert even_cover_factor_counts(n) == cover_factor_counts_by_words(n), n
 
 
 SCAN_STATES = list(iproduct((False, True), repeat=3))
@@ -251,9 +253,11 @@ SCAN_STATES = list(iproduct((False, True), repeat=3))
     st.integers(0, 12),
 )
 def test_corrupted_steps_give_the_word_loops_answer(corruption, n):
-    # one transition of the scan or of the cover goes wrong; classes still
-    # share their future verdicts, so the sweep gives the loop's counts, or
-    # raises on the same least word with the same side at the same length
+    # one transition of the scan or of the cover goes wrong.  Words that
+    # reach the same pair of states share every later verdict, so the check
+    # raises on the loop's least word with the same side, or, where the loop
+    # to n finds none, gives its counts or raises on the least longer word
+    # on which the two really differ
     side, state, label, target = corruption
     with pytest.MonkeyPatch.context() as mp:
         if side == "scan":
@@ -265,7 +269,13 @@ def test_corrupted_steps_give_the_word_loops_answer(corruption, n):
             if target is not None:
                 cover[state, label] = target
             mp.setattr(zline, "_COVER", cover)
-        assert _outcome(even_cover_factor_counts, n) == _outcome(cover_factor_counts_by_words, n)
+        got, want = _outcome(even_cover_factor_counts, n), _outcome(cover_factor_counts_by_words, n)
+        if got != want:
+            assert isinstance(want, list) and isinstance(got, tuple), (got, want)
+            word = got[0]
+            assert n < len(word) <= 12
+            assert even_cover_accepts(word) != even_shift_word_check(word)
+            assert got == _outcome(cover_factor_counts_by_words, len(word))
 
 
 def test_admissible_word_counts_are_fibonacci():
@@ -273,8 +283,7 @@ def test_admissible_word_counts_are_fibonacci():
     fib = [0, 1]
     while len(fib) < 204:
         fib.append(fib[-1] + fib[-2])
-    for n in range(201):
-        assert even_cover_factor_check(n) == fib[n + 3] - 1, n
+    assert even_cover_factor_counts(200) == [fib[n + 3] - 1 for n in range(201)]
 
 
 def test_gap_witness():
