@@ -130,24 +130,26 @@ def _cmd_check(args) -> int:
             print("uniform attains the maximum: True")
             print("unique maximizer: True")
         return 0
-    _, space = _load_space(args.sft, args.budget)
     if kind == "si":
+        # decided on the subgroup the shape spans, never enumerating on G
+        spec = files.read_sft(args.sft)
         if args.witness is not None:
             items = args.witness.split(",") if args.witness else []
             k = [_integer(t, "--witness") for t in items]
-            verdict = dynprops.strongly_irreducible_witness(space, k, budget=args.budget)
+            (verdict,) = dynprops.spec_si_verdicts(spec, [k], budget=args.budget)
             if verdict.ok:
                 print(f"strongly irreducible with witness set {sorted(set(k))}")
                 return 0
             u, v = verdict.counterexample
             print(f"FAIL: counterexample patterns {u.as_dict()} and {v.as_dict()}")
             return 1
-        minimal = dynprops.minimal_si_witnesses(space, budget=args.budget)
+        minimal = dynprops.spec_minimal_si_witnesses(spec, budget=args.budget)
         rows = [("witness",)] + [
             (" ".join(str(a) for a in k) or "(empty)",) for k in minimal
         ]
         _emit_table(rows, args.format)
         return 0 if minimal else 1
+    _, space = _load_space(args.sft, args.budget)
     aut = dynprops.automorphism_group(space, budget=args.budget)
     print(f"automorphism group order {aut.order}")
     _emit_table([row for row in aut.composition], args.format)

@@ -4,8 +4,9 @@ Entropy on a finite group is log(#configs)/|group| and is kept exact as an
 integer pair, ordered by big-integer cross powers and compared for equality
 by its canonical form, never by floats.  It is counted from the spec, and it
 alone settles zero entropy, entropy minimality and the measure of maximal
-entropy; strong irreducibility, automorphisms and measures work on
-enumerated spaces.
+entropy.  Strong irreducibility is decided on one table of projection
+counts per enumerated space, for a spec on the subgroup its shape spans;
+automorphisms and measures work on enumerated spaces.
 Measures are exact rationals until a final logarithm.
 """
 
@@ -24,8 +25,10 @@ from .shiftspace import (
     SftSpec,
     ShiftSpace,
     count_sft,
+    enumerate_sft,
     orbits,
     project,
+    shape_base,
     shift_permutations,
 )
 
@@ -153,65 +156,131 @@ class SiVerdict:
     counterexample: tuple[Pattern, Pattern] | None = None
 
 
+def _packed_table(y: ShiftSpace):
+    """The counts |π_S(Y)| for every shape S ⊆ G, indexed by bitmask (bit g
+    stands for element g), from Y packed into integers.
+
+    Each configuration is one integer, b = max(1, ⌈log2 |A|⌉) bits per cell
+    and element 0 in the highest bits, so that the integers sort as the
+    symbol tuples do; S's mask keeps the bits of S's cells.  The shapes go
+    from G down.  The parent of S adds the lowest cell S lacks, so it comes
+    first, and the values under S's mask are its parent's values under that
+    mask: a count costs a pass over its parent's values, not over Y.  A parent's
+    values are dropped after its last child, so at most |G| sets are held
+    at a time.  Returns ``(bits, packed, masks, counts)``.
+    """
+    n, full = y.group.order, (1 << y.group.order) - 1
+    bits = max(1, (y.alphabet.size - 1).bit_length())
+    packed = []
+    for c in y.configs:
+        word = 0
+        for s in c:
+            word = word << bits | s
+        packed.append(word)
+    cells = [((1 << bits) - 1) << (n - 1 - g) * bits for g in range(n)]
+    masks, counts = [0] * (full + 1), [min(1, len(packed))] * (full + 1)
+    masks[full] = sum(cells)
+    held = {full: set(packed)}  # the values of each shape with children to come
+    counts[full] = len(packed)
+    for s in range(full - 1, 0, -1):
+        lacks = ~s & (s + 1)
+        parent = s | lacks
+        masks[s] = mask = masks[parent] ^ cells[lacks.bit_length() - 1]
+        values = set(map(mask.__and__, held[parent]))
+        counts[s] = len(values)
+        if not parent & lacks << 1:  # the parent's last child
+            del held[parent]
+        if s & 1:
+            held[s] = values
+    return bits, packed, masks, counts
+
+
 def _si_test(y: ShiftSpace, budget: int):
-    """The test of witness sets K on one table of the counts |π_S(Y)| for
-    every shape S ⊆ G, indexed by bitmask (bit g stands for element g).
+    """The test of witness sets K on one table of :func:`_packed_table`.
 
     SI is monotone in U, so only U = G ∖ K·V matters for each V; there the
     U- and V-patterns that occur together are the patterns on U ∪ V (U and
     V overlap when e is not in K).  So K works exactly when
-    |π_{U∪V}(Y)| = |π_U(Y)|·|π_V(Y)| for every V.  The test returns the
-    bitmasks (U, V) of the first failing V, ascending, or None.  ``budget``
-    bounds the projections, a pass over Y each, plus the product tests.
+    |π_{U∪V}(Y)| = |π_U(Y)|·|π_V(Y)| for every V.  Returns the test, which
+    gives the bitmasks (U, V) of the first failing V, ascending, or None,
+    and the failing verdict for such (U, V): the least pair, sorted by
+    symbols, of patterns on U and V that never occur together.
+    ``budget`` bounds the projections, one per shape S, plus the product
+    tests: the 2^|G| projections are charged before the table is built,
+    and each K's product tests up to what is left.
     """
     n, mul, full = y.group.order, y.group.mul, (1 << y.group.order) - 1
-    work = [0, 0]  # projections, product tests
+    used = [0, 0]  # projections, product tests
 
-    def spend(kind):
-        if sum(work) >= budget:
-            raise ResourceError(f"SI check stopped after {work[0]} projections "
-                                f"and {work[1]} product tests (budget {budget})")
-        work[kind] += 1
+    def refuse():
+        raise ResourceError(f"SI check stopped after {used[0]} projections "
+                            f"and {used[1]} product tests (budget {budget})")
 
-    counts = []
-    for mask in range(full + 1):
-        spend(0)
-        counts.append(len(project(y, [g for g in range(n) if mask >> g & 1])))
+    if full >= budget:
+        used[0] = budget
+        refuse()
+    bits, packed, masks, counts = _packed_table(y)
+    used[0] = full + 1
+    kv = [0] * (full + 1)  # kv[V] is the bitmask of K·V, set before it is read
+    bit_rows = [[1 << c for c in row] for row in mul]
 
-    def failure(k):
-        k_times = [sum(1 << g for g in {mul[a][f] for a in k}) for f in range(n)]
-        kv = [0] * (full + 1)  # kv[V] is the bitmask of K·V
-        for v in range(1, full + 1):
-            spend(1)
+    def test(k):
+        # k_times[f] is the bitmask of K·f, whose elements a·f are distinct
+        k_times = list(map(sum, zip(*(bit_rows[a] for a in k)))) or [0] * n
+        room = min(full, budget - used[0] - used[1])
+        for v in range(1, room + 1):
             low = v & -v
             kv[v] = kv[v ^ low] | k_times[low.bit_length() - 1]
             u = full ^ kv[v]
             if counts[u | v] != counts[u] * counts[v]:
+                used[1] += v
                 return u, v
+        used[1] += room
+        if room < full:
+            refuse()
         return None
 
-    return failure
+    def pattern(m, word):
+        shape = tuple(g for g in range(n) if m >> g & 1)
+        symbols = tuple(word >> (n - 1 - g) * bits & (1 << bits) - 1 for g in shape)
+        return Pattern(y.group, shape, symbols)
+
+    def counterexample(u, v):
+        joint = {(p & masks[u], p & masks[v]) for p in packed}
+        lang_u, lang_v = sorted({a for a, _ in joint}), sorted({b for _, b in joint})
+        a, b = next((a, b) for a in lang_u for b in lang_v if (a, b) not in joint)
+        return SiVerdict(False, (pattern(u, a), pattern(v, b)))
+
+    return test, counterexample
+
+
+def _witness_sets(group, witness_sets) -> list[set]:
+    """Each witness set as a set, refused if it names a non-element."""
+    sets, elements = [set(k) for k in witness_sets], set(group.elements())
+    for k in sets:
+        if not k <= elements:
+            raise InputError(f"{min(k - elements)} is not an element index")
+    return sets
+
+
+def si_verdicts(
+    y: ShiftSpace, witness_sets, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> list[SiVerdict]:
+    """For each witness set K, whether any language patterns u on U and v on
+    V, with U disjoint from K·V, occur together in some configuration, all
+    from one table of :func:`_si_test`; a failure carries the least pair of
+    patterns that never occur together on the first failing U and V."""
+    sets = _witness_sets(y.group, witness_sets)
+    test, counterexample = _si_test(y, budget)
+    return [SiVerdict(True) if (f := test(k)) is None else counterexample(*f) for k in sets]
 
 
 def strongly_irreducible_witness(
     y: ShiftSpace, k, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> SiVerdict:
-    """Check that any language patterns u on U and v on V, with U disjoint
-    from K·V, occur together in some configuration, by :func:`_si_test`.
-    A counterexample is the least pair, sorted by symbols, of patterns on
-    the first failing U and V that never occur together."""
-    k, elements = set(k), set(y.group.elements())
-    if not k <= elements:
-        raise InputError(f"{min(k - elements)} is not an element index")
-    failure = _si_test(y, budget)(k)
-    if failure is None:
-        return SiVerdict(True)
-    shapes = [tuple(g for g in y.group.elements() if m >> g & 1) for m in failure]
-    cut = len(shapes[0])
-    joint = {(w[:cut], w[cut:]) for w in project(y, shapes[0] + shapes[1])}
-    lang_u, lang_v = sorted({u for u, _ in joint}), sorted({v for _, v in joint})
-    pair = next((u, v) for u in lang_u for v in lang_v if (u, v) not in joint)
-    return SiVerdict(False, tuple(Pattern(y.group, *w) for w in zip(shapes, pair)))
+    """The verdict of :func:`si_verdicts` for the one witness set ``k``."""
+    (verdict,) = si_verdicts(y, [k], budget)
+    return verdict
 
 
 def minimal_si_witnesses(
@@ -219,12 +288,50 @@ def minimal_si_witnesses(
 ) -> list[tuple[int, ...]]:
     """The inclusion-minimal witness sets K, by size, then lexicographically,
     on one table of :func:`_si_test`; supersets of a witness are skipped."""
-    test, good = _si_test(y, budget), []
+    (test, _), good = _si_test(y, budget), []
     for r in range(y.group.order + 1):
         for k in combinations(y.group.elements(), r):
             if not any(set(m) <= set(k) for m in good) and test(k) is None:
                 good.append(k)
     return good
+
+
+def spec_si_verdicts(
+    spec: SftSpec, witness_sets, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> list[SiVerdict]:
+    """:func:`si_verdicts` of the spec's SFT X on G, decided on X_L, the
+    SFT enumerated on the subgroup L its shape spans (:func:`shape_base`).
+
+    X is the free extension of X_L, so patterns on different right cosets
+    of L are independent, and K is a witness set for X exactly when K ∩ L
+    is one for X_L: for U and V inside L, K·V ∩ L = (K ∩ L)·V, and X read
+    on L is X_L; U and V split by cosets otherwise, and witness sets are
+    closed upward.  So elements of K outside L are dropped, and a
+    counterexample on L, carried by the embedding, is one on G.  The
+    elements are checked against G; ``budget`` bounds the enumeration of
+    X_L in nodes and, apart from it, the 2^|L| projections plus product
+    tests.
+    """
+    sets = _witness_sets(spec.group, witness_sets)
+    embed, base = shape_base(spec)
+    y = enumerate_sft(base, budget=budget)
+    pos = {a: i for i, a in enumerate(embed)}
+    verdicts = si_verdicts(y, [[pos[a] for a in k if a in pos] for k in sets], budget)
+    carry = lambda w: Pattern(spec.group, tuple(embed[c] for c in w.shape), w.symbols)
+    return [v if v.ok else SiVerdict(False, tuple(map(carry, v.counterexample)))
+            for v in verdicts]
+
+
+def spec_minimal_si_witnesses(
+    spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET
+) -> list[tuple[int, ...]]:
+    """:func:`minimal_si_witnesses` of the spec's SFT X on G: those of X_L
+    carried by the embedding, which keeps their order, since a minimal K
+    lies inside L (see :func:`spec_si_verdicts`).  ``budget`` bounds the
+    enumeration of X_L and, apart from it, the work on L's table."""
+    embed, base = shape_base(spec)
+    y = enumerate_sft(base, budget=budget)
+    return [tuple(embed[a] for a in k) for k in minimal_si_witnesses(y, budget)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, permutations, takewhile
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,14 @@ from finshift.dynprops import (
     entropy_set,
     measure_entropy,
     measure_from_orbit_masses,
+    _packed_table,
     minimal_si_witnesses,
     mme,
     partition_entropy,
+    si_verdicts,
     spec_entropy,
+    spec_minimal_si_witnesses,
+    spec_si_verdicts,
     strongly_irreducible_witness,
 )
 from finshift.errors import DomainError, InputError, ResourceError
@@ -42,9 +48,17 @@ from finshift.fixtures import (
     symmetric3,
     two_point_spec,
 )
-from finshift.groups import build_tower, cyclic, subgroups_and_closures, z2_power_tower
-from finshift.patterns import BINARY, Pattern, shift_config
-from finshift.shiftspace import SftSpec, ShiftSpace, enumerate_sft, full_shift, orbits
+from finshift.groups import build_tower, cyclic, product, subgroups_and_closures, z2_power_tower
+from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
+from finshift.shiftspace import (
+    SftSpec,
+    ShiftSpace,
+    enumerate_sft,
+    full_shift,
+    orbits,
+    project,
+    shape_base,
+)
 
 PROPERTY_GROUPS = [cyclic(n) for n in range(2, 7)] + [
     klein(),
@@ -381,6 +395,129 @@ def test_si_budget_names_the_work_done():
         strongly_irreducible_witness(y, (0, 1), budget=10)
 
 
+def test_si_budget_on_the_shapes_subgroup():
+    # the two-point space on Z/16 with shape 0 2 is the free extension of
+    # the two-point space on L = {0, 2, ..., 14}: 2^8 projections fill L's
+    # table, where G's would need 2^16, and only all of L is a witness
+    z16 = cyclic(16)
+    forbid = frozenset(Pattern(z16, (0, 2), w) for w in ((0, 1), (1, 0)))
+    spec = SftSpec(z16, BINARY, (0, 2), forbid)
+    assert spec_minimal_si_witnesses(spec) == [tuple(range(0, 16, 2))]
+    with pytest.raises(ResourceError, match=r"^SI check stopped after 255 projections "
+                       r"and 0 product tests \(budget 255\)$"):
+        spec_minimal_si_witnesses(spec, budget=255)
+    with pytest.raises(ResourceError, match=r"^SI check stopped after 256 projections "
+                       r"and 0 product tests \(budget 256\)$"):
+        spec_minimal_si_witnesses(spec, budget=256)
+    with pytest.raises(ResourceError, match=r"^SI check stopped after 256 projections "
+                       r"and 1 product tests \(budget 257\)$"):
+        spec_si_verdicts(spec, [range(0, 16, 2)], budget=257)
+
+
+def assert_table_counts_projections(y):
+    counts = _packed_table(y)[3]
+    assert len(counts) == 1 << y.group.order
+    for mask, count in enumerate(counts):
+        assert count == len(project(y, [g for g in y.group.elements() if mask >> g & 1])), mask
+
+
+ALPHABETS = [Alphabet(("a",)), BINARY, Alphabet(("0", "1", "2"))]
+TABLE_GROUPS = [symmetric3(), dihedral4(), quaternion(), alternating4()] + [
+    cyclic(n) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("group", TABLE_GROUPS,
+                         ids=["s3", "d4", "q8", "a4"] + [f"z{n}" for n in range(2, 7)])
+def test_packed_table_counts_every_projection(group):
+    rng = random.Random(group.order)
+    for alphabet in ALPHABETS:
+        seeds = [[rng.randrange(alphabet.size) for _ in group.elements()]
+                 for _ in range(rng.randint(1, 3))]
+        y = orbit_union(group, seeds, alphabet)
+        assert_table_counts_projections(y)
+        # the counterexample is read back from the packed integers
+        ks = [tuple(a for a in group.elements() if rng.random() < 0.5) for _ in range(4)]
+        for k, verdict in zip(ks, si_verdicts(y, ks)):
+            if not verdict.ok:
+                _assert_counterexample(y, k, verdict)
+
+
+@pytest.mark.parametrize("y", [
+    ShiftSpace(symmetric3(), BINARY, frozenset()),
+    ShiftSpace(dihedral4(), Alphabet(("0", "1", "2")), frozenset({(2,) * 8})),
+    full_shift(cyclic(1), Alphabet(("0", "1", "2"))),
+], ids=["empty", "one-point", "trivial-group"])
+def test_packed_table_on_edge_spaces(y):
+    assert_table_counts_projections(y)
+
+
+def _is_normal(group, members):
+    inside = set(members)
+    return all(group.mul[group.mul[g][h]][group.inv[g]] in inside
+               for g in group.elements() for h in members)
+
+
+# S3, D4, A4 and S3×Z/2 have proper non-normal subgroups; in Q8 and V4×Z/3
+# every subgroup is normal
+ROUTE_GROUPS = [symmetric3(), dihedral4(), quaternion(), alternating4(),
+                product(symmetric3(), cyclic(2)), product(klein(), cyclic(3))]
+ROUTE_SUBGROUPS = {}
+for _g in ROUTE_GROUPS:
+    _proper = [s.members for s in subgroups_and_closures(_g)[0] if 1 < s.order < _g.order]
+    ROUTE_SUBGROUPS[_g] = [m for m in _proper if not _is_normal(_g, m)] or _proper
+
+
+def spec_on_a_proper_subgroup(group, rng):
+    """A binary spec whose shape is F = C·f0 for cells C of a proper
+    subgroup H, non-normal where the group has one, with e in C: so
+    F·f0^-1 = C spans a subgroup of H.  Some nonzero words are forbidden
+    and some are not."""
+    others = [a for a in rng.choice(ROUTE_SUBGROUPS[group]) if a != group.identity]
+    cells = {group.identity, *rng.sample(others, min(len(others), rng.randint(1, 2)))}
+    f0 = rng.randrange(group.order)
+    shape = tuple(sorted(group.mul[a][f0] for a in cells))
+    words = [w for w in iproduct((0, 1), repeat=len(shape)) if any(w)]
+    forbidden = rng.sample(words, rng.randint(1, len(words) - 1))
+    return SftSpec(group, BINARY, shape, frozenset(Pattern(group, shape, w) for w in forbidden))
+
+
+def test_si_on_the_shapes_subgroup_matches_the_whole_group():
+    drawn = Counter()
+
+    @settings(deadline=None, max_examples=15, derandomize=True)
+    @given(st.sampled_from(ROUTE_GROUPS[:3]), st.randoms(use_true_random=False))
+    def check(group, rng):
+        spec = spec_on_a_proper_subgroup(group, rng)
+        embed = shape_base(spec)[0]
+        assert len(embed) < group.order
+        drawn[_is_normal(group, embed)] += 1
+        y = enumerate_sft(spec)
+        assert spec_minimal_si_witnesses(spec) == minimal_si_witnesses(y)
+        # every witness set, and every counterexample checked on G
+        ks = [tuple(a for a in group.elements() if m >> a & 1) for m in range(1 << group.order)]
+        for k, route, whole in zip(ks, spec_si_verdicts(spec, ks), si_verdicts(y, ks)):
+            assert route.ok == whole.ok, k
+            if not route.ok:
+                _assert_counterexample(y, k, route)
+
+    check()
+    assert drawn[False] >= 5, drawn
+
+
+def test_minimal_si_witnesses_on_the_shapes_subgroup_of_order_12_groups():
+    drawn = Counter()
+
+    @settings(deadline=None, max_examples=8, derandomize=True)
+    @given(st.sampled_from(ROUTE_GROUPS[3:]), st.randoms(use_true_random=False))
+    def check(group, rng):
+        spec = spec_on_a_proper_subgroup(group, rng)
+        drawn[_is_normal(group, shape_base(spec)[0])] += 1
+        assert spec_minimal_si_witnesses(spec) == minimal_si_witnesses(enumerate_sft(spec))
+
+    check()
+    assert drawn[False] >= 3, drawn
+
+
 def equal_entropy_subshift(y, subshifts):
     """Oracle: the first nonempty proper subshift among ``subshifts`` whose
     entropy is not below that of ``y``, or None."""
@@ -524,10 +661,10 @@ def automorphisms_by_permutation(y):
     return tuple(autos), table
 
 
-def orbit_union(group, seeds):
+def orbit_union(group, seeds, alphabet=BINARY):
     """The smallest shift space containing the given configurations."""
     configs = {shift_config(group, g, x) for x in seeds for g in group.elements()}
-    return ShiftSpace(group, BINARY, frozenset(configs))
+    return ShiftSpace(group, alphabet, frozenset(configs))
 
 
 def random_subshift(group, seed, max_configs, max_orbits):

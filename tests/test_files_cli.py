@@ -931,6 +931,42 @@ def test_cli_si_empty_witness_set_and_budget(tmp_path, golden5, capsys):
     )
 
 
+def _z2_power_files(tmp_path):
+    """Group files for (Z/2)^4 and (Z/2)^6, as products of Z/2."""
+    _write(tmp_path, "z2.grp", "group cyclic 2\n")
+    _write(tmp_path, "e2.grp", "group product z2.grp z2.grp\n")
+    _write(tmp_path, "e3.grp", "group product e2.grp z2.grp\n")
+    _write(tmp_path, "e4.grp", "group product e2.grp e2.grp\n")
+    _write(tmp_path, "e6.grp", "group product e3.grp e3.grp\n")
+
+
+@pytest.mark.parametrize("group, shape, forbid, want", [
+    ("e6.grp", "0 1", "1 1", ["0 1"]),
+    ("e4.grp", "0 1 2", "1 1 1", ["0 1 2", "0 1 3", "0 2 3"]),
+], ids=["z2-power-6", "z2-power-4"])
+def test_cli_si_decides_on_the_shapes_subgroup(tmp_path, capsys, group, shape, forbid, want):
+    # enumerating on G would pass a budget of 10000 nodes: on (Z/2)^6, X has
+    # 3^32 points; the shape spans a subgroup of order 2 or 4
+    _z2_power_files(tmp_path)
+    sft = _write(tmp_path, "x.sft",
+                 f"sft\ngroup {group}\nalphabet 0 1\nshape {shape}\nforbid {forbid}\n")
+    assert cli.main(["--budget", "10000", "check", "si", sft]) == 0
+    assert [line.strip() for line in capsys.readouterr().out.splitlines()] == ["witness", *want]
+
+
+def test_cli_si_witness_on_the_shapes_subgroup(tmp_path, capsys):
+    # on (Z/2)^4 the shape 0 1 2 spans L = {0, 1, 2, 3}: elements outside L
+    # are valid and dropped, and a counterexample lies inside L
+    _z2_power_files(tmp_path)
+    sft = _write(tmp_path, "x.sft",
+                 "sft\ngroup e4.grp\nalphabet 0 1\nshape 0 1 2\nforbid 1 1 1\n")
+    assert cli.main(["--budget", "10000", "check", "si", sft, "--witness", "9,2,0,1"]) == 0
+    assert capsys.readouterr().out == "strongly irreducible with witness set [0, 1, 2, 9]\n"
+    assert cli.main(["--budget", "10000", "check", "si", sft, "--witness", "0,1,9"]) == 1
+    assert capsys.readouterr().out == "FAIL: counterexample patterns {2: 1, 3: 1} and {0: 1}\n"
+    assert cli.main(["check", "si", sft, "--witness", "0,16"]) == 2
+    _assert_one_error_line(capsys, "16 is not an element index")
+
 def test_python_m_finshift_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
