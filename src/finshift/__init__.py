@@ -30,8 +30,8 @@ _PUBLIC = {
               "free_extension_spec tower_context tower_extend tower_extension_count",
     "dynprops": "AutomorphismGroup EntropyValue InvariantMeasure SiVerdict automorphism_group "
                 "count_entropy entropy entropy_set measure_entropy measure_from_orbit_masses "
-                "minimal_si_witnesses mme partition_entropy si_verdicts spec_entropy "
-                "spec_minimal_si_witnesses spec_si_verdicts strongly_irreducible_witness",
+                "minimal_si_witnesses mme si_verdicts spec_entropy spec_minimal_si_witnesses "
+                "spec_si_verdicts",
     "zline": "EvenCoverMismatch even_cover_accepts even_cover_factor_counts "
              "even_shift_word_check golden_mean_cyclic_count "
              "golden_mean_cyclic_counts golden_mean_entropy_estimate golden_mean_spec "

@@ -6,9 +6,10 @@ seed produce identical reports; the exit code is 0 exactly when every
 check passes.
 
 Only the layers every command uses are imported here; ``extend`` and
-``extract`` import ``freext``, ``zline`` imports ``zline`` and ``verify``
-imports ``suites`` when they run, so a process loads only what its
-command needs.
+``extract`` import ``freext``, ``zline`` imports ``zline``, ``verify``
+imports ``suites``, and ``sft entropy``, ``extend``, ``check`` and
+``entropy-set`` import ``dynprops`` when they run, so a process loads only
+what its command needs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import math
 import sys
 
-from . import dynprops, files
+from . import files
 from .errors import FinshiftError, InputError, ResourceError
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
 
@@ -48,11 +49,6 @@ def _emit_table(rows, fmt: str) -> None:
     sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _load_space(path, budget):
-    spec = files.read_sft(path)
-    return spec, enumerate_sft(spec, budget=budget)
-
-
 def _cmd_group(args) -> int:
     g = files.read_group(args.file)
     print(f"valid group of order {g.order}")
@@ -60,11 +56,13 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_sft(args) -> int:
+    spec = files.read_sft(args.file)
     if args.sft_action == "entropy":
-        spec = files.read_sft(args.file)
-        print(_entropy_line(dynprops.spec_entropy(spec, budget=args.budget)))
+        from .dynprops import spec_entropy
+
+        print(_entropy_line(spec_entropy(spec, budget=args.budget)))
         return 0
-    spec, space = _load_space(args.file, args.budget)
+    space = enumerate_sft(spec, budget=args.budget)
     symbol = spec.alphabet.symbols.__getitem__
     configs = (" ".join(map(symbol, c)) for c in sorted(space.configs))
     _emit_table([("index", "configuration"), *enumerate(configs)], args.format)
@@ -73,11 +71,12 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    from .dynprops import count_entropy
     from .freext import tower_extension_count
 
     spec, tower = files.read_sft_and_tower(args.sft, args.tower)
     count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
-    h = dynprops.count_entropy(count, tower.levels[args.to].order)
+    h = count_entropy(count, tower.levels[args.to].order)
     # h's count is a root of count, so once count prints, so does h
     configs = _text(count, "the configuration count")
     print(f"extended from level {args.frm} to level {args.to}")
@@ -112,6 +111,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import dynprops
+
     kind = args.check_kind
     if kind in ("zero", "entmin", "mme"):
         # on a finite group these follow from the count: log|X|/|G| is zero
@@ -144,12 +145,10 @@ def _cmd_check(args) -> int:
             print(f"FAIL: counterexample patterns {u.as_dict()} and {v.as_dict()}")
             return 1
         minimal = dynprops.spec_minimal_si_witnesses(spec, budget=args.budget)
-        rows = [("witness",)] + [
-            (" ".join(str(a) for a in k) or "(empty)",) for k in minimal
-        ]
+        rows = [("witness",), *((" ".join(map(str, k)) or "(empty)",) for k in minimal)]
         _emit_table(rows, args.format)
         return 0 if minimal else 1
-    _, space = _load_space(args.sft, args.budget)
+    space = enumerate_sft(files.read_sft(args.sft), budget=args.budget)
     aut = dynprops.automorphism_group(space, budget=args.budget)
     print(f"automorphism group order {aut.order}")
     _emit_table([row for row in aut.composition], args.format)
@@ -157,10 +156,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_entropy_set(args) -> int:
+    from .dynprops import entropy_set
+
     tower = files.read_tower(args.tower)
-    values = dynprops.entropy_set(
-        tower, max_level=args.max_level, max_n=args.max_n, budget=args.budget
-    )
+    values = entropy_set(tower, max_level=args.max_level, max_n=args.max_n, budget=args.budget)
     rows = [("count", "denom", "value")]
     for v in sorted(values, key=lambda v: (float(v), v.count)):
         rows.append((v.count, v.denom, f"{float(v):.6f}"))

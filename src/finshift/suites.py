@@ -298,14 +298,11 @@ def _extensions_si(seed):
     ctx = _klein_context()
     for name, spec in _z2_specs():
         y = enumerate_sft(spec)
-        assert dynprops.strongly_irreducible_witness(
-            y, range(y.group.order)
-        ).ok, name
+        assert dynprops.si_verdicts(y, [range(y.group.order)])[0].ok, name
         ext = free_extension(y, ctx)
-        image = tuple(ctx.base_embed)
-        assert dynprops.strongly_irreducible_witness(ext, image).ok, name
+        assert dynprops.si_verdicts(ext, [ctx.base_embed])[0].ok, name
     full = full_shift(cyclic(4), BINARY)
-    assert dynprops.strongly_irreducible_witness(full, (0,)).ok
+    assert dynprops.si_verdicts(full, [(0,)])[0].ok
 
 
 @_check("theorem-1/two-point-space-not-si")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import operator
 import os
 import random
 import tempfile
@@ -27,12 +28,10 @@ from finshift.dynprops import (
     _packed_table,
     minimal_si_witnesses,
     mme,
-    partition_entropy,
     si_verdicts,
     spec_entropy,
     spec_minimal_si_witnesses,
     spec_si_verdicts,
-    strongly_irreducible_witness,
 )
 from finshift.errors import DomainError, InputError, ResourceError
 from finshift.fixtures import (
@@ -107,6 +106,23 @@ def test_entropy_value_ordering():
     assert EntropyValue(3, 2) > EntropyValue(2, 2)
     assert EntropyValue(4, 2) == EntropyValue(2, 1)
     assert EntropyValue(3, 2) != EntropyValue(2, 1)
+
+
+def test_entropy_value_compares_only_with_entropy_values():
+    h = EntropyValue(2, 1)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(h, 3)
+        with pytest.raises(TypeError):
+            compare(3, h)
+    # > and >= are the reflected < and <=; max and min follow the cross powers
+    values = [EntropyValue(n, m) for n in range(1, 13) for m in range(1, 7)]
+    for a in values:
+        for b in values:
+            up, down = a.count ** b.denom, b.count ** a.denom
+            assert (a > b) == (up > down) and (a >= b) == (up >= down)
+            assert max(a, b) is (b if down > up else a)
+            assert min(a, b) is (b if down < up else a)
 
 
 @settings(deadline=None)
@@ -221,13 +237,13 @@ def test_entropy_set_closes_the_top_level_only(tower):
 
 def test_full_shift_is_si_with_identity_witness():
     y = full_shift(cyclic(4), BINARY)
-    assert strongly_irreducible_witness(y, (0,)).ok
+    assert si_verdicts(y, [(0,)])[0].ok
     assert minimal_si_witnesses(y) == [(0,)]
 
 
 def test_two_point_space_si_failures():
     y = enumerate_sft(two_point_spec(cyclic(4)))
-    verdict = strongly_irreducible_witness(y, (0, 1))
+    (verdict,) = si_verdicts(y, [(0, 1)])
     assert not verdict.ok
     u, v = verdict.counterexample
     # the premise holds for the returned pair but no configuration carries both
@@ -239,20 +255,19 @@ def test_two_point_space_si_failures():
         for x in y.configs
     )
     # every proper witness set fails; only the whole group is vacuous
-    for k in range(1 << 4):
-        subset = tuple(i for i in range(4) if k >> i & 1)
-        ok = strongly_irreducible_witness(y, subset).ok
-        assert ok == (subset == (0, 1, 2, 3))
+    subsets = [tuple(i for i in range(4) if k >> i & 1) for k in range(1 << 4)]
+    for subset, verdict in zip(subsets, si_verdicts(y, subsets)):
+        assert verdict.ok == (subset == (0, 1, 2, 3))
 
 
 def test_si_monotone_in_witness_set():
     y = enumerate_sft(golden_mean_like_spec(cyclic(4)))
     minimal = minimal_si_witnesses(y)
     assert minimal  # the whole group always works, so something is minimal
-    for k in range(1 << 4):
-        subset = set(i for i in range(4) if k >> i & 1)
+    subsets = [{i for i in range(4) if k >> i & 1} for k in range(1 << 4)]
+    for subset, verdict in zip(subsets, si_verdicts(y, subsets)):
         if any(set(m) <= subset for m in minimal):
-            assert strongly_irreducible_witness(y, tuple(subset)).ok
+            assert verdict.ok
 
 
 def si_pair_search(y):
@@ -344,9 +359,8 @@ def test_si_verdicts_match_pair_search(group, seed):
     # every witness set, those without the identity included
     y = enumerate_sft(random_sft_spec(group, random.Random(seed)))
     oracle = si_pair_search(y)
-    for mask in range(1 << group.order):
-        k = tuple(a for a in group.elements() if mask >> a & 1)
-        verdict = strongly_irreducible_witness(y, k)
+    ks = [tuple(a for a in group.elements() if mask >> a & 1) for mask in range(1 << group.order)]
+    for k, verdict in zip(ks, si_verdicts(y, ks)):
         assert verdict.ok == oracle(k).ok, k
         if not verdict.ok:
             _assert_counterexample(y, k, verdict)
@@ -373,14 +387,12 @@ def test_si_verdicts_match_pair_search_on_order_8(group, shape, witness_sets):
     ones = Pattern(group, shape, (1,) * len(shape))
     y = enumerate_sft(SftSpec(group, BINARY, shape, frozenset({ones})))
     oracle = si_pair_search(y)
-    verdicts = []
-    for k in witness_sets:
-        verdict = strongly_irreducible_witness(y, k)
+    verdicts = si_verdicts(y, witness_sets)
+    for k, verdict in zip(witness_sets, verdicts):
         assert verdict.ok == oracle(k).ok, k
         if not verdict.ok:
             _assert_counterexample(y, k, verdict)
-        verdicts.append(verdict.ok)
-    assert True in verdicts and False in verdicts
+    assert {v.ok for v in verdicts} == {True, False}
 
 
 def test_si_budget_names_the_work_done():
@@ -392,7 +404,7 @@ def test_si_budget_names_the_work_done():
         minimal_si_witnesses(y, budget=100)
     with pytest.raises(ResourceError, match=r"after 10 projections and 0 product "
                        r"tests \(budget 10\)"):
-        strongly_irreducible_witness(y, (0, 1), budget=10)
+        si_verdicts(y, [(0, 1)], budget=10)
 
 
 def test_si_budget_on_the_shapes_subgroup():
@@ -735,6 +747,15 @@ def cylinder_mass(mu, w):
     )
 
 
+def cylinder_entropy(mu, f):
+    """Oracle: -Σ m·log(m) over the masses m of the cylinders on the shape
+    ``f``, each configuration's weight added to the cylinder it reads on f."""
+    masses = Counter()
+    for c, w in mu.weights.items():
+        masses[tuple(c[g] for g in f)] += w
+    return -sum(float(m) * math.log(m) for m in masses.values() if m)
+
+
 def test_partition_entropy_golden_mean_single_cell():
     # cylinder masses at one cell: 15 ones over 5 positions in 11 configs
     y = enumerate_sft(golden_mean_like_spec(cyclic(5)))
@@ -745,20 +766,46 @@ def test_partition_entropy_golden_mean_single_cell():
         float(Fraction(8, 11)) * math.log(Fraction(8, 11))
         + float(Fraction(3, 11)) * math.log(Fraction(3, 11))
     )
-    assert abs(partition_entropy(y, mu, (0,)) - expected) < 1e-12
+    assert abs(cylinder_entropy(mu, (0,)) - expected) < 1e-12
 
 
 def test_partition_entropy_full_shift_whole_group():
     y = full_shift(cyclic(2), BINARY)
     mu = mme(y)
-    assert abs(partition_entropy(y, mu, (0, 1)) - math.log(4)) < 1e-12
+    assert abs(cylinder_entropy(mu, (0, 1)) - math.log(4)) < 1e-12
     assert abs(measure_entropy(y, mu) - math.log(2)) < 1e-12
 
 
 def test_point_mass_has_zero_partition_entropy():
     y = enumerate_sft(two_point_spec(cyclic(4)))
     dirac = measure_from_orbit_masses(y, (Fraction(1), Fraction(0)))
-    assert partition_entropy(y, dirac, (0, 1, 2, 3)) == 0.0
+    assert cylinder_entropy(dirac, (0, 1, 2, 3)) == 0.0
+
+
+def test_measure_entropy_refuses_a_measure_on_another_space():
+    y = full_shift(cyclic(2), BINARY)
+    mu = mme(enumerate_sft(two_point_spec(cyclic(2))))
+    with pytest.raises(InputError, match="^measure defined on a different space$"):
+        measure_entropy(y, mu)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([cyclic(n) for n in range(2, 7)] + [symmetric3(), dihedral4()]),
+       st.integers(0, 10_000))
+def test_measure_entropy_matches_cylinders_and_the_orbit_formula(group, seed):
+    rng = random.Random(seed)
+    y = enumerate_sft(random_sft_spec(group, rng))
+    parts = orbits(y)
+    weights = [rng.randint(0, 3) for _ in parts[1:]] + [1]
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    mu = measure_from_orbit_masses(y, masses)
+    h = measure_entropy(y, mu) * group.order
+    assert abs(h - cylinder_entropy(mu, group.elements())) < 1e-12
+    closed = sum(float(m) * math.log(len(orb) / m) for m, orb in zip(masses, parts) if m)
+    assert abs(h - closed) < 1e-12
+    # the all-zero point survives every random spec and is fixed
+    dirac = [Fraction(int((0,) * group.order in orb)) for orb in parts]
+    assert measure_entropy(y, measure_from_orbit_masses(y, dirac)) == 0.0
 
 
 def test_invariant_measure_validation():
@@ -812,8 +859,8 @@ def compositions(total, bins):
 
 def mme_sweep_by_measures(y, grid, tol=1e-9):
     """Oracle: build the uniform measure and each grid point's
-    InvariantMeasure and take its entropy from the cylinder language over
-    the whole group, checking it against the closed form
+    InvariantMeasure and take its entropy by :func:`measure_entropy`,
+    checking it against the closed form
     ``Σ m_o·log(|o|/m_o)/|G|`` on the way.  Returns the best entropy and
     the orbit masses within ``tol`` of it."""
     parts = orbits(y)

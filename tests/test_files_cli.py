@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from finshift import cli, files
+from finshift import cli, dynprops, files
 from finshift.dynprops import EntropyValue
 from finshift.errors import FormatError, InputError, ResourceError
 from finshift.fixtures import golden_mean_like_spec, symmetric_tower, two_point_spec
@@ -569,7 +569,7 @@ def test_cli_extend_refuses_a_count_past_the_digit_limit(tmp_path, capsys):
 def test_cli_entropy_line_refuses_a_count_past_the_digit_limit(golden5, capsys, monkeypatch):
     # a count that is no perfect power keeps all its digits in the entropy
     count = 10 ** sys.get_int_max_str_digits() + 1
-    monkeypatch.setattr(cli.dynprops, "spec_entropy",
+    monkeypatch.setattr(dynprops, "spec_entropy",
                         lambda spec, budget: EntropyValue(count, 5))
     assert cli.main(["sft", "entropy", golden5]) == 2
     _assert_one_error_line(capsys, "error: the configuration count has more than")

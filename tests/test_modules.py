@@ -1,7 +1,7 @@
 """Module boundaries: no finshift module uses another module's private
 names, every budget has the one default, the package root provides each
-public name from its module, and the CLI loads only the layers its
-command uses."""
+public name from its module, every finshift name the benchmark asks for
+exists, and the CLI loads only the layers its command uses."""
 
 import ast
 import importlib
@@ -194,6 +194,54 @@ def test_every_public_name_is_used_outside_the_tests():
     assert sorted(set(finshift.__all__) - used) == ["enumerate_sft_naive"]
 
 
+def benchmark_references(source):
+    """The finshift names ``source`` asks for, as (module, name): each
+    ``from finshift.<m> import <name>``, each ``import_module("finshift.<m>")``
+    as (m, None), and an attribute read straight off such a call as (m, attr).
+    A module named by a computed string is not followed."""
+
+    def imported(node):
+        if (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "import_module"
+                and isinstance(node.args[0], ast.Constant)
+                and str(node.args[0].value).startswith("finshift.")):
+            return node.args[0].value
+        return None
+
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("finshift."):
+            found.update((node.module, alias.name) for alias in node.names)
+        elif (module := imported(node)) is not None:
+            found.add((module, None))
+        elif isinstance(node, ast.Attribute) and (module := imported(node.value)) is not None:
+            found.add((module, node.attr))
+    return found
+
+
+def test_the_benchmark_guard_reads_imports_and_import_module():
+    source = ("import importlib\nfrom importlib import import_module\n"
+              "def f(layer):\n"
+              "    from finshift.groups import cyclic, product as p\n"
+              "    importlib.import_module('finshift.cli').main, import_module('finshift.zline')\n"
+              "    return importlib.import_module(f'finshift.{layer}'), import_module('json')\n")
+    assert benchmark_references(source) == {
+        ("finshift.groups", "cyclic"), ("finshift.groups", "product"), ("finshift.cli", None),
+        ("finshift.cli", "main"), ("finshift.zline", None)}
+
+
+def test_every_finshift_name_the_benchmark_asks_for_exists():
+    # a removal from finshift must not quietly break the benchmark's oracles
+    found = set()
+    for path in sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")):
+        found |= benchmark_references(path.read_text(encoding="utf-8"))
+    assert ("finshift.shiftspace", "enumerate_sft_naive") in found
+    assert ("finshift.cli", None) in found
+    for module, name in sorted(found, key=str):
+        loaded = importlib.import_module(module)
+        assert name is None or hasattr(loaded, name), f"{module}.{name}"
+
+
 def _fresh_python(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
@@ -205,8 +253,8 @@ def _fresh_python(*args, cwd=None):
 
 
 LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finshift'))"
-SHARED = ["finshift", "finshift.cli", "finshift.dynprops", "finshift.errors", "finshift.files",
-          "finshift.groups", "finshift.patterns", "finshift.shiftspace"]
+SHARED = ["finshift", "finshift.cli", "finshift.errors", "finshift.files", "finshift.groups",
+          "finshift.patterns", "finshift.shiftspace"]
 
 
 def test_importing_the_cli_loads_only_the_shared_layers():
@@ -222,12 +270,14 @@ def test_importing_the_cli_loads_only_the_shared_layers():
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["extend", "golden.sft", "t.twr", "0", "1"], ["finshift.freext"]),
+    (["group", "validate", "z4.grp"], []),
+    (["sft", "enum", "golden.sft"], []),
+    (["extend", "golden.sft", "t.twr", "0", "1"], ["finshift.dynprops", "finshift.freext"]),
     (["extract", "full.sft", "t.twr", "0"], ["finshift.freext"]),
     (["zline", "golden", "5"], ["finshift.zline"]),
-    (["verify", "theorem-1"],
-     ["finshift.fixtures", "finshift.freext", "finshift.suites", "finshift.zline"]),
-], ids=["extend", "extract", "zline", "verify"])
+    (["verify", "theorem-1"], ["finshift.dynprops", "finshift.fixtures", "finshift.freext",
+                               "finshift.suites", "finshift.zline"]),
+], ids=["group-validate", "sft-enum", "extend", "extract", "zline", "verify"])
 def test_each_command_imports_its_own_layers(tmp_path, argv, loads):
     (tmp_path / "z2.grp").write_text("group cyclic 2\n", encoding="utf-8")
     (tmp_path / "z4.grp").write_text("group cyclic 4\n", encoding="utf-8")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finshift.dynprops import measure_from_orbit_masses, partition_entropy
+from finshift.dynprops import measure_from_orbit_masses
 from finshift.errors import InputError, ResourceError, ValidationError
 from finshift.fixtures import (
     alternating4,
@@ -46,7 +46,7 @@ from finshift.shiftspace import (
     spec_from_space,
 )
 from finshift.zline import golden_mean_cyclic_count, golden_mean_spec
-from test_dynprops import cylinder_mass, enumerate_subshifts
+from test_dynprops import cylinder_entropy, cylinder_mass, enumerate_subshifts
 
 PROJECTION_GROUPS = [cyclic(n) for n in range(2, 7)] + [klein(), symmetric3(), dihedral4()]
 COUNT_GROUPS = [cyclic(n) for n in range(2, 9)] + [
@@ -509,7 +509,7 @@ def test_projection_routes_match_the_pattern_oracle(group, shape_kind, rng):
     mu = measure_from_orbit_masses(y, [Fraction(w, sum(weights)) for w in weights])
     cylinders = (Pattern(group, cells, sym) for sym in lang)
     want = -sum(float(m) * math.log(m) for m in (cylinder_mass(mu, w) for w in cylinders) if m)
-    assert abs(partition_entropy(y, mu, f) - want) < 1e-12
+    assert abs(cylinder_entropy(mu, f) - want) < 1e-12
 
 
 def test_project_keeps_the_given_cell_order():
