@@ -191,6 +191,12 @@ def _cmd_zline(args) -> int:
         _emit_table(rows, args.format)
         print("cover and oracle agree at every length")
         return 0
+    # the budget bounds the whole table: row m checks (m + 4)·m window
+    # cells, and these sum to n(n + 1)(2n + 1)/6 + 2n(n + 1) - 5 over m = 2..n
+    cells = n * (n + 1) * (2 * n + 1) // 6 + 2 * n * (n + 1) - 5
+    if cells > args.budget:
+        raise ResourceError(f"gap witness table needs {cells} window cells "
+                            f"for window sizes {first} to {n} (budget {args.budget})")
     rows = [("k", "witness")]
     for m in range(first, n + 1):
         word = zline.sft_gap_witness(m, budget=args.budget)

@@ -13,11 +13,10 @@ Measures are exact rationals until a final logarithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DomainError, InputError, ResourceError
+from .errors import DomainError, InputError, Record, ResourceError
 from .groups import GroupTower, subgroups_and_closures
 from .patterns import Pattern
 from .shiftspace import (
@@ -48,8 +47,7 @@ def _int_root(n: int, d: int):
     return lo if lo ** d == n else None
 
 
-@dataclass(frozen=True, order=False)
-class EntropyValue:
+class EntropyValue(Record):
     """Exact entropy log(count)/denom, stored in canonical reduced form.
 
     Canonicalization strips perfect powers whose exponent divides the
@@ -58,11 +56,10 @@ class EntropyValue:
     terms, and a canonical form has a = b = 1.  log(1)/m becomes log(1)/1.
     """
 
-    count: int
-    denom: int
+    __slots__ = ("count", "denom")
 
-    def __post_init__(self):
-        n, m = self.count, self.denom
+    def __init__(self, count: int, denom: int):
+        n, m = count, denom
         if n < 1 or m < 1:
             raise InputError("entropy parameters must be positive integers")
         # take the root for the largest d dividing m with n a perfect d-th
@@ -146,12 +143,14 @@ def entropy_set(
     return {EntropyValue(n, m) for n in range(1, max_n + 1) for m in orders}
 
 
-@dataclass(frozen=True)
-class SiVerdict:
+class SiVerdict(Record):
     """Outcome of a strong-irreducibility check for one witness set."""
 
-    ok: bool
-    counterexample: tuple[Pattern, Pattern] | None = None
+    __slots__ = ("ok", "counterexample")
+
+    def __init__(self, ok: bool, counterexample: tuple[Pattern, Pattern] | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def _packed_table(y: ShiftSpace):
@@ -324,14 +323,17 @@ def spec_minimal_si_witnesses(
     return [tuple(embed[a] for a in k) for k in minimal_si_witnesses(y, budget)]
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(Record):
     """All self-conjugacies of a space, as permutations of its sorted
     configurations."""
 
-    space: ShiftSpace
-    elements: tuple[tuple[int, ...], ...]
-    composition: tuple[tuple[int, ...], ...]
+    __slots__ = ("space", "elements", "composition")
+
+    def __init__(self, space: ShiftSpace, elements: tuple[tuple[int, ...], ...],
+                 composition: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "composition", composition)
 
     @property
     def order(self) -> int:
@@ -392,29 +394,29 @@ def automorphism_group(
     return AutomorphismGroup(y, tuple(autos), table)
 
 
-@dataclass(frozen=True)
-class InvariantMeasure:
+class InvariantMeasure(Record):
     """A shift-invariant probability vector over the configurations.
 
     Weights are exact rationals keyed by configuration and must be constant
     on every orbit.
     """
 
-    space: ShiftSpace
-    weights: dict
+    __slots__ = ("space", "weights")
 
-    def __post_init__(self):
-        total = sum(self.weights.values(), Fraction(0))
-        if set(self.weights) != set(self.space.configs):
+    def __init__(self, space: ShiftSpace, weights: dict):
+        total = sum(weights.values(), Fraction(0))
+        if set(weights) != set(space.configs):
             raise InputError("weights must cover exactly the configurations")
-        if any(w < 0 for w in self.weights.values()):
+        if any(w < 0 for w in weights.values()):
             raise InputError("weights must be non-negative")
         if total != 1:
             raise InputError(f"weights sum to {total}, expected 1")
-        for orb in orbits(self.space):
-            vals = {self.weights[c] for c in orb}
+        for orb in orbits(space):
+            vals = {weights[c] for c in orb}
             if len(vals) != 1:
                 raise InputError("measure is not constant on a shift orbit")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "weights", weights)
 
 
 def mme(y: ShiftSpace) -> InvariantMeasure:

@@ -11,10 +11,9 @@ base configurations, one per right coset, in coset order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .errors import InputError, ResourceError
+from .errors import InputError, Record, ResourceError
 from .groups import FiniteGroup, GroupTower, check_embedding
 from .patterns import shift_config
 from .shiftspace import (
@@ -30,8 +29,7 @@ from .shiftspace import (
 )
 
 
-@dataclass(frozen=True)
-class ExtensionContext:
+class ExtensionContext(Record):
     """Everything needed to extend shifts from a base group to an ambient one.
 
     ``base_embed[i]`` is the ambient element of base element ``i``.  The
@@ -42,12 +40,17 @@ class ExtensionContext:
     reps[coset_of[k]]``.
     """
 
-    ambient: FiniteGroup
-    base_group: FiniteGroup
-    base_embed: tuple[int, ...]
-    reps: tuple[int, ...]
-    coset_of: tuple[int, ...] = field(repr=False)
-    base_pos: tuple[int, ...] = field(repr=False)
+    __slots__ = ("ambient", "base_group", "base_embed", "reps", "coset_of", "base_pos")
+
+    def __init__(self, ambient: FiniteGroup, base_group: FiniteGroup,
+                 base_embed: tuple[int, ...], reps: tuple[int, ...],
+                 coset_of: tuple[int, ...], base_pos: tuple[int, ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "base_group", base_group)
+        object.__setattr__(self, "base_embed", base_embed)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "coset_of", coset_of)
+        object.__setattr__(self, "base_pos", base_pos)
 
     @property
     def cosets(self) -> int:
@@ -173,8 +176,7 @@ def free_extension_spec(spec: SftSpec, ctx: ExtensionContext) -> SftSpec:
     return carry_spec(spec, ctx.ambient, [ctx.base_embed[f] for f in spec.forbidden_shape])
 
 
-@dataclass(frozen=True)
-class BaseExtractResult:
+class BaseExtractResult(Record):
     """Outcome of :func:`base_extract`.
 
     ``ok`` is False when re-extending the recovered spec fails to reproduce
@@ -182,9 +184,12 @@ class BaseExtractResult:
     re-extension that is not in the input SFT.
     """
 
-    ok: bool
-    spec: SftSpec | None
-    witness: tuple | None
+    __slots__ = ("ok", "spec", "witness")
+
+    def __init__(self, ok: bool, spec: SftSpec | None, witness: tuple | None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "witness", witness)
 
 
 def base_extract(

@@ -7,24 +7,33 @@ finite groups connected by injective homomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
+from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, Record, ResourceError, ValidationError
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """An explicit finite group: it is its table, so two groups with the
     same table are equal.
 
     ``mul[a][b]`` is the element index of the product ``a * b``.  Instances
-    are immutable; :func:`from_table` validates tables from outside.
+    are immutable records (:class:`errors.Record`) and hash their table
+    once, when first hashed, since every pattern hashes its group;
+    :func:`from_table` validates tables from outside.
     """
 
-    mul: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
+    __slots__ = ("mul", "identity", "inv", "_hash")
+
+    def __init__(self, mul: tuple[tuple[int, ...], ...], identity: int, inv: tuple[int, ...]):
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self):
+        if self._hash is None:  # the first hash of this group
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -134,12 +143,14 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup given by its sorted member indices inside a parent group."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    __slots__ = ("parent", "members")
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
 
     @property
     def order(self) -> int:
@@ -247,16 +258,18 @@ def subgroups_and_closures(
     return [Subgroup(g, m) for m in sorted(found, key=lambda m: (len(m), m))], closures
 
 
-@dataclass(frozen=True)
-class GroupTower:
+class GroupTower(Record):
     """A chain of finite groups with injective connecting homomorphisms.
 
     ``embeddings[i]`` maps element indices of ``levels[i]`` into
     ``levels[i+1]``.
     """
 
-    levels: tuple[FiniteGroup, ...]
-    embeddings: tuple[tuple[int, ...], ...]
+    __slots__ = ("levels", "embeddings")
+
+    def __init__(self, levels: tuple[FiniteGroup, ...], embeddings: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "embeddings", embeddings)
 
     def embed_up(self, i: int, j: int) -> tuple[int, ...]:
         """The composed embedding of level ``i`` into level ``j >= i``."""

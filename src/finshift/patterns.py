@@ -7,21 +7,21 @@ configurations as plain symbol tuples, which :func:`shift_config` shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputError
+from .errors import InputError, Record
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple[str, ...]
+class Alphabet(Record):
+    """The symbols of a shift, in index order."""
 
-    def __post_init__(self):
-        if len(self.symbols) < 1:
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(symbols) < 1:
             raise InputError("alphabet needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise InputError("alphabet symbols must be distinct")
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def size(self) -> int:
@@ -31,25 +31,25 @@ class Alphabet:
 BINARY = Alphabet(("0", "1"))
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A partial configuration: ``symbols[k]`` sits at element ``shape[k]``.
 
     ``shape`` is strictly increasing; the empty pattern (empty shape) is
     legal.
     """
 
-    group: FiniteGroup
-    shape: tuple[int, ...]
-    symbols: tuple[int, ...]
+    __slots__ = ("group", "shape", "symbols")
 
-    def __post_init__(self):
-        if len(self.shape) != len(self.symbols):
+    def __init__(self, group: FiniteGroup, shape: tuple[int, ...], symbols: tuple[int, ...]):
+        if len(shape) != len(symbols):
             raise InputError("shape and symbols must have equal length")
-        if any(self.shape[i] >= self.shape[i + 1] for i in range(len(self.shape) - 1)):
+        if any(shape[i] >= shape[i + 1] for i in range(len(shape) - 1)):
             raise InputError("shape must be strictly increasing")
-        if self.shape and not (0 <= self.shape[0] and self.shape[-1] < self.group.order):
+        if shape and not (0 <= shape[0] and shape[-1] < group.order):
             raise InputError("shape contains indices outside the group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "symbols", symbols)
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.shape, self.symbols))

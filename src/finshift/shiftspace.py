@@ -15,45 +15,47 @@ which is how presentations and the other modules read a space's language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, ResourceError, ValidationError
+from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, Record, ResourceError, ValidationError
 from .groups import FiniteGroup, generated_subgroup
 from .patterns import Alphabet, Pattern, shift_config
 
 
-@dataclass(frozen=True)
-class SftSpec:
-    """Forbidden-pattern presentation of an SFT on a finite group."""
+class SftSpec(Record):
+    """Forbidden-pattern presentation of an SFT on a finite group; the
+    shape is stored sorted, without repeats."""
 
-    group: FiniteGroup
-    alphabet: Alphabet
-    forbidden_shape: tuple[int, ...]
-    forbidden: frozenset[Pattern]
+    __slots__ = ("group", "alphabet", "forbidden_shape", "forbidden")
 
-    def __post_init__(self):
-        shape = tuple(sorted(set(self.forbidden_shape)))
-        object.__setattr__(self, "forbidden_shape", shape)
-        if shape and not (0 <= shape[0] and shape[-1] < self.group.order):
+    def __init__(self, group: FiniteGroup, alphabet: Alphabet,
+                 forbidden_shape: tuple[int, ...], forbidden: frozenset[Pattern]):
+        shape = tuple(sorted(set(forbidden_shape)))
+        if shape and not (0 <= shape[0] and shape[-1] < group.order):
             raise InputError("forbidden shape contains indices outside the group")
-        k = self.alphabet.size
-        for w in self.forbidden:
+        k = alphabet.size
+        for w in forbidden:
             if w.shape != shape:
                 raise InputError("every forbidden pattern must live exactly on the spec shape")
             for s in w.symbols:
                 if not 0 <= s < k:
                     raise InputError(f"forbidden symbol {s} is outside the alphabet of size {k}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "forbidden_shape", shape)
+        object.__setattr__(self, "forbidden", forbidden)
 
 
-@dataclass(frozen=True)
-class ShiftSpace:
+class ShiftSpace(Record):
     """A shift-invariant set of full configurations (symbol tuples)."""
 
-    group: FiniteGroup
-    alphabet: Alphabet
-    configs: frozenset
+    __slots__ = ("group", "alphabet", "configs")
+
+    def __init__(self, group: FiniteGroup, alphabet: Alphabet, configs: frozenset):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "configs", configs)
 
     def __len__(self):
         return len(self.configs)
@@ -313,21 +315,21 @@ def shift_permutations(y: ShiftSpace) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(Record):
     """A local rule: window patterns of the domain to target symbols.
 
     ``table`` maps a symbol tuple (aligned with the sorted window) to a
-    target symbol index.
+    target symbol index; the window is stored sorted, without repeats.
     """
 
-    domain: ShiftSpace
-    window: tuple[int, ...]
-    table: dict
-    target_alphabet: Alphabet
+    __slots__ = ("domain", "window", "table", "target_alphabet")
 
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(sorted(set(self.window))))
+    def __init__(self, domain: ShiftSpace, window: tuple[int, ...], table: dict,
+                 target_alphabet: Alphabet):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "window", tuple(sorted(set(window))))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "target_alphabet", target_alphabet)
 
 
 def apply_block_code(x: ShiftSpace, b: BlockMap) -> ShiftSpace:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,18 +54,22 @@ from .shiftspace import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    witness: str
-    seconds: float
+    """One check's name, verdict, failure text and run time."""
+
+    def __init__(self, name: str, passed: bool, witness: str, seconds: float):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.seconds = seconds
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    """A suite's name and the results of its checks, in the order they ran."""
+
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 from finshift import cli, dynprops, files
 from finshift.dynprops import EntropyValue
-from finshift.errors import FormatError, InputError, ResourceError
+from finshift.errors import DEFAULT_CANDIDATE_BUDGET, FormatError, InputError, ResourceError
 from finshift.fixtures import golden_mean_like_spec, symmetric_tower, two_point_spec
 from finshift.freext import base_extract, free_extension_spec, tower_context, tower_extend
 from finshift.groups import build_tower, z2_power_tower
@@ -511,9 +511,15 @@ def test_cli_zline_even_40_is_fibonacci(capsys):
     [("golden", "19", "20", None),
      ("golden", "18", "20", "golden mean count needs 19 Lucas steps for length 20 (budget 18)"),
      ("golden", "1", "2000", "golden mean count needs 2 Lucas steps for length 3 (budget 1)"),
-     ("gap", "60", "6", None),
-     ("gap", "59", "6", "gap witness check needs 60 window cells for window size 6 (budget 59)"),
-     ("gap", "1", "300", "gap witness check needs 12 window cells for window size 2 (budget 1)")],
+     # gap rows 2..6 check 12 + 21 + 32 + 45 + 60 window cells
+     ("gap", "170", "6", None),
+     ("gap", "169", "6",
+      "gap witness table needs 170 window cells for window sizes 2 to 6 (budget 169)"),
+     ("gap", "1", "300",
+      "gap witness table needs 9225645 window cells for window sizes 2 to 300 (budget 1)"),
+     ("gap", str(DEFAULT_CANDIDATE_BUDGET), "367",
+      "gap witness table needs 16814467 window cells for window sizes 2 to 367 "
+      f"(budget {DEFAULT_CANDIDATE_BUDGET})")],
 )
 def test_cli_zline_golden_and_gap_budgets_bound_each_row(capsys, kind, budget, n, refusal):
     if refusal is None:

@@ -269,6 +269,14 @@ def test_importing_the_cli_loads_only_the_shared_layers():
         "finshift.groups", "finshift.patterns", "finshift.shiftspace"]
 
 
+@pytest.mark.parametrize("module", ["finshift.cli", "finshift.suites"])
+def test_importing_finshift_loads_neither_dataclasses_nor_inspect(module):
+    # the records are plain slotted classes, so start-up generates no
+    # methods; finshift.suites loads every other module of the package
+    probe = f"import sys, {module}; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    assert _fresh_python("-c", probe).split() == ["False", "False"]
+
+
 @pytest.mark.parametrize("argv, loads", [
     (["group", "validate", "z4.grp"], []),
     (["sft", "enum", "golden.sft"], []),
