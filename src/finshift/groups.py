@@ -134,12 +134,12 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     is built."""
     n1 = g1.order
     _table_fits("product", n1 * g2.order)
-    mul = tuple(
-        tuple(k + n1 * l for l in row2 for k in row1)
+    mul = tuple([
+        tuple([k + n1 * l for l in row2 for k in row1])
         for row2 in g2.mul
         for row1 in g1.mul
-    )
-    inv = tuple(i + n1 * j for j in g2.inv for i in g1.inv)
+    ])
+    inv = tuple([i + n1 * j for j in g2.inv for i in g1.inv])
     return FiniteGroup(mul, g1.identity + n1 * g2.identity, inv)
 
 

@@ -16,7 +16,7 @@ which is how presentations and the other modules read a space's language.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, Record, ResourceError, ValidationError
 from .groups import FiniteGroup, generated_subgroup
@@ -160,12 +160,14 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
 
     A frontier dynamic program over element indices ascending, the general
     form of the transfer-matrix trace (Lind and Marcus, *An Introduction to
-    Symbolic Dynamics and Coding*, ch. 4).  After cell p is set, the state
-    is the symbols on the cells some window ending after p still reads, and
-    each state carries the number of partial assignments that reach it; a
-    cell leaves the state after the last window that reads it.  ``budget``
-    bounds the number of states visited; a :class:`ResourceError` reports
-    how many were.
+    Symbolic Dynamics and Coding*, ch. 4).  After cell p is set, a state is
+    the symbols on the cells some window ending after p still reads, packed
+    in one int, and carries the number of partial assignments that reach
+    it.  Each cell in the state owns a slot of ``(k-1).bit_length()`` bits,
+    the lowest one freed by a cell that left the state after the last
+    window reading it; each window is a mask and a set of packed words.
+    ``budget`` bounds the number of states visited; a
+    :class:`ResourceError` reports how many were.
     """
     n = spec.group.order
     k = spec.alphabet.size
@@ -173,47 +175,56 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
     if not forbidden:
         return k ** n
     by_last = _by_last(spec)
-    # the last window end reading each cell, as windows come in end order;
-    # a cell that no window reads leaves the state at once
+    # a cell leaves the state after the last window that reads it, as
+    # windows come in end order; a cell that no window reads leaves at once
     last_read = {c: end for end, windows in enumerate(by_last) for w in windows for c in w}
-
-    symbols = [(s,) for s in range(k)]
-    layer = {(): 1}  # frontier symbols -> number of partial assignments
-    live = []  # the cells whose symbols a state holds, in state order
+    leaving = [[] for _ in by_last]
+    for c in range(n):
+        leaving[last_read.get(c, c)].append(c)
+    top = (1 << (k - 1).bit_length()) - 1  # the mask of the slot at offset 0
+    offset = {}  # the cells a state holds -> the bit offset of their slot
+    free = []  # the offsets that cells leaving the state freed
+    keep = 0  # the mask of the slots that cells in the state own
+    layer = {0: 1}  # packed frontier symbols -> number of partial assignments
     visited = 1
     for p, windows in enumerate(by_last):
-        cells = live + [p]
-        where = {c: i for i, c in enumerate(cells)}
-        checks = [_picker([where[c] for c in w]) for w in windows]
+        offset[p] = o = free.pop(free.index(min(free))) if free else len(offset) * top.bit_length()
+        keep |= top << o
+        symbols = [s << o for s in range(k)]
+        checks = []  # per window, the mask of its slots and its forbidden words packed
+        for w in windows:
+            shifts = [offset[c] for c in w]
+            checks.append((sum(map(top.__lshift__, shifts)),
+                           {sum(map(lshift, word, shifts)) for word in forbidden}))
         one = checks[0] if len(checks) == 1 else None
-        live = [c for c in cells if last_read.get(c, p) > p]
-        keep = _picker([where[c] for c in live])
+        for c in leaving[p]:
+            free.append(offset.pop(c))
+            keep ^= top << free[-1]
         nxt = {}
         get = nxt.get
         for state, ways in layer.items():
             if one:
+                mask, bad = one
                 for s in symbols:
-                    full = state + s
-                    if one(full) not in forbidden:
-                        key = keep(full)
+                    full = state | s
+                    if full & mask not in bad:
+                        key = full & keep
                         nxt[key] = get(key, 0) + ways
             else:
                 for s in symbols:
-                    full = state + s
-                    for check in checks:
-                        if check(full) in forbidden:
+                    full = state | s
+                    for mask, bad in checks:
+                        if full & mask in bad:
                             break
                     else:
-                        key = keep(full)
+                        key = full & keep
                         nxt[key] = get(key, 0) + ways
             if visited + len(nxt) > budget:
-                raise ResourceError(
-                    f"SFT count stopped after {visited + len(nxt)} states "
-                    f"(budget {budget})"
-                )
+                raise ResourceError(f"SFT count stopped after {visited + len(nxt)} states "
+                                    f"(budget {budget})")
         visited += len(nxt)
         layer = nxt
-    return layer.get((), 0)
+    return layer.get(0, 0)
 
 
 def carry_spec(spec: SftSpec, group: FiniteGroup, cells) -> SftSpec:

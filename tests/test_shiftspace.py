@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finshift.dynprops import measure_from_orbit_masses
@@ -247,22 +247,23 @@ def test_count_matches_enumeration_on_random_specs(seed, group):
     assert count_sft(spec) == len(enumerate_sft(spec).configs)
 
 
-def _random_ternary_spec(group, rng):
-    size = rng.randint(1, min(3, group.order))
+def _random_small_spec(group, rng, k=3):
+    """Up to three cells, the empty shape included, over k symbols."""
+    size = rng.randint(0, min(3, group.order))
     shape = tuple(sorted(rng.sample(range(group.order), size)))
     forbidden = frozenset(
         Pattern(group, shape, sym)
-        for sym in iproduct(range(3), repeat=size)
+        for sym in iproduct(range(k), repeat=size)
         if rng.random() < 0.3
     )
-    return SftSpec(group, Alphabet(("a", "b", "c")), shape, forbidden)
+    return SftSpec(group, Alphabet(tuple("abcde"[:k])), shape, forbidden)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10_000), st.sampled_from([cyclic(n) for n in range(2, 7)]
                                                + [klein(), symmetric3()]))
 def test_count_matches_naive_on_ternary_specs(seed, group):
-    spec = _random_ternary_spec(group, random.Random(seed))
+    spec = _random_small_spec(group, random.Random(seed))
     assert count_sft(spec) == len(enumerate_sft_naive(spec).configs)
 
 
@@ -282,13 +283,17 @@ def test_count_on_shapes_closed_under_no_subgroup(group, shape):
 
 
 def test_count_of_golden_mean_is_the_transfer_trace():
-    for n in [*range(1, 41), 64, 99, 128, 199, 200]:
+    # the last: cell 0 stays in the state while 998 cells pass through
+    # and free their slots for the next
+    for n in [*range(1, 41), 64, 99, 128, 199, 200, 1000]:
         assert count_sft(golden_mean_spec(n)) == golden_mean_cyclic_count(n), n
 
 
 def test_count_without_constraints_and_with_the_empty_pattern():
     g = cyclic(3)
-    assert count_sft(SftSpec(g, BINARY, (), frozenset({Pattern(g, (), ())}))) == 0
+    dead = SftSpec(g, BINARY, (), frozenset({Pattern(g, (), ())}))
+    assert count_sft(dead) == 0
+    assert frontier_count(dead) == 0  # on the whole group: no window reads cells 1 and 2
     assert count_sft(SftSpec(g, BINARY, (), frozenset())) == 8
     # no |A|^|G| pre-check: 2^40 configurations are counted, not refused
     assert count_sft(SftSpec(cyclic(40), BINARY, (0,), frozenset())) == 2 ** 40
@@ -299,6 +304,11 @@ def test_count_budget_counts_states():
     assert count_sft(spec, budget=200) == golden_mean_cyclic_count(30)
     with pytest.raises(ResourceError, match=r"stopped after \d+ states \(budget 20\)"):
         count_sft(spec, budget=20)
+    # a wide frontier: the shape spans S5, and index order holds many cells
+    s5 = random_sft_spec(SYMMETRIC.levels[4], random.Random(5))
+    with pytest.raises(ResourceError) as caught:
+        count_sft(s5, budget=1 << 16)
+    assert str(caught.value) == "SFT count stopped after 65537 states (budget 65536)"
 
 
 def frontier_states(spec):
@@ -324,11 +334,18 @@ def frontier_states(spec):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10_000), st.sampled_from(COUNT_GROUPS), st.booleans())
-def test_count_budget_is_the_states_visited(seed, group, ternary):
+@given(st.integers(0, 10_000), st.sampled_from(COUNT_GROUPS), st.sampled_from([2, 1, 3, 4, 5]))
+# states pack 0-, 2- and 3-bit slots for 1, 4 and 5 symbols (5 leaves codes
+# unused); the empty shape forbids the empty word on a base whose one cell
+# no window reads
+@example(seed=16, group=cyclic(5), k=1)
+@example(seed=0, group=cyclic(6), k=4)
+@example(seed=0, group=cyclic(5), k=5)
+@example(seed=2, group=cyclic(4), k=3)
+def test_count_budget_is_the_states_visited(seed, group, k):
     rng = random.Random(seed)
-    small = ternary and group.order <= 6  # 3^|G| prefixes at the last cell
-    spec = _random_ternary_spec(group, rng) if small else random_sft_spec(group, rng)
+    small = k != 2 and k ** group.order <= 4096  # k^|G| prefixes at the last cell
+    spec = _random_small_spec(group, rng, k) if small else random_sft_spec(group, rng)
     want = len(enumerate_sft_naive(spec).configs)
     if not spec.forbidden:  # |A|^|G|, with no sweep
         assert count_sft(spec, budget=1) == want
