@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import sys
+from itertools import repeat
 
 from . import files
 from .errors import FinshiftError, InputError, ResourceError
@@ -40,13 +41,24 @@ def _entropy_line(value: dynprops.EntropyValue) -> str:
 
 
 def _emit_table(rows, fmt: str) -> None:
-    rows = [[_text(c, "row", row[0]) for c in row] for row in rows]  # every cell, then lines
+    """Print a list of equally long rows of at least one cell, in one
+    write: every cell is converted, a column at a time, before any line
+    is printed."""
+    try:
+        columns = [list(map(str, column)) for column in zip(*rows)]
+    except ValueError:  # name the first cell, row by row, that cannot print
+        for row in rows:
+            name = _text(row[0], "the first cell of a row")
+            for cell in row:
+                _text(cell, "row", name)
+        raise
     if fmt == "tsv":
-        lines = map("\t".join, rows)
-    else:
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
-    sys.stdout.writelines(line + "\n" for line in lines)
+        lines = map("\t".join, zip(*columns))
+    else:  # pad every column but the last; each line is stripped on the right
+        padded = [map(str.ljust, c, repeat(max(map(len, c)))) for c in columns[:-1]]
+        lines = map(str.rstrip, map("  ".join, zip(*padded, *columns[-1:])))
+    if columns:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_group(args) -> int:

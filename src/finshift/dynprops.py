@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import DomainError, InputError, Record, ResourceError
 from .groups import GroupTower, subgroups_and_closures
-from .patterns import Pattern
+from .patterns import Pattern, picker
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -360,7 +360,7 @@ def automorphism_group(
     stabilizer = [
         frozenset(g for g, s in enumerate(shifts) if s[i] == i) for i in range(n)
     ]
-    orbit_of = [min(s[i] for s in shifts) for i in range(n)]
+    orbit_of = list(map(min, zip(*shifts)))
     reps = sorted(set(orbit_of))
     partial, choices = [()], 0  # images of the representatives chosen so far
     for i in reps:
@@ -388,10 +388,10 @@ def automorphism_group(
                 perm[s[i]] = s[j]
         autos.append(tuple(perm))
     autos.sort()
-    index = {p: i for i, p in enumerate(autos)}
-    # entry (p, q) is p after q
-    table = tuple(tuple(index[tuple(p[x] for x in q)] for q in autos) for p in autos)
-    return AutomorphismGroup(y, tuple(autos), table)
+    index = {p: i for i, p in enumerate(autos)}.__getitem__
+    # entry (p, q) is p after q, p read at q: column q maps q's picker over autos
+    columns = [map(index, map(picker(q), autos)) for q in autos]
+    return AutomorphismGroup(y, tuple(autos), tuple(zip(*columns)))
 
 
 class InvariantMeasure(Record):

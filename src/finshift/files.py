@@ -21,6 +21,8 @@ def _lines(path):
             data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     except OSError as exc:
         raise FormatError(f"cannot open file: {exc.strerror}", path) from None
+    except ValueError as exc:  # a name holding a NUL byte
+        raise FormatError(f"cannot open file: {exc}", path) from None
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark is no text
     except UnicodeDecodeError as exc:

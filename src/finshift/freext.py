@@ -6,16 +6,18 @@ each family member on its coset (suitably translated) and ``disassemble``
 reads the members back off.  ``family_action`` is the ambient-group action
 on families that makes ``assemble`` equivariant: assembling the acted
 family equals shifting the assembled configuration.  A family is a tuple of
-base configurations, one per right coset, in coset order.
+base configurations, one per right coset, in coset order; assembly reads
+the family flattened into one tuple, through one picker per context.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from itertools import product as iproduct
 
 from .errors import InputError, Record, ResourceError
 from .groups import FiniteGroup, GroupTower, check_embedding
-from .patterns import shift_config
+from .patterns import picker, shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
@@ -118,6 +120,13 @@ def family_action(ctx: ExtensionContext, g: int, fam) -> tuple:
     )
 
 
+def _placer(ctx: ExtensionContext):
+    """The picker that assembles a flattened family: ambient element k
+    reads member ``coset_of[k]`` at ``base_pos[k]``."""
+    m = ctx.base_group.order
+    return picker([i * m + j for i, j in zip(ctx.coset_of, ctx.base_pos)])
+
+
 def assemble(ctx: ExtensionContext, fam):
     """Glue a coset family into a single ambient configuration.
 
@@ -126,7 +135,7 @@ def assemble(ctx: ExtensionContext, fam):
     is member ``coset_of[k]`` read at ``base_pos[k]``.
     """
     fam = _check_family(ctx, fam)
-    return tuple(fam[i][j] for i, j in zip(ctx.coset_of, ctx.base_pos))
+    return _placer(ctx)(tuple(chain.from_iterable(fam)))
 
 
 def disassemble(ctx: ExtensionContext, config) -> tuple:
@@ -135,7 +144,7 @@ def disassemble(ctx: ExtensionContext, config) -> tuple:
     mul = ctx.ambient.mul
     if len(config) != ctx.ambient.order:
         raise InputError("configuration length must equal the ambient order")
-    return tuple(tuple(config[mul[h][c]] for h in ctx.base_embed) for c in ctx.reps)
+    return tuple(picker([mul[h][c] for h in ctx.base_embed])(config) for c in ctx.reps)
 
 
 def all_families(ctx: ExtensionContext, base_configs) -> list[tuple]:
@@ -156,12 +165,9 @@ def free_extension(
             f"extension would enumerate {len(y.configs)}^{ctx.cosets} "
             f"families, over budget {budget}"
         )
-    placement = tuple(zip(ctx.coset_of, ctx.base_pos))
-    configs = frozenset(
-        tuple(combo[i][j] for i, j in placement)
-        for combo in iproduct(sorted(y.configs), repeat=ctx.cosets)
-    )
-    return ShiftSpace(ctx.ambient, y.alphabet, configs)
+    # each family flattened into one tuple, member after member
+    flat = map(tuple, map(chain.from_iterable, iproduct(sorted(y.configs), repeat=ctx.cosets)))
+    return ShiftSpace(ctx.ambient, y.alphabet, frozenset(map(_placer(ctx), flat)))
 
 
 def free_extension_spec(spec: SftSpec, ctx: ExtensionContext) -> SftSpec:
@@ -228,13 +234,15 @@ def base_extract(
     inside = [i for i, r in enumerate(ctx.reps) if r in pos]
     if len(x_l.configs) == len(base) ** len(inside):
         return BaseExtractResult(True, found, None)
-    # assembled families are distinct, so at most |X_L| + 1 are tried
-    on_cells = [(ctx.coset_of[a], ctx.base_pos[a]) for a in embed]
-    fam = [min(base.configs)] * ctx.cosets
+    # assembled families are distinct, so at most |X_L| + 1 are tried; each
+    # is flattened, its members in the order of ``inside``, and read on L
+    slot, m = {i: s for s, i in enumerate(inside)}, ctx.base_group.order
+    read_l = picker([slot[ctx.coset_of[a]] * m + ctx.base_pos[a] for a in embed])
     for members in iproduct(sorted(base.configs), repeat=len(inside)):
-        for i, m in zip(inside, members):
-            fam[i] = m
-        if tuple(fam[i][j] for i, j in on_cells) not in x_l.configs:
+        if read_l(tuple(chain.from_iterable(members))) not in x_l.configs:
+            fam = [min(base.configs)] * ctx.cosets
+            for i, member in zip(inside, members):
+                fam[i] = member
             return BaseExtractResult(False, found, assemble(ctx, fam))
 
 

@@ -3,9 +3,13 @@
 A pattern assigns symbol indices to a subset of the group's elements; SFT
 specs forbid patterns on one shape.  Shift spaces store full
 configurations as plain symbol tuples, which :func:`shift_config` shifts.
+Every module reads a configuration at a list of cells through one
+:func:`picker` per index map.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import InputError, Record
 from .groups import FiniteGroup
@@ -55,9 +59,20 @@ class Pattern(Record):
         return dict(zip(self.shape, self.symbols))
 
 
+def picker(indices):
+    """A function taking a sequence to the tuple of its items at
+    ``indices``, a sequence of positions: built once per index map, it
+    reads every configuration it is mapped over in C."""
+    if len(indices) == 1:  # itemgetter would return the bare item
+        (i,) = indices
+        return lambda t: (t[i],)
+    if not indices:  # itemgetter needs an index
+        return lambda t: ()
+    return itemgetter(*indices)
+
+
 def shift_config(group: FiniteGroup, g: int, config):
     """Translate a full configuration tuple by ``g``: the result reads
-    ``config`` at ``h*g`` for each element h."""
-    mul = group.mul
-    return tuple(config[mul[h][g]] for h in range(group.order))
+    ``config`` at ``h*g`` for each element h, column g of the table."""
+    return picker([row[g] for row in group.mul])(config)
 

@@ -16,11 +16,11 @@ which is how presentations and the other modules read a space's language.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from operator import itemgetter, lshift
+from operator import lshift
 
 from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, Record, ResourceError, ValidationError
 from .groups import FiniteGroup, generated_subgroup
-from .patterns import Alphabet, Pattern, shift_config
+from .patterns import Alphabet, Pattern, picker
 
 
 class SftSpec(Record):
@@ -67,11 +67,9 @@ def full_shift(group: FiniteGroup, alphabet: Alphabet) -> ShiftSpace:
 
 
 def is_shift_invariant(y: ShiftSpace) -> bool:
-    return all(
-        shift_config(y.group, g, x) in y.configs
-        for x in y.configs
-        for g in y.group.elements()
-    )
+    """Whether every shift, column g of the table, maps ``y`` into itself."""
+    return all(y.configs.issuperset(map(picker(column), y.configs))
+               for column in zip(*y.group.mul))
 
 
 def _windows(group: FiniteGroup, shape):
@@ -110,7 +108,7 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     layer = [()]
     nodes = 0
     for windows in _by_last(spec):
-        checks = [_picker(cells) for cells in windows]
+        checks = [picker(cells) for cells in windows]
         one = checks[0] if len(checks) == 1 else None  # most cells close one window
         nodes += k * len(layer)
         if nodes > budget:  # the symbols of some prefix of this layer would pass it
@@ -136,23 +134,13 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
     return ShiftSpace(spec.group, spec.alphabet, frozenset(layer))
 
 
-def _picker(indices):
-    """A function taking a tuple to the tuple of its items at ``indices``."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda t: (t[i],)
-    if not indices:
-        return lambda t: ()
-    return itemgetter(*indices)
-
-
 def project(y: ShiftSpace, cells) -> set[tuple]:
     """The symbols each configuration of ``y`` carries on ``cells``, in the
     order given: the language of ``y`` on that shape, as symbol tuples."""
     cells = tuple(cells)
     if any(not 0 <= c < y.group.order for c in cells):
         raise InputError("shape contains indices outside the group")
-    return set(map(_picker(cells), y.configs))
+    return set(map(picker(cells), y.configs))
 
 
 def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
@@ -231,11 +219,9 @@ def carry_spec(spec: SftSpec, group: FiniteGroup, cells) -> SftSpec:
     """The spec's forbidden words on ``group``, with shape cell k moved to
     ``cells[k]`` (distinct cells); the symbols are re-ordered to the sorted
     new shape."""
-    order = sorted(range(len(cells)), key=cells.__getitem__)
-    shape = tuple(cells[i] for i in order)
-    forbidden = frozenset(
-        Pattern(group, shape, tuple(w.symbols[i] for i in order)) for w in spec.forbidden
-    )
+    sort = picker(sorted(range(len(cells)), key=cells.__getitem__))
+    shape = sort(cells)
+    forbidden = frozenset(Pattern(group, shape, sort(w.symbols)) for w in spec.forbidden)
     return SftSpec(group, spec.alphabet, shape, forbidden)
 
 
@@ -280,12 +266,10 @@ def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -
             f"search space {k}^{n} exceeds the candidate budget {budget}"
         )
     forbidden = {w.symbols for w in spec.forbidden}
-    windows = _windows(spec.group, spec.forbidden_shape)
+    windows = [picker(cells) for cells in _windows(spec.group, spec.forbidden_shape)]
     keep = []
     for config in iproduct(range(k), repeat=n):
-        if all(
-            tuple(config[c] for c in cells) not in forbidden for cells in windows
-        ):
+        if all(window(config) not in forbidden for window in windows):
             keep.append(config)
     return ShiftSpace(spec.group, spec.alphabet, frozenset(keep))
 
@@ -304,26 +288,23 @@ def spec_from_space(y: ShiftSpace, f) -> SftSpec:
 
 def orbits(y: ShiftSpace) -> list[frozenset]:
     """Partition of the configurations into shift orbits, sorted by their
-    least member."""
-    remaining = set(y.configs)
-    parts = []
-    while remaining:
-        x = min(remaining)
-        orb = frozenset(shift_config(y.group, g, x) for g in y.group.elements())
-        parts.append(orb)
-        remaining -= orb
-    return sorted(parts, key=min)
+    least member: the least configuration no earlier orbit holds starts
+    the next one."""
+    shifts = [picker(column) for column in zip(*y.group.mul)]
+    parts, seen = [], set()
+    for x in sorted(y.configs):
+        if x not in seen:
+            parts.append(orb := frozenset([shift(x) for shift in shifts]))
+            seen |= orb
+    return parts
 
 
 def shift_permutations(y: ShiftSpace) -> list[tuple[int, ...]]:
     """Each shift map, by group element, as a permutation of the indices of
     the sorted configurations."""
     configs = sorted(y.configs)
-    pos = {c: i for i, c in enumerate(configs)}
-    return [
-        tuple(pos[shift_config(y.group, g, c)] for c in configs)
-        for g in y.group.elements()
-    ]
+    pos = {c: i for i, c in enumerate(configs)}.__getitem__
+    return [tuple(map(pos, map(picker(column), configs))) for column in zip(*y.group.mul)]
 
 
 class BlockMap(Record):
@@ -351,7 +332,7 @@ def apply_block_code(x: ShiftSpace, b: BlockMap) -> ShiftSpace:
     """
     if b.domain != x:
         raise InputError("block map domain does not match the space")
-    windows = [_picker(cells) for cells in _windows(x.group, b.window)]
+    windows = [picker(cells) for cells in _windows(x.group, b.window)]
     images = set()
     for config in x.configs:
         out = []

@@ -5,10 +5,12 @@ checks of :mod:`finshift.suites`, the same ones ``finshift verify`` runs;
 each criterion cites its checks, requires every one to pass, and keeps its
 wall-clock bound over their summed time.  Criterion 14 tests the pruned
 enumerator against its naive oracle, which is not a paper claim, so it
-keeps its own body.
+keeps its own body.  The claim ledger (``LEDGER``) maps each claim of the
+abstract to the checks that cover it, or to the open item that would.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -82,6 +84,94 @@ CRITERIA = {
              "theorem-2/two-fixed-point-mme",
          ]),
 }
+
+
+# The claim ledger: each claim of the abstract, and in two more rows what
+# the abstract presents besides them, against where the suites check it.
+# Columns: levels of an abelian tower ((Z/2)^k, Z/2^k) or of single abelian
+# groups; a nonabelian tower with non-normal inclusions (S1 ⊂ S2 ⊂ ...);
+# the limit group, by checks that carry the claim from a level to every
+# level above; and a converse exhibit on a group that is not locally
+# finite, Z.  A cell names suite checks, or the open ROADMAP item that
+# would fill it; item 25, the ledger's own, marks a cell no item plans.
+LEDGER_COLUMNS = ("abelian tower", "nonabelian non-normal tower", "limit group",
+                  "converse exhibit")
+LEDGER = {
+    "every sofic shift is an SFT": (
+        ["theorem-1/sofic-image-re-presents-as-sft",
+         "free-extension/factor-commutes-with-extension"],
+        "open: item 17",
+        "open: item 17",
+        ["zline/even-shift-cover-agreement", "zline/sft-gap-witnesses"],
+    ),
+    "every SFT is strongly irreducible": (
+        ["theorem-1/extensions-strongly-irreducible", "theorem-1/two-point-space-not-si"],
+        "open: item 9",
+        ["free-extension/si-transfer"],
+        "open: item 14",
+    ),
+    "every strongly irreducible shift is an SFT": (
+        "open: item 16",
+        "open: item 16",
+        "open: item 16",
+        "open: item 21",
+    ),
+    "every SFT is entropy minimal": (
+        ["theorem-2/entropy-minimality", "theorem-2/zero-entropy-classification"],
+        "open: item 9",
+        "open: item 24",
+        "open: item 14",
+    ),
+    "every SFT has a unique measure of maximal entropy": (
+        ["theorem-2/mme-attains-topological-entropy", "theorem-2/mme-unique-on-golden-mean",
+         "theorem-2/two-fixed-point-mme"],
+        "open: item 9",
+        "open: item 24",
+        "open: item 14",
+    ),
+    "each property forces local finiteness (the converse)": (
+        ["theorem-2/entropy-set-truncation"],
+        "open: item 9",
+        "open: item 22",
+        ["zline/rational-log-exclusion-shadow", "zline/golden-mean-small-counts",
+         "zline/golden-mean-recurrence", "zline/enumeration-vs-transfer-matrix",
+         "zline/golden-mean-entropy-tolerance"],
+    ),
+    "the free extension of a shift on H to G (the construction)": (
+        ["free-extension/conjugacy-identity", "free-extension/action-composition-law",
+         "free-extension/assemble-round-trip", "free-extension/assemble-bijection-count",
+         "free-extension/cardinality-law", "free-extension/forbidden-lift-equivalence",
+         "free-extension/intersection-commutes", "free-extension/entropy-preserved",
+         "free-extension/base-extract-round-trip", "theorem-1/sft-is-extension-of-finite-base"],
+        "open: item 9",
+        ["free-extension/tower-stepwise-equals-direct", "free-extension/choice-independence",
+         "theorem-2/entropy-constant-along-tower"],
+        "open: item 22",
+    ),
+    "among others: automorphisms": (
+        ["theorem-1/automorphism-group-orders", "theorem-1/shift-maps-are-automorphisms"],
+        "open: item 20",
+        "open: item 20",
+        "open: item 25",
+    ),
+}
+
+
+def test_the_ledger_places_every_cited_check_and_names_only_registered_ones():
+    registered = {f"{s}/{c}" for s in suite_names() for c in check_names(s)}
+    placed, open_cells = set(), 0
+    for claim, cells in LEDGER.items():
+        assert len(cells) == len(LEDGER_COLUMNS), claim
+        for column, cell in zip(LEDGER_COLUMNS, cells):
+            if isinstance(cell, str):
+                assert re.fullmatch(r"open: item [1-9]\d*", cell), (claim, column, cell)
+                open_cells += 1
+            else:
+                assert cell and not set(cell) - registered, (claim, column, cell)
+                placed |= set(cell)
+    cited = {name for _, _, names in CRITERIA.values() for name in names}
+    assert not cited - placed, "checks the battery cites that no ledger cell names"
+    print(f"LEDGER: {open_cells} of {len(LEDGER) * len(LEDGER_COLUMNS)} cells open")
 
 
 def _verdict(n, ok, detail):

@@ -1,7 +1,10 @@
 """Text file formats and the command-line surface."""
 
+import contextlib
+import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finshift import cli, dynprops, files
 from finshift.dynprops import EntropyValue
@@ -284,6 +289,55 @@ def test_emit_table_refuses_a_row_before_writing_any_line(capsys, fmt):
     finally:
         sys.set_int_max_str_digits(limit)
     assert capsys.readouterr().out == ""
+
+
+def emit_table_by_rows(rows, fmt):
+    """Oracle for :func:`cli._emit_table`: every cell converted row by row,
+    each line padded and written on its own."""
+    rows = [[cli._text(c, "row", row[0]) for c in row] for row in rows]
+    if fmt == "tsv":
+        lines = map("\t".join, rows)
+    else:
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
+    sys.stdout.writelines(line + "\n" for line in lines)
+
+
+def _printed(emit, rows, fmt):
+    """What ``emit`` writes for the table, or how it refuses it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            emit(rows, fmt)
+        except (ResourceError, ValueError) as exc:
+            return type(exc).__name__, str(exc), out.getvalue()
+    return out.getvalue()
+
+
+# empty, wide and multi-character cells, some ending in spaces, and integers,
+# one of them past the digit limit set below
+CELLS = st.one_of(st.integers(-10 ** 12, 10 ** 12), st.sampled_from(["", " ", "a ", "x" * 40]),
+                  st.text("ab é\t", max_size=6), st.just(10 ** 700))
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(CELLS, min_size=width, max_size=width), min_size=1, max_size=7)),
+       st.sampled_from(["text", "tsv"]))
+def test_emit_table_prints_as_the_row_by_row_oracle(rows, fmt):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got, want = _printed(cli._emit_table, rows, fmt), _printed(emit_table_by_rows, rows, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if want[0] == ValueError.__name__:  # the oracle cannot name a row by an unprintable first cell
+        assert got == ("ResourceError", "the first cell of a row has more than 640 digits, "
+                       "the interpreter's limit for printing an integer", "")
+    else:
+        assert got == want
+    # a refused table prints nothing
+    assert got[-1] == "" if isinstance(got, tuple) else got.count("\n") == len(rows)
 
 
 def test_cli_enumerates_few_points_among_many_candidates(tmp_path, capsys):
@@ -720,12 +774,15 @@ def _assert_one_error_line(capsys, *fragments):
         (["extend", "z2.sft", "holes.twr", "0", "1"], "gone.grp"),
         (["sft", "entropy", "none.sft"], "none.sft"),
         (["sft", "entropy", "lost.sft"], "gone.grp"),
+        (["group", "validate", "nul.grp"], "z\x002.grp"),
     ],
-    ids=["group", "product-factor", "tower", "tower-level", "sft", "sft-group"],
+    ids=["group", "product-factor", "tower", "tower-level", "sft", "sft-group",
+         "nul-byte-in-name"],
 )
 def test_cli_missing_files_exit_2(tmp_path, capsys, argv, missing):
     _write(tmp_path, "z2.grp", "group cyclic 2\n")
     _write(tmp_path, "pair.grp", "group product z2.grp gone.grp\n")
+    _write(tmp_path, "nul.grp", "group product z2.grp z\x002.grp\n")  # no file has that name
     _write(tmp_path, "holes.twr", "tower\nlevel z2.grp\nlevel gone.grp\n")
     _write(tmp_path, "z2.sft", "sft\ngroup z2.grp\nalphabet 0 1\nshape 0\n")
     _write(tmp_path, "lost.sft", "sft\ngroup gone.grp\nalphabet 0 1\nshape 0\n")
@@ -1151,3 +1208,96 @@ def test_reading_opens_each_file_once(tmp_path, z2_power_tower_file, monkeypatch
                    "embed 1 pairs " + " ".join(f"{a}->{a}" for a in range(8)) + "\n")
     files.read_tower(twice)
     assert opened == Counter(["twice.twr", "e3.grp", "e4.grp", "e2.grp", "e1.grp"])
+
+
+# valid files of every kind: cyclic, product and table groups, an SFT on
+# each, and two towers; the mutation test edits one of them per run
+MUTANT_FILES = {
+    "z2.grp": "group cyclic 2\n",
+    "z4.grp": "group cyclic 4\n",
+    "v.grp": "group product z2.grp z2.grp\n",
+    "c3.grp": "group table 3\n0 1 2\n1 2 0\n2 0 1\n",
+    "s.sft": "sft\ngroup z4.grp\nalphabet 0 1\nshape 0 1\nforbid 1 1\n",
+    "v.sft": "sft\ngroup v.grp\nalphabet a b c\nshape 3 0\nforbid a b\nforbid c c\n",
+    "c.sft": "sft\ngroup c3.grp\nalphabet 0 1\nshape 0 2\nforbid 0 1\n",
+    "t.twr": "tower\nlevel z2.grp\nlevel z4.grp\nembed 0 pairs 0->0 1->2\n",
+    "u.twr": "tower\nlevel z2.grp\nlevel v.grp\nembed 0 pairs 0->0 1->3\n",
+}
+MUTANT_COMMANDS = [
+    ["group", "validate", ".grp"], ["sft", "enum", ".sft"], ["sft", "entropy", ".sft"],
+    ["extend", ".sft", ".twr", "0", "1"], ["extract", ".sft", ".twr", "0"],
+    ["check", "si", ".sft"], ["check", "aut", ".sft"],
+    ["entropy-set", ".twr", "--max-level", "2", "--max-n", "3"],
+]
+# numbers first: small, negative, past a table's limit, past the digit
+# limit, and digits from other scripts, which int() reads
+MUTANT_NUMBERS = ["0", "3", "-1", str(10 ** 30), "9" * 5000, "\u0663", "\uff13", "\u0967"]
+MUTANT_TOKENS = MUTANT_NUMBERS + ["group", "cyclic", "table", "shape", "forbid", "level",
+                                  "embed", "pairs", "a", "1->2", "->", "z2.grp", "\ufeff"]
+
+
+def mutated(text, rng):
+    """``text`` after one drawn edit: a token swapped, deleted, inserted or
+    replaced by a number, a line duplicated or dropped, a byte changed, a
+    byte-order mark put in front, or every line ended by CR alone.  Text
+    holds bytes that are not UTF-8 as surrogates."""
+    kind = rng.choice(["swap", "delete", "insert", "number", "duplicate", "drop", "byte",
+                       "mark", "cr"])
+    lines = text.split("\n")
+    rows = [line.split() for line in lines]
+    spots = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    if kind in ("swap", "delete", "insert", "number") and spots:
+        i, j = rng.choice(spots)
+        if kind == "swap":
+            k, m = rng.choice(spots)
+            rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+        elif kind == "delete":
+            del rows[i][j]
+        elif kind == "insert":
+            rows[i].insert(j, rng.choice(MUTANT_TOKENS))
+        else:
+            rows[i][j] = rng.choice(MUTANT_NUMBERS)
+        return "\n".join(map(" ".join, rows))
+    if kind == "duplicate":
+        i = rng.randrange(len(lines))
+        return "\n".join(lines[:i + 1] + lines[i:])
+    if kind == "drop":
+        i = rng.randrange(len(lines))
+        return "\n".join(lines[:i] + lines[i + 1:])
+    if kind == "mark":
+        return "\ufeff" + text
+    if kind == "cr":
+        return text.replace("\n", "\r")
+    data = bytearray(text.encode("utf-8", "surrogateescape") or b"\n")
+    data[rng.randrange(len(data))] = rng.randrange(256)
+    return data.decode("utf-8", "surrogateescape")
+
+
+def test_mutated_files_exit_0_or_with_one_error_line(tmp_path, capsys):
+    # no bad input may end in a raw exception: each run prints its answer,
+    # or exits 2 with one error line; extract may also find no free extension
+    for name, text in MUTANT_FILES.items():
+        _write(tmp_path, name, text)
+    rng, kinds, files_of = random.Random(27), Counter(), sorted(MUTANT_FILES)
+    for _ in range(1000):
+        name = rng.choice(files_of)
+        text = MUTANT_FILES[name]
+        for _ in range(rng.choice([1, 1, 2])):
+            text = mutated(text, rng)
+        (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+        # each file argument is the mutated file, or a drawn one of its kind
+        argv = [a if not a.startswith(".") else str(tmp_path / (
+            name if name.endswith(a) else rng.choice([f for f in files_of if f.endswith(a)])))
+            for a in rng.choice(MUTANT_COMMANDS)]
+        rc = cli.main(["--budget", "300", *argv])
+        out, err = capsys.readouterr()
+        case = (argv, text, rc, out, err)
+        if rc == 2:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), case
+        elif rc == 1:
+            assert argv[0] == "extract" and out.startswith("FAIL: not a free extension"), case
+        else:
+            assert rc == 0 and err == "", case
+        kinds[rc] += 1
+        (tmp_path / name).write_text(MUTANT_FILES[name], encoding="utf-8")
+    assert kinds[0] > 300 and kinds[2] > 300, kinds

@@ -39,10 +39,11 @@ from finshift.freext import (
     tower_extend,
 )
 from finshift.groups import cyclic, product, subgroups_and_closures, z2_power_tower
-from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
+from finshift.patterns import BINARY, Alphabet, Pattern, picker, shift_config
 from finshift.shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
+    ShiftSpace,
     count_sft,
     enumerate_sft,
     project,
@@ -446,8 +447,29 @@ SYMMETRIC = symmetric_tower(4)
 SYMMETRIC_CONTEXTS = [tower_context(SYMMETRIC, i, j) for j in (1, 2, 3) for i in range(j)]
 
 
+def coupled(x, ctx, rng):
+    """The points of ``x`` that carry no drawn pair of symbols on a window
+    of {e, b}, b outside the base, and that shape: the cosets of e and b
+    are no longer independent, so the result is seldom a free extension."""
+    g = ctx.ambient
+    b = rng.choice([a for a in g.elements() if a not in ctx.base_embed])
+    pair = (rng.randrange(2), rng.randrange(2))
+    windows = [picker(w) for w in zip(g.mul[g.identity], g.mul[b])]
+    kept = frozenset(p for p in x.configs if all(w(p) != pair for w in windows))
+    return ShiftSpace(g, x.alphabet, kept), (g.identity, b)
+
+
 def test_base_extract_along_the_symmetric_tower():
     verdicts = Counter()
+
+    def compare(ctx, spec, x):
+        got = base_extract(spec, ctx)
+        want = base_extract_by_placements(x, spec.forbidden_shape, ctx)
+        assert (got.ok, got.spec) == (want.ok, want.spec)
+        if not got.ok:
+            redone = enumerate_sft(free_extension_spec(got.spec, ctx)).configs
+            assert got.witness in redone and got.witness not in x.configs
+        verdicts[ctx.ambient.order, got.ok] += 1
 
     @settings(deadline=None, max_examples=50, derandomize=True)
     @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
@@ -461,13 +483,21 @@ def test_base_extract_along_the_symmetric_tower():
         assume(count_sft(spec) <= 4096)
         x = enumerate_sft(spec)
         assume(len(project(x, ctx.base_embed)) ** ctx.cosets <= 4096)
-        got = base_extract(spec, ctx)
-        want = base_extract_by_placements(x, spec.forbidden_shape, ctx)
-        assert (got.ok, got.spec) == (want.ok, want.spec)
-        verdicts[ctx.ambient.order, got.ok] += 1
+        compare(ctx, spec, x)
 
     check()
     assert verdicts[24, True] >= 5 and verdicts[6, False] >= 1, verdicts
+    # non-free SFTs on S4 over S3, drawn on purpose: the only cases that
+    # assemble a witness on a non-normal inclusion.  A lifted S3 spec
+    # coupled across two cosets; the spec on the union of the two shapes
+    # presents the intersection.
+    ctx, rng = tower_context(SYMMETRIC, 2, 3), random.Random(1)
+    for _ in range(20):
+        spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
+        if count_sft(spec) <= 4096:
+            x, coupling = coupled(enumerate_sft(spec), ctx, rng)
+            compare(ctx, spec_from_space(x, {*spec.forbidden_shape, *coupling}), x)
+    assert verdicts[24, False] >= 5, verdicts
 
 
 def test_base_extract_of_the_full_shift():

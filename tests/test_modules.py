@@ -280,12 +280,17 @@ def test_importing_finshift_loads_neither_dataclasses_nor_inspect(module):
 @pytest.mark.parametrize("argv, loads", [
     (["group", "validate", "z4.grp"], []),
     (["sft", "enum", "golden.sft"], []),
+    (["sft", "entropy", "golden.sft"], ["finshift.dynprops"]),
     (["extend", "golden.sft", "t.twr", "0", "1"], ["finshift.dynprops", "finshift.freext"]),
     (["extract", "full.sft", "t.twr", "0"], ["finshift.freext"]),
+    (["check", "aut", "golden.sft"], ["finshift.dynprops"]),
+    (["check", "si", "golden.sft"], ["finshift.dynprops"]),
+    (["entropy-set", "t.twr", "--max-level", "2", "--max-n", "3"], ["finshift.dynprops"]),
     (["zline", "golden", "5"], ["finshift.zline"]),
     (["verify", "theorem-1"], ["finshift.dynprops", "finshift.fixtures", "finshift.freext",
                                "finshift.suites", "finshift.zline"]),
-], ids=["group-validate", "sft-enum", "extend", "extract", "zline", "verify"])
+], ids=["group-validate", "sft-enum", "sft-entropy", "extend", "extract", "check-aut",
+        "check-si", "entropy-set", "zline", "verify"])
 def test_each_command_imports_its_own_layers(tmp_path, argv, loads):
     (tmp_path / "z2.grp").write_text("group cyclic 2\n", encoding="utf-8")
     (tmp_path / "z4.grp").write_text("group cyclic 4\n", encoding="utf-8")
