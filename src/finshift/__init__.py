@@ -21,10 +21,10 @@ _PUBLIC = {
     "groups": "FiniteGroup GroupTower Subgroup build_tower cyclic from_table "
               "generated_subgroup product subgroups_and_closures z2_power_tower",
     "patterns": "BINARY Alphabet Pattern shift_config",
-    "shiftspace": "BlockMap SftSpec ShiftSpace apply_block_code carry_spec count_sft "
-                  "enumerate_sft enumerate_sft_naive frontier_count full_shift "
-                  "is_shift_invariant orbits project shape_base shift_permutations "
-                  "spec_from_space",
+    "shiftspace": "BlockMap SftSpec ShiftSpace apply_block_code count_sft "
+                  "enumerate_hypergraph enumerate_sft enumerate_sft_naive frontier_count "
+                  "full_shift is_shift_invariant orbits project shape_base "
+                  "shift_permutations spec_from_space",
     "freext": "BaseExtractResult ExtensionContext all_families assemble base_extract "
               "disassemble extension_context family_action free_extension "
               "free_extension_spec tower_context tower_extend tower_extension_count",

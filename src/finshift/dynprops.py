@@ -17,14 +17,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, InputError, Record, ResourceError
-from .groups import GroupTower, subgroups_and_closures
+from .groups import GroupTower, Subgroup, subgroups_and_closures
 from .patterns import Pattern, picker
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
     count_sft,
-    enumerate_sft,
+    enumerate_hypergraph,
     orbits,
     shape_base,
     shift_permutations,
@@ -285,6 +285,14 @@ def minimal_si_witnesses(
     return good
 
 
+def _on_shape_base(spec: SftSpec, budget: int) -> tuple[tuple[int, ...], ShiftSpace]:
+    """L's members and X_L, as a space on L's table (:func:`shape_base`)."""
+    embed, windows = shape_base(spec)
+    words = {w.symbols for w in spec.forbidden}
+    configs = enumerate_hypergraph(len(embed), windows, words, spec.alphabet.size, budget)
+    return embed, ShiftSpace(Subgroup(spec.group, embed).as_group()[0], spec.alphabet, configs)
+
+
 def spec_si_verdicts(
     spec: SftSpec, witness_sets, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> list[SiVerdict]:
@@ -302,8 +310,7 @@ def spec_si_verdicts(
     tests.
     """
     sets = _witness_sets(spec.group, witness_sets)
-    embed, base = shape_base(spec)
-    y = enumerate_sft(base, budget=budget)
+    embed, y = _on_shape_base(spec, budget)
     pos = {a: i for i, a in enumerate(embed)}
     verdicts = si_verdicts(y, [[pos[a] for a in k if a in pos] for k in sets], budget)
     carry = lambda w: Pattern(spec.group, tuple(embed[c] for c in w.shape), w.symbols)
@@ -318,8 +325,7 @@ def spec_minimal_si_witnesses(
     carried by the embedding, which keeps their order, since a minimal K
     lies inside L (see :func:`spec_si_verdicts`).  ``budget`` bounds the
     enumeration of X_L and, apart from it, the work on L's table."""
-    embed, base = shape_base(spec)
-    y = enumerate_sft(base, budget=budget)
+    embed, y = _on_shape_base(spec, budget)
     return [tuple(embed[a] for a in k) for k in minimal_si_witnesses(y, budget)]
 
 

@@ -17,15 +17,13 @@ from itertools import product as iproduct
 
 from .errors import InputError, Record, ResourceError
 from .groups import FiniteGroup, GroupTower, check_embedding
-from .patterns import picker, shift_config
+from .patterns import Pattern, picker, shift_config
 from .shiftspace import (
     DEFAULT_CANDIDATE_BUDGET,
     SftSpec,
     ShiftSpace,
-    carry_spec,
     count_sft,
-    enumerate_sft,
-    project,
+    enumerate_hypergraph,
     shape_base,
     spec_from_space,
 )
@@ -173,13 +171,17 @@ def free_extension(
 def free_extension_spec(spec: SftSpec, ctx: ExtensionContext) -> SftSpec:
     """Reinterpret a base-group SFT spec over the ambient group.
 
-    The forbidden patterns are unchanged as symbol data; only their shape
-    is carried through the subgroup inclusion.  Enumerating the result
+    The forbidden words are carried through the subgroup inclusion, their
+    symbols re-ordered to the sorted carried shape.  Enumerating the result
     agrees with extending the enumerated base.
     """
     if spec.group != ctx.base_group:
         raise InputError("spec is not defined on the context's base group")
-    return carry_spec(spec, ctx.ambient, [ctx.base_embed[f] for f in spec.forbidden_shape])
+    cells = [ctx.base_embed[f] for f in spec.forbidden_shape]
+    sort = picker(sorted(range(len(cells)), key=cells.__getitem__))
+    shape = sort(cells)
+    forbidden = frozenset(Pattern(ctx.ambient, shape, sort(w.symbols)) for w in spec.forbidden)
+    return SftSpec(ctx.ambient, spec.alphabet, shape, forbidden)
 
 
 class BaseExtractResult(Record):
@@ -225,21 +227,22 @@ def base_extract(
     """
     if spec.group != ctx.ambient:
         raise InputError("spec is not defined on the context's ambient group")
-    embed, on_l = shape_base(spec, within=ctx.base_embed)
-    x_l = enumerate_sft(on_l, budget=budget)
-    pos = {a: i for i, a in enumerate(embed)}
-    b = project(x_l, [pos[a] for a in ctx.base_embed])
-    base = ShiftSpace(ctx.base_group, spec.alphabet, frozenset(b))
+    embed, windows = shape_base(spec, within=ctx.base_embed)
+    words = {w.symbols for w in spec.forbidden}
+    x_l = enumerate_hypergraph(len(embed), windows, words, spec.alphabet.size, budget)
+    pos = dict(zip(embed, range(len(embed))))
+    b = frozenset(map(picker([pos[a] for a in ctx.base_embed]), x_l))
+    base = ShiftSpace(ctx.base_group, spec.alphabet, b)
     found = spec_from_space(base, {ctx.base_pos[f] for f in spec.forbidden_shape})
     inside = [i for i, r in enumerate(ctx.reps) if r in pos]
-    if len(x_l.configs) == len(base) ** len(inside):
+    if len(x_l) == len(base) ** len(inside):
         return BaseExtractResult(True, found, None)
     # assembled families are distinct, so at most |X_L| + 1 are tried; each
     # is flattened, its members in the order of ``inside``, and read on L
     slot, m = {i: s for s, i in enumerate(inside)}, ctx.base_group.order
     read_l = picker([slot[ctx.coset_of[a]] * m + ctx.base_pos[a] for a in embed])
     for members in iproduct(sorted(base.configs), repeat=len(inside)):
-        if read_l(tuple(chain.from_iterable(members))) not in x_l.configs:
+        if read_l(tuple(chain.from_iterable(members))) not in x_l:
             fam = [min(base.configs)] * ctx.cosets
             for i, member in zip(inside, members):
                 fam[i] = member

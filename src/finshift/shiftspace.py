@@ -2,15 +2,15 @@
 
 An :class:`SftSpec` is declarative (forbidden patterns on a fixed shape);
 a :class:`ShiftSpace` is the enumerated, shift-invariant set of
-configurations.  One sweep sets the cells in index order and checks each
-window at its last cell (:func:`_by_last`): :func:`enumerate_sft` keeps
-whole prefixes, :func:`frontier_count` only the symbols later windows read.
-:func:`count_sft` counts on the subgroup the shape spans
-(:func:`shape_base`); the count on the whole group, the enumeration and a
-naive filter over all configurations (:func:`enumerate_sft_naive`) are its
-oracles.
-:func:`project` reads the symbols that configurations carry on a shape,
-which is how presentations and the other modules read a space's language.
+configurations.  Both sweeps read a window hypergraph: cells 0..n-1, set
+in that numbering, and windows, tuples of cells that each forbidden word
+is matched against, checked at their last cell (:func:`_by_last`).
+:func:`enumerate_hypergraph` keeps whole prefixes, :func:`frontier_count`
+only the symbols later windows read.  :func:`count_sft` counts on the
+windows inside the subgroup the shape spans (:func:`shape_base`); the
+count on the whole group's windows, :func:`enumerate_sft` and a naive
+filter (:func:`enumerate_sft_naive`) are its oracles.  :func:`project`
+reads the symbols that configurations carry on a shape.
 """
 
 from __future__ import annotations
@@ -73,42 +73,35 @@ def is_shift_invariant(y: ShiftSpace) -> bool:
 
 
 def _windows(group: FiniteGroup, shape):
-    """For each group element g, the cells read by the shape shifted by g.
-
-    Cell k of window g is ``f_k * g``, column g of row f_k of the table, so
-    that matching a pattern on the shape against the window realizes the
-    condition on ``(shifted x)|_F``.
-    """
+    """The whole group's windows of the shape: cell k of window g is
+    ``f_k * g``, column g of row f_k of the table, so that matching a
+    pattern on the shape against it realizes the condition on
+    ``(shifted x)|_F``."""
     return list(zip(*(group.mul[f] for f in shape))) if shape else [()] * group.order
 
 
-def _by_last(spec: SftSpec) -> list[list[tuple[int, ...]]]:
-    """For each cell p, the windows of the spec's shape whose last cell is p:
-    both sweeps check a window when they set its last cell.  The empty
-    window is checked at the first cell, so forbidding it kills all."""
-    by_last = [[] for _ in range(spec.group.order)]
-    for cells in _windows(spec.group, spec.forbidden_shape):
+def _by_last(n: int, windows) -> list[list[tuple[int, ...]]]:
+    """For each cell p, the windows whose last cell is p: both sweeps
+    check a window when they set its last cell.  The empty window is
+    checked at the first cell, so forbidding it kills all."""
+    by_last = [[] for _ in range(n)]
+    for cells in windows:
         by_last[max(cells, default=0)].append(cells)
     return by_last
 
 
-def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:
-    """Enumerate the configurations avoiding every shifted forbidden pattern.
-
-    The sweep of :func:`frontier_count` in which no cell leaves the state:
-    the layer after cell p holds the prefixes on cells 0..p that no window
-    ending by p forbids, and the last layer is the space.  ``budget``
+def enumerate_hypergraph(n: int, windows, forbidden, k: int,
+                         budget: int = DEFAULT_CANDIDATE_BUDGET) -> frozenset:
+    """The configurations of :func:`frontier_count`'s hypergraph, by its
+    sweep with no cell leaving the state: the layer after cell p holds the
+    prefixes on cells 0..p that no window ending by p forbids.  ``budget``
     bounds the nodes visited, one per symbol tried on a prefix; a layer
-    that would pass it is refused before it starts, by a
-    :class:`ResourceError`.
-    """
-    k = spec.alphabet.size
-    forbidden = {w.symbols for w in spec.forbidden}
+    that would pass it is refused before it starts (:class:`ResourceError`)."""
     symbols = [(s,) for s in range(k)]
     layer = [()]
     nodes = 0
-    for windows in _by_last(spec):
-        checks = [picker(cells) for cells in windows]
+    for closing in _by_last(n, windows):
+        checks = [picker(cells) for cells in closing]
         one = checks[0] if len(checks) == 1 else None  # most cells close one window
         nodes += k * len(layer)
         if nodes > budget:  # the symbols of some prefix of this layer would pass it
@@ -131,7 +124,16 @@ def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Shif
                     else:
                         append(full)
         layer = nxt
-    return ShiftSpace(spec.group, spec.alphabet, frozenset(layer))
+    return frozenset(layer)
+
+
+def enumerate_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:
+    """The spec's SFT: :func:`enumerate_hypergraph` on the whole group's
+    windows (``budget`` bounds its nodes)."""
+    g, words = spec.group, {w.symbols for w in spec.forbidden}
+    configs = enumerate_hypergraph(g.order, _windows(g, spec.forbidden_shape), words,
+                                   spec.alphabet.size, budget)
+    return ShiftSpace(g, spec.alphabet, configs)
 
 
 def project(y: ShiftSpace, cells) -> set[tuple]:
@@ -143,29 +145,28 @@ def project(y: ShiftSpace, cells) -> set[tuple]:
     return set(map(picker(cells), y.configs))
 
 
-def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
-    """Number of configurations of the spec's SFT, counted on the whole group.
+def frontier_count(n: int, windows, forbidden, k: int,
+                   budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
+    """Number of configurations on cells 0..n-1 over ``k`` symbols in which
+    no window reads a word of ``forbidden``, a set of symbol tuples.
 
-    A frontier dynamic program over element indices ascending, the general
-    form of the transfer-matrix trace (Lind and Marcus, *An Introduction to
-    Symbolic Dynamics and Coding*, ch. 4).  After cell p is set, a state is
-    the symbols on the cells some window ending after p still reads, packed
-    in one int, and carries the number of partial assignments that reach
-    it.  Each cell in the state owns a slot of ``(k-1).bit_length()`` bits,
-    the lowest one freed by a cell that left the state after the last
-    window reading it; each window is a mask and a set of packed words.
+    A frontier dynamic program over the cells, the general form of the
+    transfer-matrix trace (Lind and Marcus, *An Introduction to Symbolic
+    Dynamics and Coding*, ch. 4).  After cell p is set, a state is the
+    symbols on the cells some window ending after p still reads, packed in
+    one int, and carries the number of partial assignments that reach it.
+    Each cell in the state owns a slot of ``(k-1).bit_length()`` bits, the
+    lowest one freed by a cell that left the state after the last window
+    reading it; each window is a mask and a set of packed words.
     ``budget`` bounds the number of states visited; a
     :class:`ResourceError` reports how many were.
     """
-    n = spec.group.order
-    k = spec.alphabet.size
-    forbidden = {w.symbols for w in spec.forbidden}
     if not forbidden:
         return k ** n
-    by_last = _by_last(spec)
+    by_last = _by_last(n, windows)
     # a cell leaves the state after the last window that reads it, as
     # windows come in end order; a cell that no window reads leaves at once
-    last_read = {c: end for end, windows in enumerate(by_last) for w in windows for c in w}
+    last_read = {c: end for end, closing in enumerate(by_last) for w in closing for c in w}
     leaving = [[] for _ in by_last]
     for c in range(n):
         leaving[last_read.get(c, c)].append(c)
@@ -175,12 +176,12 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
     keep = 0  # the mask of the slots that cells in the state own
     layer = {0: 1}  # packed frontier symbols -> number of partial assignments
     visited = 1
-    for p, windows in enumerate(by_last):
+    for p, closing in enumerate(by_last):
         offset[p] = o = free.pop(free.index(min(free))) if free else len(offset) * top.bit_length()
         keep |= top << o
         symbols = [s << o for s in range(k)]
         checks = []  # per window, the mask of its slots and its forbidden words packed
-        for w in windows:
+        for w in closing:
             shifts = [offset[c] for c in w]
             checks.append((sum(map(top.__lshift__, shifts)),
                            {sum(map(lshift, word, shifts)) for word in forbidden}))
@@ -215,46 +216,36 @@ def frontier_count(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int
     return layer.get(0, 0)
 
 
-def carry_spec(spec: SftSpec, group: FiniteGroup, cells) -> SftSpec:
-    """The spec's forbidden words on ``group``, with shape cell k moved to
-    ``cells[k]`` (distinct cells); the symbols are re-ordered to the sorted
-    new shape."""
-    sort = picker(sorted(range(len(cells)), key=cells.__getitem__))
-    shape = sort(cells)
-    forbidden = frozenset(Pattern(group, shape, sort(w.symbols)) for w in spec.forbidden)
-    return SftSpec(group, spec.alphabet, shape, forbidden)
-
-
-def shape_base(spec: SftSpec, within=()) -> tuple[tuple[int, ...], SftSpec]:
+def shape_base(spec: SftSpec, within=()) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The subgroup L = <within ∪ F·f0^-1> that the spec's shape F spans,
-    and the spec read on L; f0 is the least shape cell.
+    and the windows of F inside it; f0 is the least shape cell.
 
     The window F·g is the window of F·f0^-1 at f0·g, inside the right coset
-    L·f0·g.  So the spec's SFT X on G is the free extension of the same
-    forbidden words on L, and |X| = |X_L|^[G:L].  Returns ``(embed,
-    base)``: ``embed[i]`` is the element of G that L's element i is, in
-    sorted order, and ``base`` is the spec on L, its symbols re-ordered to
-    the sorted shape (:func:`carry_spec`).  When L is all of G, ``base`` is
-    the spec itself.
-    """
+    L·f0·g, so it lies inside L exactly when f0·g does, and the spec's SFT
+    X on G is the free extension of X_L, read on those windows: |X| =
+    |X_L|^[G:L].  Returns ``(embed, windows)``: cell i of L is the element
+    ``embed[i]`` of G, in sorted order, and ``windows[i]`` is the window
+    F·f0^-1·embed[i] on L's cells, in the shape's order, so the spec's
+    forbidden words apply to it unchanged."""
     g = spec.group
     shape = spec.forbidden_shape
     offsets = [g.mul[f][g.inv[shape[0]]] for f in shape]
-    sub = generated_subgroup(g, [*within, *offsets])
-    if sub.order == g.order:
-        return tuple(g.elements()), spec
-    group, embed = sub.as_group()
-    pos = {a: i for i, a in enumerate(embed)}
-    return embed, carry_spec(spec, group, [pos[a] for a in offsets])
+    embed = generated_subgroup(g, [*within, *offsets]).members
+    cell = dict(zip(embed, range(len(embed)))).__getitem__
+    read = picker(embed)  # row a read at L's members: a·l for each l
+    rows = [map(cell, read(g.mul[a])) for a in offsets]
+    return embed, list(zip(*rows)) if rows else [()] * len(embed)
 
 
 def count_sft(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> int:
     """Number of configurations of the spec's SFT, without listing them:
-    :func:`frontier_count` on the subgroup L the shape spans, raised to the
-    index [G:L] (:func:`shape_base`).  ``budget`` bounds the states visited
-    on L."""
-    embed, base = shape_base(spec)
-    return frontier_count(base, budget=budget) ** (spec.group.order // len(embed))
+    :func:`frontier_count` on the windows inside the subgroup L the shape
+    spans, raised to the index [G:L] (:func:`shape_base`).  ``budget``
+    bounds the states visited on L."""
+    embed, windows = shape_base(spec)
+    words = {w.symbols for w in spec.forbidden}
+    count = frontier_count(len(embed), windows, words, spec.alphabet.size, budget)
+    return count ** (spec.group.order // len(embed))
 
 
 def enumerate_sft_naive(spec: SftSpec, budget: int = DEFAULT_CANDIDATE_BUDGET) -> ShiftSpace:

@@ -460,8 +460,6 @@ def coupled(x, ctx, rng):
 
 
 def test_base_extract_along_the_symmetric_tower():
-    verdicts = Counter()
-
     def compare(ctx, spec, x):
         got = base_extract(spec, ctx)
         want = base_extract_by_placements(x, spec.forbidden_shape, ctx)
@@ -469,24 +467,33 @@ def test_base_extract_along_the_symmetric_tower():
         if not got.ok:
             redone = enumerate_sft(free_extension_spec(got.spec, ctx)).configs
             assert got.witness in redone and got.witness not in x.configs
-        verdicts[ctx.ambient.order, got.ok] += 1
+        return ctx.ambient.order, got.ok
 
-    @settings(deadline=None, max_examples=50, derandomize=True)
-    @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
-           st.randoms(use_true_random=False))
-    def check(ctx, lift, rng):
+    def extract(ctx, lift, rng):
         if lift:
             spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
         else:
             spec = random_sft_spec(ctx.ambient, rng)
         # small enough for the oracle to enumerate x and its re-extension
-        assume(count_sft(spec) <= 4096)
+        if count_sft(spec) > 4096:
+            return None
         x = enumerate_sft(spec)
-        assume(len(project(x, ctx.base_embed)) ** ctx.cosets <= 4096)
-        compare(ctx, spec, x)
+        if len(project(x, ctx.base_embed)) ** ctx.cosets > 4096:
+            return None
+        return compare(ctx, spec, x)
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
+    @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
+           st.randoms(use_true_random=False))
+    def check(ctx, lift, rng):
+        assume(extract(ctx, lift, rng) is not None)
 
     check()
-    assert verdicts[24, True] >= 5 and verdicts[6, False] >= 1, verdicts
+    # the floors are taken on fixed cases, not on the draws
+    rng = random.Random(0)
+    verdicts = Counter(extract(rng.choice(SYMMETRIC_CONTEXTS), rng.random() < 0.5, rng)
+                       for _ in range(50))
+    assert verdicts[24, True] >= 5 and verdicts[6, False] >= 5, verdicts
     # non-free SFTs on S4 over S3, drawn on purpose: the only cases that
     # assemble a witness on a non-normal inclusion.  A lifted S3 spec
     # coupled across two cosets; the spec on the union of the two shapes
@@ -496,7 +503,7 @@ def test_base_extract_along_the_symmetric_tower():
         spec = free_extension_spec(random_sft_spec(ctx.base_group, rng), ctx)
         if count_sft(spec) <= 4096:
             x, coupling = coupled(enumerate_sft(spec), ctx, rng)
-            compare(ctx, spec_from_space(x, {*spec.forbidden_shape, *coupling}), x)
+            verdicts[compare(ctx, spec_from_space(x, {*spec.forbidden_shape, *coupling}), x)] += 1
     assert verdicts[24, False] >= 5, verdicts
 
 

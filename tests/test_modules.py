@@ -71,6 +71,30 @@ def test_no_module_uses_another_modules_private_names():
     assert found == {}
 
 
+def attributes_read(source, functions):
+    """The attribute names each top-level function of ``source`` named in
+    ``functions`` reads, by function name."""
+    return {node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in functions}
+
+
+def test_the_attribute_guard_reads_each_function_body():
+    source = ("def sweep(n, windows):\n    return n.mul, windows.count\n"
+              "def other(spec):\n    return spec.group\n")
+    assert attributes_read(source, {"sweep"}) == {"sweep": {"mul", "count"}}
+
+
+def test_the_sweeps_read_a_window_hypergraph_not_a_group():
+    # cells, windows, forbidden words and the alphabet size are all that
+    # the two sweeps take: a group reaches them only through its windows
+    sweeps = {"frontier_count", "enumerate_hypergraph", "_by_last"}
+    reads = attributes_read((PACKAGE / "shiftspace.py").read_text(encoding="utf-8"), sweeps)
+    assert reads.keys() == sweeps
+    assert {name: names & {"group", "mul"} for name, names in reads.items()} == {
+        name: set() for name in sweeps}
+
+
 def budget_defaults():
     """Each public function of a finshift module that takes ``budget``,
     by qualified name, with that parameter's default."""

@@ -26,14 +26,15 @@ from finshift.fixtures import (
     two_point_spec,
 )
 from finshift.freext import extension_context, free_extension_spec, tower_context
-from finshift.groups import cyclic, product, subgroups_and_closures, z2_power_tower
-from finshift.patterns import BINARY, Alphabet, Pattern, shift_config
+from finshift.groups import Subgroup, cyclic, product, subgroups_and_closures, z2_power_tower
+from finshift.patterns import BINARY, Alphabet, Pattern, picker, shift_config
 from finshift.shiftspace import (
     BlockMap,
     SftSpec,
     ShiftSpace,
     apply_block_code,
     count_sft,
+    enumerate_hypergraph,
     enumerate_sft,
     enumerate_sft_naive,
     frontier_count,
@@ -118,6 +119,15 @@ def test_enumeration_budget_counts_nodes_not_candidates():
     assert len(enumerate_sft(spec, budget=118)) == 2
     with pytest.raises(ResourceError, match=r"stopped after 117 nodes \(budget 117\)"):
         enumerate_sft(spec, budget=117)
+
+
+def whole_group(spec):
+    """The spec's window hypergraph on the whole group, as the sweeps take
+    it: cells 0..|G|-1, the window F·g for each element g, the forbidden
+    words and the alphabet size."""
+    g = spec.group
+    windows = [tuple(g.mul[f][x] for f in spec.forbidden_shape) for x in g.elements()]
+    return g.order, windows, {w.symbols for w in spec.forbidden}, spec.alphabet.size
 
 
 def search_nodes(spec):
@@ -293,7 +303,8 @@ def test_count_without_constraints_and_with_the_empty_pattern():
     g = cyclic(3)
     dead = SftSpec(g, BINARY, (), frozenset({Pattern(g, (), ())}))
     assert count_sft(dead) == 0
-    assert frontier_count(dead) == 0  # on the whole group: no window reads cells 1 and 2
+    # on the whole group: no window reads cells 1 and 2
+    assert frontier_count(*whole_group(dead)) == 0
     assert count_sft(SftSpec(g, BINARY, (), frozenset())) == 8
     # no |A|^|G| pre-check: 2^40 configurations are counted, not refused
     assert count_sft(SftSpec(cyclic(40), BINARY, (0,), frozenset())) == 2 ** 40
@@ -311,16 +322,11 @@ def test_count_budget_counts_states():
     assert str(caught.value) == "SFT count stopped after 65537 states (budget 65536)"
 
 
-def frontier_states(spec):
+def frontier_states(n, windows, forbidden, k):
     """Oracle for the states :func:`frontier_count` visits: one for the
     empty prefix, then at each cell p the distinct projections, onto the
     cells up to p that a window ending after p reads, of the prefixes on
     cells 0..p that no window ending by p forbids."""
-    n, k = spec.group.order, spec.alphabet.size
-    forbidden = {w.symbols for w in spec.forbidden}
-    windows = [
-        tuple(spec.group.mul[f][g] for f in spec.forbidden_shape) for g in spec.group.elements()
-    ]
     states = 1
     for p in range(n):
         closed = [w for w in windows if max(w, default=0) <= p]
@@ -350,8 +356,9 @@ def test_count_budget_is_the_states_visited(seed, group, k):
     if not spec.forbidden:  # |A|^|G|, with no sweep
         assert count_sft(spec, budget=1) == want
         return
-    base = shape_base(spec)[1]
-    states = frontier_states(base)
+    embed, windows = shape_base(spec)
+    states = frontier_states(len(embed), windows, {w.symbols for w in spec.forbidden},
+                             spec.alphabet.size)
     assert count_sft(spec, budget=states) == want
     # the test follows each state, which adds at most one state per symbol,
     # so any smaller budget is passed by fewer than |A| states
@@ -363,44 +370,96 @@ def test_count_budget_is_the_states_visited(seed, group, k):
         assert budget < int(refused[1]) <= budget + spec.alphabet.size
 
 
-def test_shape_base_reads_the_spec_on_the_shapes_subgroup():
+def windows_inside(spec, embed):
+    """Oracle for the windows :func:`shape_base` gives: the whole group's
+    windows that lie wholly inside the members ``embed``, renumbered to
+    their positions there, sorted."""
+    pos = {a: i for i, a in enumerate(embed)}
+    inside = [w for w in whole_group(spec)[1] if set(w) <= pos.keys()]
+    return sorted(tuple(pos[c] for c in w) for w in inside)
+
+
+def test_shape_base_gives_the_windows_inside_the_shapes_subgroup():
     # cells 8 and 32 of (Z/2)^6 times the inverse of 8 are 0 and 40, which
-    # span {0, 40}: base cells 0 and 1, where 11 stays forbidden
+    # span {0, 40}: the windows inside it are (8, 32)·8 and (8, 32)·32,
+    # that is (0, 40) and (40, 0), on cells 0 and 1
     g = z2_power_tower(6).levels[5]
     spec = SftSpec(g, BINARY, (8, 32), frozenset({Pattern(g, (8, 32), (1, 1))}))
-    embed, base = shape_base(spec)
-    assert embed == (0, 40)
-    assert base.forbidden_shape == (0, 1)
-    assert {w.symbols for w in base.forbidden} == {(1, 1)}
-    # ``within`` joins the subgroup; a shape spanning the group is kept
-    assert shape_base(spec, within=(1,))[0] == (0, 1, 40, 41)
+    assert shape_base(spec) == ((0, 40), [(0, 1), (1, 0)])
+    # ``within`` joins the subgroup, which holds four windows
+    embed, windows = shape_base(spec, within=(1,))
+    assert embed == (0, 1, 40, 41) and windows == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    # a shape spanning the group gives all its windows, the group's cells
     z9 = cyclic(9)
     spans = SftSpec(z9, BINARY, (2, 3), frozenset({Pattern(z9, (2, 3), (1, 1))}))
-    assert shape_base(spans) == (tuple(range(9)), spans)
-    # the empty shape spans the trivial subgroup
+    assert shape_base(spans) == (tuple(range(9)), [(c, (c + 1) % 9) for c in range(9)])
+    # the empty shape spans the trivial subgroup, with its one empty window
     empty = SftSpec(g, BINARY, (), frozenset())
-    assert shape_base(empty)[0] == (0,)
+    assert shape_base(empty) == ((0,), [()])
+    assert shape_base(empty, within=(8,)) == ((0, 8), [(), ()])
 
 
-def test_shape_base_reorders_symbols_to_the_sorted_shape():
+def test_shape_base_windows_keep_the_shapes_cell_order():
     # in S3, cells 1, 2 and 5 times the inverse of cell 1 are 0, 4 and 3:
-    # the subgroup {0, 3, 4} at positions 0, 2 and 1, so the symbols on
-    # cells 1, 2 and 5 land on base cells 0, 2 and 1
+    # the subgroup {0, 3, 4}, where the window at the identity reads base
+    # cells 0, 2 and 1 in that order, so the forbidden word 110 applies
+    # to it as it stands
     s3 = symmetric3()
     shape = (1, 2, 5)
     spec = SftSpec(s3, BINARY, shape, frozenset({Pattern(s3, shape, (1, 1, 0))}))
-    embed, base = shape_base(spec)
-    assert embed == (0, 3, 4) and base.forbidden_shape == (0, 1, 2)
-    assert {w.symbols for w in base.forbidden} == {(1, 0, 1)}
+    embed, windows = shape_base(spec)
+    assert embed == (0, 3, 4) and windows[0] == (0, 2, 1)
+    assert sorted(windows) == windows_inside(spec, embed)
+    x_l = enumerate_hypergraph(3, windows, {(1, 1, 0)}, 2)
+    assert x_l == {x for x in iproduct((0, 1), repeat=3)
+                   if not any((x[a], x[b], x[c]) == (1, 1, 0) for a, b, c in windows)}
+
+
+def base_spec(spec, embed, windows):
+    """The spec read on the subgroup with members ``embed``, as a spec on
+    its own table: the shape is the window at the identity, sorted, and
+    each forbidden word is re-ordered with it."""
+    group = Subgroup(spec.group, embed).as_group()[0]
+    cells = windows[embed.index(spec.group.identity)]
+    sort = picker(sorted(range(len(cells)), key=cells.__getitem__))
+    shape = sort(cells)
+    forbidden = frozenset(Pattern(group, shape, sort(w.symbols)) for w in spec.forbidden)
+    return SftSpec(group, spec.alphabet, shape, forbidden)
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.sampled_from(COUNT_GROUPS), st.randoms(use_true_random=False))
 def test_the_sft_is_the_free_extension_of_its_shape_base(group, rng):
     spec = random_sft_spec(group, rng)
-    embed, base = shape_base(spec)
+    within = rng.sample(range(group.order), rng.randint(0, 1))
+    embed, windows = shape_base(spec, within=within)
+    assert sorted(windows) == windows_inside(spec, embed)
+    base = base_spec(spec, embed, windows)
+    assert sorted(map(sorted, windows)) == sorted(map(sorted, whole_group(base)[1]))
+    x_l = enumerate_hypergraph(len(embed), windows, {w.symbols for w in spec.forbidden}, 2)
+    assert x_l == enumerate_sft(base).configs
     ctx = extension_context(group, base.group, embed)
     assert enumerate_sft(free_extension_spec(base, ctx)).configs == enumerate_sft(spec).configs
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.sampled_from(COUNT_GROUPS), st.booleans())
+def test_relabelling_the_cells_permutes_the_configurations(seed, group, on_base):
+    # the numbering is the sweeps' only cell order: renumbering the cells
+    # may change the states visited, but not the count, and it permutes
+    # the configurations
+    rng = random.Random(seed)
+    spec = random_sft_spec(group, rng)
+    n, windows, words, k = whole_group(spec)
+    if on_base:
+        embed, windows = shape_base(spec)
+        n = len(embed)
+    new = rng.sample(range(n), n)  # cell c becomes cell new[c]
+    relabelled = [tuple(new[c] for c in w) for w in windows]
+    assert frontier_count(n, relabelled, words, k) == frontier_count(n, windows, words, k)
+    permute = picker(sorted(range(n), key=new.__getitem__))  # reads x at new^-1
+    configs = enumerate_hypergraph(n, windows, words, k)
+    assert enumerate_hypergraph(n, relabelled, words, k) == set(map(permute, configs))
 
 
 def _random_spec_on(group, shape, rng):
@@ -420,30 +479,40 @@ ORACLE_GROUPS = [symmetric3(), dihedral4(), alternating4(), quaternion(), S4,
 SUBGROUPS = {g: subgroups_and_closures(g)[0] for g in ORACLE_GROUPS}
 
 
-def test_count_matches_the_frontier_count_on_the_whole_group():
-    compared = Counter()
+def count_against_the_whole_group(group, in_coset, rng):
+    """Compare :func:`count_sft` of a random spec with :func:`frontier_count`
+    on the whole group's windows.  Returns whether the shape spans a proper
+    subgroup, or None when the whole group refuses."""
+    if in_coset:  # a shape inside a right coset of some subgroup
+        sub = rng.choice(SUBGROUPS[group])
+        cells = rng.sample(sub.members, rng.randint(1, min(3, sub.order)))
+        c = rng.randrange(group.order)
+        spec = _random_spec_on(group, tuple(sorted(group.mul[a][c] for a in cells)), rng)
+    else:
+        spec = random_sft_spec(group, rng)
+    try:
+        want = frontier_count(*whole_group(spec), budget=1 << 16)
+    except ResourceError:  # index order is slow on some shapes of S4
+        return None
+    assert count_sft(spec) == want
+    return len(shape_base(spec)[0]) < group.order
 
+
+def test_count_matches_the_frontier_count_on_the_whole_group():
     @settings(deadline=None, max_examples=120, derandomize=True)
     @given(st.sampled_from(ORACLE_GROUPS), st.booleans(), st.randoms(use_true_random=False))
     def check(group, in_coset, rng):
-        if in_coset:  # a shape inside a right coset of some subgroup
-            sub = rng.choice(SUBGROUPS[group])
-            cells = rng.sample(sub.members, rng.randint(1, min(3, sub.order)))
-            c = rng.randrange(group.order)
-            spec = _random_spec_on(group, tuple(sorted(group.mul[a][c] for a in cells)), rng)
-        else:
-            spec = random_sft_spec(group, rng)
-        try:
-            want = frontier_count(spec, budget=1 << 16)
-        except ResourceError:  # index order is slow on some shapes of S4
-            return
-        assert count_sft(spec) == want
-        compared[len(shape_base(spec)[0]) < group.order] += 1
+        count_against_the_whole_group(group, in_coset, rng)
 
     check()
-    # most shapes of up to three cells span a proper subgroup, and where
-    # one spans the group the two counts are the same program
-    assert compared[True] >= 40, compared
+    # the floor is taken on fixed cases, not on the draws: most shapes of
+    # up to three cells span a proper subgroup, and where one spans the
+    # group the two counts are the same program
+    rng = random.Random(0)
+    compared = Counter(
+        count_against_the_whole_group(rng.choice(ORACLE_GROUPS), rng.random() < 0.5, rng)
+        for _ in range(120))
+    assert compared[True] >= 100, compared
 
 
 SYMMETRIC = symmetric_tower(5)
@@ -452,28 +521,39 @@ SYMMETRIC_CONTEXTS = [tower_context(SYMMETRIC, i, j) for j in (2, 3, 4) for i in
                       if i < j]
 
 
-def test_count_along_the_symmetric_tower():
-    compared = Counter()
+def count_along_the_tower(ctx, lift, rng):
+    """Compare :func:`count_sft` of a random spec on the context's ambient
+    group, lifted from the base or not, with :func:`frontier_count` on the
+    whole group's windows.  Returns the ambient order, or None when the
+    whole group refuses."""
+    if lift or ctx.ambient.order > 24:
+        base = random_sft_spec(ctx.base_group, rng)
+        spec = free_extension_spec(base, ctx)
+        assert count_sft(spec) == count_sft(base) ** ctx.cosets
+    else:
+        spec = random_sft_spec(ctx.ambient, rng)
+    try:
+        want = frontier_count(*whole_group(spec), budget=1 << 13)
+    except ResourceError:  # index order on S5 is slow for most shapes
+        return None
+    assert count_sft(spec) == want
+    return ctx.ambient.order
 
+
+def test_count_along_the_symmetric_tower():
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(st.sampled_from(SYMMETRIC_CONTEXTS), st.booleans(),
            st.randoms(use_true_random=False))
     def check(ctx, lift, rng):
-        if lift or ctx.ambient.order > 24:
-            base = random_sft_spec(ctx.base_group, rng)
-            spec = free_extension_spec(base, ctx)
-            assert count_sft(spec) == count_sft(base) ** ctx.cosets
-        else:
-            spec = random_sft_spec(ctx.ambient, rng)
-        try:
-            want = frontier_count(spec, budget=1 << 13)
-        except ResourceError:  # index order on S5 is slow for most shapes
-            return
-        assert count_sft(spec) == want
-        compared[ctx.ambient.order] += 1
+        count_along_the_tower(ctx, lift, rng)
 
     check()
-    assert min(compared[6], compared[24], compared[120]) >= 5, compared
+    # the floor is taken on fixed cases, not on the draws
+    rng = random.Random(0)
+    compared = Counter(
+        count_along_the_tower(rng.choice(SYMMETRIC_CONTEXTS), rng.random() < 0.5, rng)
+        for _ in range(80))
+    assert min(compared[6], compared[24], compared[120]) >= 15, compared
 
 
 def test_count_reduces_to_the_shapes_subgroup():
@@ -482,7 +562,7 @@ def test_count_reduces_to_the_shapes_subgroup():
     g = z2_power_tower(6).levels[5]
     spec = SftSpec(g, BINARY, (8, 32), frozenset({Pattern(g, (8, 32), (1, 1))}))
     with pytest.raises(ResourceError):
-        frontier_count(spec, budget=1 << 16)
+        frontier_count(*whole_group(spec), budget=1 << 16)
     assert count_sft(spec, budget=10) == 3 ** 32
     with pytest.raises(ResourceError, match=r"\(budget 2\)"):
         count_sft(spec, budget=2)
