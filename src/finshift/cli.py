@@ -6,16 +6,17 @@ seed produce identical reports; the exit code is 0 exactly when every
 check passes.
 
 Only the layers every command uses are imported here; ``extend`` and
-``extract`` import ``freext``, ``zline`` imports ``zline``, ``verify``
-imports ``suites``, and ``sft entropy``, ``extend``, ``check`` and
-``entropy-set`` import ``dynprops`` when they run, so a process loads only
-what its command needs.
+``extract`` load ``freext``, ``zline`` loads ``zline``, ``verify`` loads
+``suites``, and ``sft entropy``, ``extend``, ``check`` and ``entropy-set``
+load ``dynprops`` when they first run (:func:`_layer`), so a process loads
+only what its commands need.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 from itertools import repeat
@@ -23,6 +24,12 @@ from itertools import repeat
 from . import files
 from .errors import FinshiftError, InputError, ResourceError
 from .shiftspace import DEFAULT_CANDIDATE_BUDGET, enumerate_sft
+
+
+@functools.cache
+def _layer(name: str):
+    """The package module ``name``, imported once per process, when first used."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _text(value, *what) -> str:
@@ -70,9 +77,7 @@ def _cmd_group(args) -> int:
 def _cmd_sft(args) -> int:
     spec = files.read_sft(args.file)
     if args.sft_action == "entropy":
-        from .dynprops import spec_entropy
-
-        print(_entropy_line(spec_entropy(spec, budget=args.budget)))
+        print(_entropy_line(_layer("dynprops").spec_entropy(spec, budget=args.budget)))
         return 0
     space = enumerate_sft(spec, budget=args.budget)
     symbol = spec.alphabet.symbols.__getitem__
@@ -83,12 +88,10 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    from .dynprops import count_entropy
-    from .freext import tower_extension_count
-
     spec, tower = files.read_sft_and_tower(args.sft, args.tower)
-    count = tower_extension_count(spec, tower, args.frm, args.to, budget=args.budget)
-    h = count_entropy(count, tower.levels[args.to].order)
+    count = _layer("freext").tower_extension_count(spec, tower, args.frm, args.to,
+                                                   budget=args.budget)
+    h = _layer("dynprops").count_entropy(count, tower.levels[args.to].order)
     # h's count is a root of count, so once count prints, so does h
     configs = _text(count, "the configuration count")
     print(f"extended from level {args.frm} to level {args.to}")
@@ -98,8 +101,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from .freext import base_extract, tower_context
-
+    freext = _layer("freext")
     spec, tower = files.read_sft_and_tower(args.space, args.tower)
     # a tower may repeat a group: the space lives on the first such level
     # at or above the base level
@@ -109,8 +111,8 @@ def _cmd_extract(args) -> int:
     )
     if ambient_level is None:
         raise InputError(f"the space's group is not a tower level from {args.level} up")
-    ctx = tower_context(tower, args.level, ambient_level)
-    result = base_extract(spec, ctx, budget=args.budget)
+    ctx = freext.tower_context(tower, args.level, ambient_level)
+    result = freext.base_extract(spec, ctx, budget=args.budget)
     if not result.ok:
         print(f"FAIL: not a free extension; witness {result.witness}")
         return 1
@@ -123,8 +125,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from . import dynprops
-
+    dynprops = _layer("dynprops")
     kind = args.check_kind
     if kind in ("zero", "entmin", "mme"):
         # on a finite group these follow from the count: log|X|/|G| is zero
@@ -168,10 +169,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_entropy_set(args) -> int:
-    from .dynprops import entropy_set
-
     tower = files.read_tower(args.tower)
-    values = entropy_set(tower, max_level=args.max_level, max_n=args.max_n, budget=args.budget)
+    values = _layer("dynprops").entropy_set(tower, max_level=args.max_level,
+                                            max_n=args.max_n, budget=args.budget)
     rows = [("count", "denom", "value")]
     for v in sorted(values, key=lambda v: (float(v), v.count)):
         rows.append((v.count, v.denom, f"{float(v):.6f}"))
@@ -180,8 +180,7 @@ def _cmd_entropy_set(args) -> int:
 
 
 def _cmd_zline(args) -> int:
-    from . import zline
-
+    zline = _layer("zline")
     # each table runs from its first row to n, and has at least that row
     first, default = {"golden": (3, 20), "even": (1, 12), "gap": (2, 10)}[args.zline_kind]
     n = args.n if args.n is not None else default
@@ -218,10 +217,8 @@ def _cmd_zline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import suites
-
     # an unknown suite is refused by run_suite, which names the known ones
-    report = suites.run_suite(args.suite, seed=args.seed)
+    report = _layer("suites").run_suite(args.suite, seed=args.seed)
     print(report.render())
     return 0 if report.passed else 1
 

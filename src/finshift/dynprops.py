@@ -32,11 +32,7 @@ from .shiftspace import (
 
 
 def _int_root(n: int, d: int):
-    """Exact d-th root of n, or None if n is not a perfect d-th power."""
-    if n < 1:
-        return None
-    if n == 1:
-        return 1
+    """Exact d-th root of n >= 1, or None if n is not a perfect d-th power."""
     lo, hi = 1, 1 << (n.bit_length() // d + 2)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -48,7 +44,7 @@ def _int_root(n: int, d: int):
 
 
 class EntropyValue(Record):
-    """Exact entropy log(count)/denom, stored in canonical reduced form.
+    """Exact entropy log(count)/denom, fields ``count``, ``denom``, reduced.
 
     Canonicalization strips perfect powers whose exponent divides the
     denominator, so equal values have equal forms and ``==`` is exact:
@@ -60,7 +56,7 @@ class EntropyValue(Record):
 
     def __init__(self, count: int, denom: int):
         n, m = count, denom
-        if n < 1 or m < 1:
+        if not (type(n) is type(m) is int and n >= 1 and m >= 1):
             raise InputError("entropy parameters must be positive integers")
         # take the root for the largest d dividing m with n a perfect d-th
         # power (n = 1 gives d = m); were the root a perfect e-th power for
@@ -69,8 +65,7 @@ class EntropyValue(Record):
             if m % d == 0 and (r := _int_root(n, d)) is not None:
                 n, m = r, m // d
                 break
-        object.__setattr__(self, "count", n)
-        object.__setattr__(self, "denom", m)
+        super().__init__(n, m)
 
     def is_zero(self) -> bool:
         return self.count == 1
@@ -144,13 +139,12 @@ def entropy_set(
 
 
 class SiVerdict(Record):
-    """Outcome of a strong-irreducibility check for one witness set."""
+    """A strong-irreducibility verdict, fields ``ok`` and ``counterexample``."""
 
     __slots__ = ("ok", "counterexample")
 
     def __init__(self, ok: bool, counterexample: tuple[Pattern, Pattern] | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "counterexample", counterexample)
+        super().__init__(ok, counterexample)
 
 
 def _packed_table(y: ShiftSpace):
@@ -330,16 +324,10 @@ def spec_minimal_si_witnesses(
 
 
 class AutomorphismGroup(Record):
-    """All self-conjugacies of a space, as permutations of its sorted
-    configurations."""
+    """All self-conjugacies of ``space``, fields ``space``, ``elements`` and
+    ``composition``: permutations of its sorted configurations, composed."""
 
     __slots__ = ("space", "elements", "composition")
-
-    def __init__(self, space: ShiftSpace, elements: tuple[tuple[int, ...], ...],
-                 composition: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "composition", composition)
 
     @property
     def order(self) -> int:
@@ -401,7 +389,7 @@ def automorphism_group(
 
 
 class InvariantMeasure(Record):
-    """A shift-invariant probability vector over the configurations.
+    """A shift-invariant probability vector, fields ``space`` and ``weights``.
 
     Weights are exact rationals keyed by configuration and must be constant
     on every orbit.
@@ -421,8 +409,7 @@ class InvariantMeasure(Record):
             vals = {weights[c] for c in orb}
             if len(vals) != 1:
                 raise InputError("measure is not constant on a shift orbit")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(space, weights)
 
 
 def mme(y: ShiftSpace) -> InvariantMeasure:

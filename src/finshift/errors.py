@@ -50,13 +50,14 @@ class ConfigurationError(FinshiftError):
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``; a slot whose name starts with
-    ``_`` is a cache, not a field.  Two records are equal when they are of
-    one class with equal fields, a record hashes as its fields do, setting
-    or deleting an attribute raises :class:`AttributeError`, copying and
-    pickling rebuild a record from its fields, and the repr reads
-    ``Name(field=value, ...)``.
+    A subclass declares its fields once, in ``__slots__``, and is built from
+    their values in that order (:class:`TypeError` if their number is wrong);
+    its own ``__init__`` only validates or normalises them, and ends in
+    ``super().__init__(...)``.  A slot whose name starts with ``_`` is a
+    cache, unset until filled, not a field.  Records of one class with equal
+    fields are equal and hash alike, setting or deleting an attribute raises
+    :class:`AttributeError`, copying and pickling rebuild a record from its
+    fields, and the repr reads ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -64,6 +65,13 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__qualname__} takes {self._fields}, not {len(values)}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -30,27 +30,17 @@ from .shiftspace import (
 
 
 class ExtensionContext(Record):
-    """Everything needed to extend shifts from a base group to an ambient one.
-
-    ``base_embed[i]`` is the ambient element of base element ``i``.  The
-    right cosets of the embedded base H are numbered by their least
-    element, and ``reps[i]`` is the representative of coset ``i``.  Ambient
-    element ``k`` lies in coset ``coset_of[k]`` and is base element
-    ``base_pos[k]`` carried there: ``k = base_embed[base_pos[k]] *
-    reps[coset_of[k]]``.
+    """Everything needed to extend shifts from the ``base_group`` H to the
+    ``ambient`` one; fields ``ambient``, ``base_group``, ``base_embed``,
+    ``reps``, ``coset_of``, ``base_pos``.  ``base_embed[i]`` is the ambient
+    element of base element ``i``.  The right cosets of the embedded H are
+    numbered by their least element, and ``reps[i]`` is the representative
+    of coset ``i``.  Ambient element ``k`` lies in coset ``coset_of[k]`` and
+    is base element ``base_pos[k]`` carried there: ``k =
+    base_embed[base_pos[k]] * reps[coset_of[k]]``.
     """
 
     __slots__ = ("ambient", "base_group", "base_embed", "reps", "coset_of", "base_pos")
-
-    def __init__(self, ambient: FiniteGroup, base_group: FiniteGroup,
-                 base_embed: tuple[int, ...], reps: tuple[int, ...],
-                 coset_of: tuple[int, ...], base_pos: tuple[int, ...]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "base_group", base_group)
-        object.__setattr__(self, "base_embed", base_embed)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "coset_of", coset_of)
-        object.__setattr__(self, "base_pos", base_pos)
 
     @property
     def cosets(self) -> int:
@@ -185,7 +175,7 @@ def free_extension_spec(spec: SftSpec, ctx: ExtensionContext) -> SftSpec:
 
 
 class BaseExtractResult(Record):
-    """Outcome of :func:`base_extract`.
+    """Outcome of :func:`base_extract`, fields ``ok``, ``spec``, ``witness``.
 
     ``ok`` is False when re-extending the recovered spec fails to reproduce
     the input SFT, in which case ``witness`` is a configuration of the
@@ -193,11 +183,6 @@ class BaseExtractResult(Record):
     """
 
     __slots__ = ("ok", "spec", "witness")
-
-    def __init__(self, ok: bool, spec: SftSpec | None, witness: tuple | None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "witness", witness)
 
 
 def base_extract(

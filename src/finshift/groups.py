@@ -13,25 +13,19 @@ from .errors import DEFAULT_CANDIDATE_BUDGET, InputError, Record, ResourceError,
 
 
 class FiniteGroup(Record):
-    """An explicit finite group: it is its table, so two groups with the
-    same table are equal.
+    """An explicit finite group, fields ``mul``, ``identity`` and ``inv``:
+    it is its table, so two groups with the same table are equal.
 
     ``mul[a][b]`` is the element index of the product ``a * b``.  Instances
     are immutable records (:class:`errors.Record`) and hash their table
-    once, when first hashed, since every pattern hashes its group;
+    into ``_hash`` when first hashed, since every pattern hashes its group;
     :func:`from_table` validates tables from outside.
     """
 
     __slots__ = ("mul", "identity", "inv", "_hash")
 
-    def __init__(self, mul: tuple[tuple[int, ...], ...], identity: int, inv: tuple[int, ...]):
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_hash", None)
-
     def __hash__(self):
-        if self._hash is None:  # the first hash of this group
+        if not hasattr(self, "_hash"):  # the first hash of this group
             object.__setattr__(self, "_hash", hash(self._key(self)))
         return self._hash
 
@@ -144,13 +138,9 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 class Subgroup(Record):
-    """A subgroup given by its sorted member indices inside a parent group."""
+    """A subgroup, fields ``parent`` and ``members``, its sorted indices there."""
 
     __slots__ = ("parent", "members")
-
-    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", members)
 
     @property
     def order(self) -> int:
@@ -259,17 +249,12 @@ def subgroups_and_closures(
 
 
 class GroupTower(Record):
-    """A chain of finite groups with injective connecting homomorphisms.
-
-    ``embeddings[i]`` maps element indices of ``levels[i]`` into
-    ``levels[i+1]``.
+    """A chain of finite groups with injective connecting homomorphisms,
+    fields ``levels`` and ``embeddings``: ``embeddings[i]`` maps element
+    indices of ``levels[i]`` into ``levels[i+1]``.
     """
 
     __slots__ = ("levels", "embeddings")
-
-    def __init__(self, levels: tuple[FiniteGroup, ...], embeddings: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "embeddings", embeddings)
 
     def embed_up(self, i: int, j: int) -> tuple[int, ...]:
         """The composed embedding of level ``i`` into level ``j >= i``."""
@@ -304,8 +289,8 @@ def check_embedding(levels, i: int, emb) -> None:
         dup = next(a for a in emb if list(emb).count(a) > 1)
         raise ValidationError(f"embedding is not injective: image {dup} repeated")
     for a in emb:
-        if not (0 <= a < hi.order):
-            raise ValidationError(f"embedding image {a} outside the larger group")
+        if type(a) is not int or not 0 <= a < hi.order:
+            raise ValidationError(f"embedding image {a!r} outside the larger group")
     e = lo.identity
     if emb[e] != hi.identity:
         raise ValidationError(f"not a homomorphism: witness pair ({e},{e})")

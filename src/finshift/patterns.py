@@ -9,14 +9,14 @@ Every module reads a configuration at a list of cells through one
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .errors import InputError, Record
 from .groups import FiniteGroup
 
 
 class Alphabet(Record):
-    """The symbols of a shift, in index order."""
+    """The symbols of a shift, field ``symbols``, in index order."""
 
     __slots__ = ("symbols",)
 
@@ -25,7 +25,7 @@ class Alphabet(Record):
             raise InputError("alphabet needs at least one symbol")
         if len(set(symbols)) != len(symbols):
             raise InputError("alphabet symbols must be distinct")
-        object.__setattr__(self, "symbols", symbols)
+        super().__init__(symbols)
 
     @property
     def size(self) -> int:
@@ -36,7 +36,8 @@ BINARY = Alphabet(("0", "1"))
 
 
 class Pattern(Record):
-    """A partial configuration: ``symbols[k]`` sits at element ``shape[k]``.
+    """A partial configuration, fields ``group``, ``shape`` and ``symbols``:
+    ``symbols[k]`` sits at element ``shape[k]``.
 
     ``shape`` is strictly increasing; the empty pattern (empty shape) is
     legal.
@@ -47,13 +48,12 @@ class Pattern(Record):
     def __init__(self, group: FiniteGroup, shape: tuple[int, ...], symbols: tuple[int, ...]):
         if len(shape) != len(symbols):
             raise InputError("shape and symbols must have equal length")
-        if any(shape[i] >= shape[i + 1] for i in range(len(shape) - 1)):
-            raise InputError("shape must be strictly increasing")
-        if shape and not (0 <= shape[0] and shape[-1] < group.order):
+        if shape and not ({int}.issuperset(map(type, shape))
+                          and 0 <= shape[0] and shape[-1] < group.order):
             raise InputError("shape contains indices outside the group")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "symbols", symbols)
+        if not all(map(lt, shape, shape[1:])):
+            raise InputError("shape must be strictly increasing")
+        super().__init__(group, shape, symbols)
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.shape, self.symbols))
@@ -74,5 +74,7 @@ def picker(indices):
 def shift_config(group: FiniteGroup, g: int, config):
     """Translate a full configuration tuple by ``g``: the result reads
     ``config`` at ``h*g`` for each element h, column g of the table."""
+    if type(g) is not int or not 0 <= g < group.order or len(config) != group.order:
+        raise InputError(f"cannot shift {len(config)} cells by {g!r} in a group of {group.order}")
     return picker([row[g] for row in group.mul])(config)
 

@@ -15,6 +15,7 @@ reads the symbols that configurations carry on a shape.
 
 from __future__ import annotations
 
+from itertools import chain
 from itertools import product as iproduct
 from operator import lshift
 
@@ -23,39 +24,38 @@ from .groups import FiniteGroup, generated_subgroup
 from .patterns import Alphabet, Pattern, picker
 
 
+def _group_cells(group: FiniteGroup, cells, what: str) -> tuple[int, ...]:
+    """``cells`` sorted, without repeats, if each is an element index of
+    ``group``; else an :class:`InputError` naming ``what``."""
+    if (cells := set(cells)) and not ({int}.issuperset(map(type, cells))
+                                      and 0 <= min(cells) and max(cells) < group.order):
+        raise InputError(f"{what} contains indices outside the group")
+    return tuple(sorted(cells))
+
+
 class SftSpec(Record):
-    """Forbidden-pattern presentation of an SFT on a finite group; the
-    shape is stored sorted, without repeats."""
+    """An SFT by ``group``, ``alphabet``, ``forbidden_shape`` (stored sorted,
+    without repeats) and the ``forbidden`` patterns on that shape."""
 
     __slots__ = ("group", "alphabet", "forbidden_shape", "forbidden")
 
     def __init__(self, group: FiniteGroup, alphabet: Alphabet,
                  forbidden_shape: tuple[int, ...], forbidden: frozenset[Pattern]):
-        shape = tuple(sorted(set(forbidden_shape)))
-        if shape and not (0 <= shape[0] and shape[-1] < group.order):
-            raise InputError("forbidden shape contains indices outside the group")
+        shape = _group_cells(group, forbidden_shape, "forbidden shape")
         k = alphabet.size
         for w in forbidden:
             if w.shape != shape:
                 raise InputError("every forbidden pattern must live exactly on the spec shape")
             for s in w.symbols:
-                if not 0 <= s < k:
-                    raise InputError(f"forbidden symbol {s} is outside the alphabet of size {k}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "forbidden_shape", shape)
-        object.__setattr__(self, "forbidden", forbidden)
+                if type(s) is not int or not 0 <= s < k:
+                    raise InputError(f"forbidden symbol {s!r} is outside the alphabet of size {k}")
+        super().__init__(group, alphabet, shape, forbidden)
 
 
 class ShiftSpace(Record):
-    """A shift-invariant set of full configurations (symbol tuples)."""
+    """A shift on ``group`` over ``alphabet``: its ``configs``, symbol tuples."""
 
     __slots__ = ("group", "alphabet", "configs")
-
-    def __init__(self, group: FiniteGroup, alphabet: Alphabet, configs: frozenset):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "configs", configs)
 
     def __len__(self):
         return len(self.configs)
@@ -80,10 +80,24 @@ def _windows(group: FiniteGroup, shape):
     return list(zip(*(group.mul[f] for f in shape))) if shape else [()] * group.order
 
 
-def _by_last(n: int, windows) -> list[list[tuple[int, ...]]]:
+def _by_last(n: int, windows, forbidden, k: int) -> list[list[tuple[int, ...]]]:
     """For each cell p, the windows whose last cell is p: both sweeps
     check a window when they set its last cell.  The empty window is
-    checked at the first cell, so forbidding it kills all."""
+    checked at the first cell, so forbidding it kills all.  Refuses
+    (:class:`InputError`) n or k below 1, a cell outside 0..n-1, a symbol
+    outside 0..k-1, and words not as long as every window's distinct cells."""
+    if not (type(n) is type(k) is int and n >= 1 and k >= 1):
+        raise InputError(f"a hypergraph needs n, k >= 1 cells and symbols, not {n!r}, {k!r}")
+    cells, symbols = set().union(*windows), set().union(*forbidden)
+    if not {int}.issuperset(map(type, chain(*windows, *forbidden))):
+        raise InputError("window cells and forbidden symbols must be integers")
+    if cells and not (0 <= min(cells) and max(cells) < n):
+        raise InputError(f"a window reads a cell outside 0..{n - 1}")
+    if symbols and not (0 <= min(symbols) and max(symbols) < k):
+        raise InputError(f"a forbidden word holds a symbol outside 0..{k - 1}")
+    if forbidden and len({*map(len, windows), *map(len, map(set, windows)),
+                          *map(len, forbidden)}) > 1:
+        raise InputError("every window must read as many distinct cells as a word has symbols")
     by_last = [[] for _ in range(n)]
     for cells in windows:
         by_last[max(cells, default=0)].append(cells)
@@ -97,10 +111,10 @@ def enumerate_hypergraph(n: int, windows, forbidden, k: int,
     prefixes on cells 0..p that no window ending by p forbids.  ``budget``
     bounds the nodes visited, one per symbol tried on a prefix; a layer
     that would pass it is refused before it starts (:class:`ResourceError`)."""
+    by_last = _by_last(n, windows, forbidden, k)  # refuses a k that range() cannot take
     symbols = [(s,) for s in range(k)]
-    layer = [()]
-    nodes = 0
-    for closing in _by_last(n, windows):
+    layer, nodes = [()], 0
+    for closing in by_last:
         checks = [picker(cells) for cells in closing]
         one = checks[0] if len(checks) == 1 else None  # most cells close one window
         nodes += k * len(layer)
@@ -161,9 +175,9 @@ def frontier_count(n: int, windows, forbidden, k: int,
     ``budget`` bounds the number of states visited; a
     :class:`ResourceError` reports how many were.
     """
+    by_last = _by_last(n, windows, forbidden, k)
     if not forbidden:
         return k ** n
-    by_last = _by_last(n, windows)
     # a cell leaves the state after the last window that reads it, as
     # windows come in end order; a cell that no window reads leaves at once
     last_read = {c: end for end, closing in enumerate(by_last) for w in closing for c in w}
@@ -299,20 +313,18 @@ def shift_permutations(y: ShiftSpace) -> list[tuple[int, ...]]:
 
 
 class BlockMap(Record):
-    """A local rule: window patterns of the domain to target symbols.
-
-    ``table`` maps a symbol tuple (aligned with the sorted window) to a
-    target symbol index; the window is stored sorted, without repeats.
+    """A local rule, fields ``domain``, ``window``, ``table`` and
+    ``target_alphabet``: ``table`` maps a symbol tuple (aligned with the
+    window, cells of the domain's group stored sorted, without repeats) to
+    a target symbol index.
     """
 
     __slots__ = ("domain", "window", "table", "target_alphabet")
 
     def __init__(self, domain: ShiftSpace, window: tuple[int, ...], table: dict,
                  target_alphabet: Alphabet):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "window", tuple(sorted(set(window))))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "target_alphabet", target_alphabet)
+        window = _group_cells(domain.group, window, "block map window")
+        super().__init__(domain, window, table, target_alphabet)
 
 
 def apply_block_code(x: ShiftSpace, b: BlockMap) -> ShiftSpace:

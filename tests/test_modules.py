@@ -1,7 +1,8 @@
 """Module boundaries: no finshift module uses another module's private
-names, every budget has the one default, the package root provides each
-public name from its module, every finshift name the benchmark asks for
-exists, and the CLI loads only the layers its command uses."""
+names, records set their fields only through ``errors.Record``, every
+budget has the one default, the package root provides each public name
+from its module, every finshift name the benchmark asks for exists, and
+the CLI loads only the layers its command uses."""
 
 import ast
 import importlib
@@ -95,6 +96,70 @@ def test_the_sweeps_read_a_window_hypergraph_not_a_group():
         name: set() for name in sweeps}
 
 
+def record_rule_breaches(source):
+    """Where ``source`` sets a field other than through ``Record``: each
+    ``object.__setattr__`` outside a class ``Record`` that does not name a
+    ``_`` cache slot, by line, and each ``__init__`` of a direct ``Record``
+    subclass that does not call ``super().__init__``, by class."""
+    tree = ast.parse(source)
+    found, exempt = [], set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if cls.name == "Record":
+            exempt.update(map(id, ast.walk(cls)))
+        elif any(isinstance(base, ast.Name) and base.id == "Record" for base in cls.bases):
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                        and not any(_calls_super_init(node) for node in ast.walk(fn))):
+                    found.append(f"{cls.name}.__init__")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and id(node) not in exempt
+                and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                         and str(node.args[1].value).startswith("_"))):
+            found.append(f"line {node.lineno}")
+    return sorted(found)
+
+
+def _calls_super_init(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)
+            and getattr(node.func.value.func, "id", None) == "super")
+
+
+def test_the_record_guard_finds_field_setters_and_inits_without_super():
+    source = ("class Record:\n"
+              "    def __init__(self, *values):\n"
+              "        object.__setattr__(self, 'x', values[0])\n"
+              "class Good(Record):\n"
+              "    __slots__ = ('x', '_cache')\n"
+              "    def __init__(self, x):\n"
+              "        super().__init__(abs(x))\n"
+              "    def __hash__(self):\n"
+              "        object.__setattr__(self, '_cache', 1)\n"
+              "        return 1\n"
+              "class Bad(Record):\n"
+              "    __slots__ = ('x',)\n"
+              "    def __init__(self, x):\n"
+              "        object.__setattr__(self, 'x', x)\n"
+              "def later(record, name):\n"
+              "    object.__setattr__(record, name, 0)\n")
+    assert record_rule_breaches(source) == ["Bad.__init__", "line 14", "line 16"]
+
+
+def test_records_set_their_fields_only_through_the_record_base():
+    # a record declares its fields once, in __slots__; Record.__init__ sets
+    # them, and an __init__ of its own only validates or normalises them
+    found = {
+        path.name: breaches
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (breaches := record_rule_breaches(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
 def budget_defaults():
     """Each public function of a finshift module that takes ``budget``,
     by qualified name, with that parameter's default."""
@@ -161,11 +226,20 @@ def _from_finshift(node):
     return node.level > 0 or (node.module or "").split(".")[0] == "finshift"
 
 
+def _loads_a_layer(node, modules):
+    """Whether ``node`` is a call ``_layer("<module>")``, the CLI's lazy
+    import of a finshift module."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_layer"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in modules)
+
+
 def referenced_names(source):
     """The finshift names ``source`` uses: names it imports from finshift,
-    attributes of a finshift module it imports, and reads of a function or
-    class it defines that resolve to that definition.  A local that shadows
-    such a name is not a use, nor is a name imported from elsewhere."""
+    attributes of a finshift module it imports or loads with ``_layer``,
+    and reads of a function or class it defines that resolve to that
+    definition.  A local that shadows such a name is not a use, nor is a
+    name imported from elsewhere."""
     tree = ast.parse(source)
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     names, aliases = set(), set()
@@ -177,12 +251,15 @@ def referenced_names(source):
         elif isinstance(node, ast.Import):
             aliases.update(alias.asname or alias.name.split(".")[0] for alias in node.names
                            if alias.name.split(".")[0] == "finshift")
+        elif isinstance(node, ast.Assign) and _loads_a_layer(node.value, modules):
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             root = node.value
             while isinstance(root, ast.Attribute):
                 root = root.value
-            if isinstance(root, ast.Name) and root.id in aliases:
+            if (isinstance(root, ast.Name) and root.id in aliases
+                    or _loads_a_layer(root, modules)):
                 names.add(node.attr)
     top = symtable.symtable(source, "<source>", "exec")
     defined = {sym.get_name() for sym in top.get_symbols() if sym.is_namespace()}
@@ -202,9 +279,12 @@ def test_the_usage_guard_reads_names_attributes_and_imports():
               "def entropy(): return suite_names()\n"
               "def unused(orbits, mme):\n"
               "    entropy = product(orbits)\n"
-              "    return z.sft_gap_witness(entropy), dynprops.mme_check, mme.mme_unique\n")
+              "    return z.sft_gap_witness(entropy), dynprops.mme_check, mme.mme_unique\n"
+              "def lazy():\n"
+              "    freext = _layer('freext')\n"
+              "    return freext.assemble, _layer('suites').run_suite, _layer('json').dumps\n")
     assert referenced_names(source) == {"cyclic", "dynprops", "sft_gap_witness",
-                                        "mme_check", "suite_names"}
+                                        "mme_check", "suite_names", "assemble", "run_suite"}
 
 
 def test_every_public_name_is_used_outside_the_tests():

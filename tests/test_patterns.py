@@ -1,6 +1,7 @@
 """Alphabets, patterns and configuration shifts, and every reindexing
 through a picker against per-cell reference code."""
 
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -73,6 +74,19 @@ def test_shift_config_matches_shift_pattern(case):
     G, config, g, _ = case
     shifted = shift_pattern(G, g, dict(enumerate(config)))
     assert shift_config(G, g, config) == tuple(shifted[h] for h in G.elements())
+
+
+@pytest.mark.parametrize("g, config, message", [
+    (9, (0, 1, 0, 1), "cannot shift 4 cells by 9 in a group of 4"),
+    (-1, (0, 1, 0, 1), "cannot shift 4 cells by -1 in a group of 4"),
+    (1.0, (0, 1, 0, 1), "cannot shift 4 cells by 1.0 in a group of 4"),
+    (1, (0, 1), "cannot shift 2 cells by 1 in a group of 4"),
+    (1, (0, 1, 0, 1, 0), "cannot shift 5 cells by 1 in a group of 4"),
+])
+def test_shift_config_refuses_elements_and_configurations_outside_the_group(g, config, message):
+    # 9 and the short configuration once raised IndexError; -1 wrapped
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        shift_config(cyclic(4), g, config)
 
 
 def test_coset_family_validation():

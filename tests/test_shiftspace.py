@@ -680,6 +680,42 @@ def test_block_code_domain_mismatch():
         apply_block_code(z, code)
 
 
+@pytest.mark.parametrize("window", [(5,), (-1,), (0, 2), (0.5,), ("0",)])
+def test_a_block_map_window_must_lie_in_the_domains_group(window):
+    # (5,) once ended in a raw IndexError, and (-1,) was read as element 1
+    y = full_shift(cyclic(2), BINARY)
+    with pytest.raises(InputError, match="^block map window contains indices outside the group$"):
+        BlockMap(y, window, {(0,): 0, (1,): 1}, BINARY)
+
+
+UNFIT = "every window must read as many distinct cells as a word has symbols"
+
+
+@pytest.mark.parametrize("n, windows, words, k, message", [
+    (3, [(0, -1)], {(1, 1)}, 2, "a window reads a cell outside 0..2"),
+    (3, [(0, 3)], {(1, 1)}, 2, "a window reads a cell outside 0..2"),
+    (3, [(0, 1.5)], {(1, 1)}, 2, "window cells and forbidden symbols must be integers"),
+    (3, [(0, 1)], {(1, 1.0)}, 2, "window cells and forbidden symbols must be integers"),
+    (3, [(0, 1)], {(1,)}, 2, UNFIT),
+    (3, [(0, 1), (2,)], {(1, 1)}, 2, UNFIT),
+    (3, [(0, 1), (2, 2)], {(1, 1)}, 2, UNFIT),
+    (3, [(0, 1)], {(1, 2)}, 2, "a forbidden word holds a symbol outside 0..1"),
+    (3, [(0, 1)], {(1, -1)}, 2, "a forbidden word holds a symbol outside 0..1"),
+    (0, [], {(1,)}, 2, "a hypergraph needs n, k >= 1 cells and symbols, not 0, 2"),
+    (-2, [], set(), 2, "a hypergraph needs n, k >= 1 cells and symbols, not -2, 2"),
+    (3.0, [(0, 1)], {(1, 1)}, 2, "a hypergraph needs n, k >= 1 cells and symbols, not 3.0, 2"),
+    (3, [(0, 1)], {(0, 0)}, 0, "a hypergraph needs n, k >= 1 cells and symbols, not 3, 0"),
+], ids=["negative-cell", "cell-n", "fractional-cell", "float-symbol", "short-word", "short-window", "repeat",
+        "symbol-k", "negative-symbol", "no-cells", "negative-n", "float-n", "no-symbols"])
+def test_the_sweeps_refuse_a_hypergraph_that_does_not_fit(n, windows, words, k, message):
+    # without these checks the first two raised KeyError and IndexError, the
+    # short word was counted 6 and enumerated 8, and the cell -1 was read
+    # as cell 2 by the enumeration
+    for sweep in (frontier_count, enumerate_hypergraph):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            sweep(n, windows, words, k)
+
+
 def test_block_code_commutes_with_shift():
     y = full_shift(cyclic(4), BINARY)
     xor = {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)}
